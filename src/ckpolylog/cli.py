@@ -7,9 +7,11 @@ Subcommands:
              identities), printing residual valuations
 
 Output is deterministic JSON (sorted keys, canonical term order); the exit
-status is 0 iff every certificate in the run is certified/passes.  The
+status is 0 iff every certificate in the run is certified/passes, and 2
+for rejected input such as a non-prime --S entry or --p.  The
 environment variable CKPOLYLOG_CACHE, when set, is used as a cache
-directory for polylogarithm disk tables keyed by (p, M, N).
+directory for the Frobenius-twisted global polylogarithm series, one file
+per prime, internal precision and truncation degree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from . import archimedean, elimination, galois, loci
 from . import words as wd
-from .padic import PrecisionPolicy
+from .padic import PrecisionPolicy, is_prime
 from .polylog import get_engine, padic_L3_check
 
 
@@ -30,11 +32,15 @@ def _policy(args):
     return PrecisionPolicy(args.prec, args.guard)
 
 
+def _parse_prime(text):
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError("%d is not prime" % p)
+    return p
+
+
 def _parse_S(text):
-    S = tuple(sorted(int(x) for x in str(text).split(",")))
-    if not S:
-        raise argparse.ArgumentTypeError("need at least one prime in S")
-    return S
+    return tuple(sorted(_parse_prime(x) for x in str(text).split(",")))
 
 
 def _emit(payload, out_path):
@@ -202,7 +208,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--S", type=_parse_S, default=(3,),
                         help="comma-separated primes inverted on the base (default 3)")
-    common.add_argument("--p", type=int, default=5, help="working prime (default 5)")
+    common.add_argument("--p", type=_parse_prime, default=5, help="working prime (default 5)")
     common.add_argument("--n", type=int, default=4, help="half-weight bound (default 4)")
     common.add_argument("--prec", type=int, default=12, help="precision digits M")
     common.add_argument("--guard", type=int, default=3, help="guard digits g")

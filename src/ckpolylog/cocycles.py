@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .padic import valuation
 from .words import ShuffleElement
 
 
@@ -246,21 +247,7 @@ def kappa_coordinates(z, ell):
     z = Fraction(z)
     if z in (0, 1):
         raise ValueError("kappa undefined at z in {0, 1}")
-    return (_ord(z, ell), -_ord(1 - z, ell))
-
-
-def _ord(q, ell):
-    q = Fraction(q)
-    v = 0
-    n = q.numerator
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    d = q.denominator
-    while d % ell == 0:
-        d //= ell
-        v -= 1
-    return v
+    return (valuation(z, ell)[0], -valuation(1 - z, ell)[0])
 
 
 def cocycle_apply(c, n):

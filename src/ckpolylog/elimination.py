@@ -526,35 +526,16 @@ def _f_monomials(prob, weight):
 
 
 def _nullspace(mat, ncols):
-    rows = len(mat)
-    aug = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, rows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    rows = [row[:] for row in mat]
+    basic, _ = words.row_reduce(rows, ncols)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for c, row in pivots.items():
-            vec[c] = -aug[row][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in basic:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for c, r in basic.items():
+                vec[c] = -rows[r][fc]
+            basis.append(vec)
     return basis
 
 

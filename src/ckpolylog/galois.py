@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import symbols as sy
 from . import words as wd
+from .padic import valuation
 from .words import ShuffleElement, TensorElement
 
 
@@ -51,15 +52,7 @@ def kummer_degree_one(z, S, genset=None):
     el = ShuffleElement.zero(genset)
     rest = abs(z)
     for ell in sorted(S):
-        v = 0
-        num, den = rest.numerator, rest.denominator
-        while num % ell == 0:
-            num //= ell
-            v += 1
-        while den % ell == 0:
-            den //= ell
-            v -= 1
-        rest = Fraction(num, den)
+        v, rest = valuation(rest, ell)
         if v:
             el = el + ShuffleElement.word(genset, (tau_id(ell),), Fraction(v))
     if rest != 1:
@@ -69,18 +62,11 @@ def kummer_degree_one(z, S, genset=None):
     return el
 
 
-def goncharov_reduced_coproduct(sym):
-    """Reduced coproduct of a symbol or expression, by the polylog formula."""
-    return sy.goncharov_reduced_coproduct(sym)
-
-
 def _is_s_unit(q, S):
-    q = Fraction(q)
-    n = abs(q.numerator) * q.denominator
+    rest = Fraction(q)
     for ell in S:
-        while n % ell == 0:
-            n //= ell
-    return n == 1
+        _, rest = valuation(rest, ell)
+    return abs(rest) == 1
 
 
 class TableEntry:
@@ -237,9 +223,11 @@ class PeriodTable:
             if m == 0:
                 out = out + sy.Expression.const(el.coefficient(()))
                 continue
-            piece = el.graded_part(m)
             span = self._spanning_products(m)
-            vec, basis_words = _solve_span(self.genset, span, piece, m)
+            vec = wd.solve_columns([form.terms for _, form in span],
+                                   el.graded_part(m).terms)
+            if vec is None:
+                raise ValueError("element of weight %d is outside the period span" % m)
             for c, (expr, _) in zip(vec, span):
                 if c:
                     out = out + expr.scale(c)
@@ -292,46 +280,6 @@ class PeriodTable:
                 "provenance": e.provenance,
             })
         return rows
-
-
-def _solve_span(genset, span, target, weight):
-    basis_words = sorted({w for _, el in span for w in el.terms}
-                         | set(target.terms), key=genset.word_sort_key)
-    widx = {w: i for i, w in enumerate(basis_words)}
-    rows = len(basis_words)
-    ncols = len(span)
-    aug = [[Fraction(0)] * (ncols + 1) for _ in range(rows)]
-    for j, (_, el) in enumerate(span):
-        for w, c in el.terms.items():
-            aug[widx[w]][j] = c
-    for w, c in target.terms.items():
-        aug[widx[w]][ncols] = c
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, rows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots[c] = r
-        r += 1
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            raise ValueError("element of weight %d is outside the period span" % weight)
-    vec = [Fraction(0)] * ncols
-    for c, row in pivots.items():
-        vec[c] = aug[row][ncols]
-    return vec, basis_words
 
 
 # -- numeric resolution of zeta coefficients -----------------------------------
@@ -436,7 +384,7 @@ def basis_certificate_deg3(table=None):
         coords = _tensor_coords(t12, left_basis, right_basis)
         for (i, j), val in coords.items():
             mat[rows.index((i, j))][cj] = val
-    det = _determinant([row[:] for row in mat])
+    _, det = wd.row_reduce([row[:] for row in mat], len(cols))
     return mat, det
 
 
@@ -457,29 +405,6 @@ def _tensor_coords(t12, left_basis, right_basis):
         j, cr = rkeys[mr]
         out[(i, j)] = out.get((i, j), Fraction(0)) + c / (cl * cr)
     return {k: v for k, v in out.items() if v}
-
-
-def _determinant(mat):
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return det
 
 
 def f_sigma_tau_expression(S, table):
@@ -503,48 +428,18 @@ def f_sigma_tau_expression(S, table):
     tail_word = (tau_id(other_tau),) + (tau_id(tau),) * 3
     unknowns = [target_word] if S == (2,) else [target_word, tail_word]
     rows = []
-    rhs = []
     for z in pts:
         form = table.full_form(sy.Symbol("li", 4, z))
         known = sy.li_u(4, z)
-        coeffs = []
-        for w in unknowns:
-            coeffs.append(form.coefficient(w))
-        leftover = form - ShuffleElement(gs, {w: form.coefficient(w) for w in unknowns})
+        coeffs = [form.coefficient(w) for w in unknowns]
+        leftover = form - ShuffleElement(gs, dict(zip(unknowns, coeffs)))
         if leftover:
             known = known - table.period_expression_of(leftover)
-        rows.append(coeffs)
-        rhs.append(known)
-    sol = _solve_expression_system(rows, rhs)
-    return sol[0]
-
-
-def _solve_expression_system(rows, rhs):
-    n = len(rows)
-    mat = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    m = len(rows[0])
-    piv_rows = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular period system (bad w_2 table?)")
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv if isinstance(x, Fraction) else x.scale(Fraction(1) / pv)
-                  for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y if isinstance(x, Fraction) else x - y.scale(f)
-                          for x, y in zip(mat[i], mat[r])]
-        piv_rows.append(r)
-        r += 1
-    return [mat[i][m] for i in range(m)]
+        rows.append(coeffs + [known])
+    _, det = wd.row_reduce(rows, len(unknowns))
+    if not det:
+        raise ValueError("singular period system (bad w_2 table?)")
+    return rows[0][-1]
 
 
 def specialization_assignment(S, table=None, policy=None):

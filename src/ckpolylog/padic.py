@@ -11,9 +11,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 _EXACT_ZERO_VAL = None
+
+
+def is_prime(n):
+    """Trial division; enough for the primes of S and the working prime."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def valuation(q, ell):
+    """(v, u) with q = ell^v * u and u prime to ell, for a nonzero rational q."""
+    q = Fraction(q)
+    if not q:
+        raise ValueError("valuation of zero")
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % ell == 0:
+        num //= ell
+        v += 1
+    while den % ell == 0:
+        den //= ell
+        v -= 1
+    return v, (Fraction(num, den) if v else q)
 
 
 class PrecisionError(ArithmeticError):
@@ -85,15 +106,8 @@ class PadicNumber:
         q = Fraction(q)
         if q == 0:
             return cls.exact_zero(p)
-        num, den = q.numerator, q.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        unit = num * pow(den, -1, p ** rel) % p ** rel
+        v, u = valuation(q, p)
+        unit = u.numerator * pow(u.denominator, -1, p ** rel) % p ** rel
         return cls(p, v, unit, rel)
 
     @classmethod
@@ -291,11 +305,6 @@ def padic_agree(x, y, policy):
     return d.val_lower_bound() >= policy.equality_threshold
 
 
-def residual_valuation(x):
-    """Lower bound for val(x); large when x vanished to working precision."""
-    return x.val_lower_bound()
-
-
 def teichmuller(a, p, abs_prec):
     """The (p-1)-st root of unity congruent to a mod p, to abs_prec digits."""
     a %= p
@@ -331,7 +340,7 @@ def iwasawa_log(z):
     m = 1
     tp = PadicNumber(p, 0, t, rel)
     power = tp
-    while m <= rel + _log_floor(max(m, 1), p) + 1:
+    while m <= rel + log_floor(max(m, 1), p) + 1:
         contrib = power / m
         if m % 2 == 0:
             contrib = -contrib
@@ -342,7 +351,7 @@ def iwasawa_log(z):
     return res.truncate_abs(rel)
 
 
-def _log_floor(m, p):
+def log_floor(m, p):
     k = 0
     while m >= p:
         m //= p

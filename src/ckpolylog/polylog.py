@@ -23,7 +23,8 @@ import math
 import os
 from fractions import Fraction
 
-from .padic import PadicNumber, PrecisionPolicy, PrecisionError, iwasawa_log, teichmuller
+from .padic import (PadicNumber, PrecisionPolicy, PrecisionError, is_prime, iwasawa_log,
+                    log_floor, teichmuller)
 from .symbols import Expression
 
 CACHE_ENV = "CKPOLYLOG_CACHE"
@@ -31,10 +32,6 @@ CACHE_ENV = "CKPOLYLOG_CACHE"
 
 class BadDiskError(ValueError):
     """Argument reduces into a residue disk where Li_k is not defined."""
-
-
-def _binom(n, k):
-    return math.comb(n, k)
 
 
 def _series_eval(coeffs, x):
@@ -63,7 +60,7 @@ class PolylogEngine:
     def __init__(self, p, policy=None, max_weight=4):
         if p in (2, 3):
             raise ValueError("numerics are restricted to p >= 5")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p
         self.policy = policy or PrecisionPolicy()
@@ -135,7 +132,7 @@ class PolylogEngine:
         one = lambda q: PadicNumber.from_rational(p, q, W)
         zero = PadicNumber.exact_zero(p)
         # lambda(w) - 1 = sum_{j=1}^{p-1} C(p, j) w^j, all coefficients in pZ
-        lam1 = [zero] + [one(_binom(p, j)) for j in range(1, p)]
+        lam1 = [zero] + [one(math.comb(p, j)) for j in range(1, p)]
         # log(lambda) = sum (-1)^{m+1} (lambda - 1)^m / m
         loglam = [zero for _ in range(D)]
         power = lam1[:]
@@ -339,7 +336,7 @@ class PolylogEngine:
         acc = PadicNumber.exact_zero(self.p)
         power = z
         m = 1
-        while m * z.valuation() <= W + k * (_intlog(m, self.p) + 1) + 1:
+        while m * z.valuation() <= W + k * (log_floor(m, self.p) + 1) + 1:
             acc = acc + power / Fraction(m) ** k
             m += 1
             power = power * z
@@ -400,14 +397,6 @@ class PolylogEngine:
         lg = self.log(z)
         return (self.polylog(3, z) - self.polylog(2, z) * lg
                 + self.polylog(1, z) * lg * lg / 2)
-
-
-def _intlog(m, p):
-    k = 0
-    while m >= p:
-        m //= p
-        k += 1
-    return k
 
 
 def padic_log(z, p, policy=None):

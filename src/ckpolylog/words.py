@@ -3,7 +3,8 @@
 Words in a graded alphabet, the shuffle product, the deconcatenation
 coproduct and its reduced/bidegree variants, plus the Lyndon-word
 polynomial decomposition used to present the algebra as a free
-commutative polynomial ring.
+commutative polynomial ring.  The exact row reduction here (row_reduce,
+solve_columns) is the one linear-algebra core of the package.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -403,7 +404,7 @@ def _lyndon_decomposition_table(genset, n):
     m = len(words)
     aug = [[cols[j][i] for j in range(m)] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
            for i in range(m)]
-    _row_reduce(aug, m)
+    row_reduce(aug, m)
     inv = [row[m:] for row in aug]
     table = {}
     for i, w in enumerate(words):
@@ -413,30 +414,6 @@ def _lyndon_decomposition_table(genset, n):
                 poly[monos[j]] = inv[j][i]
         table[w] = poly
     return table
-
-
-def _row_reduce(aug, ncols):
-    rows = len(aug)
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, rows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def word_as_lyndon_poly(genset, word):
@@ -460,7 +437,7 @@ def element_as_lyndon_poly(el):
     return out
 
 
-def solve_delta_prime(genset, n, target, fix_primitives_to_zero=True):
+def solve_delta_prime(genset, n, target):
     """Find x of pure weight n with Delta'(x) = target.
 
     Returns (x, primitive_dims) where primitive directions (single-letter
@@ -468,56 +445,82 @@ def solve_delta_prime(genset, n, target, fix_primitives_to_zero=True):
     is inconsistent.  Delta' restricted to weight n is injective modulo
     primitives, so the non-primitive part of x is unique.
     """
-    words = list(genset.words_of_weight(n))
-    prim = [w for w in words if len(w) == 1]
-    cols = []
-    keys = set(target.terms)
-    images = []
-    for w in words:
-        img = reduced_coproduct(ShuffleElement.word(genset, w))
-        images.append(img)
-        keys.update(img.terms)
-    keys = sorted(keys)
-    kidx = {k: i for i, k in enumerate(keys)}
-    nrows = len(keys)
-    aug = [[Fraction(0)] * (len(words) + 1) for _ in range(nrows)]
-    for j, img in enumerate(images):
-        for k, c in img.terms.items():
-            aug[kidx[k]][j] = c
-    for k, c in target.terms.items():
-        aug[kidx[k]][len(words)] = c
-    # Gaussian elimination with free variables (the primitives) pinned to 0.
-    ncols = len(words)
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots[c] = r
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            raise ValueError("inconsistent Delta' system at weight %d" % n)
-    sol = {}
-    for c, row in pivots.items():
-        val = aug[row][ncols]
-        if val:
-            sol[words[c]] = val
-    for w in prim:
-        sol.pop(w, None)  # free directions stay 0
-    x = ShuffleElement(genset, sol)
+    words = genset.words_of_weight(n)
+    # primitives have Delta' = 0, so they are free columns and stay 0
+    images = [reduced_coproduct(ShuffleElement.word(genset, w)).terms for w in words]
+    vec = solve_columns(images, target.terms)
+    if vec is None:
+        raise ValueError("inconsistent Delta' system at weight %d" % n)
+    x = ShuffleElement(genset, dict(zip(words, vec)))
     if reduced_coproduct(x) != target:
         raise ValueError("Delta' solve failed consistency re-check at weight %d" % n)
-    return x, len(prim)
+    return x, sum(1 for w in words if len(w) == 1)
+
+
+# -- exact row reduction ----------------------------------------------------
+#
+# The one Gauss-Jordan elimination behind every exact linear solve: the
+# Lyndon inversion and Delta' solves here, the period-span rewrite, basis
+# determinant and f_{sigma tau} system in galois, and the graded kernel in
+# elimination.
+
+
+def row_reduce(rows, ncols):
+    """Gauss-Jordan elimination of the first ncols columns of rows, in place.
+
+    Coefficients in those columns are Fractions.  Entries past them (the
+    right-hand sides) only need x * Fraction and x - Fraction * y, so they
+    may be Fractions or symbols.Expression values.  Returns
+    ({pivot column: row index}, det): pivot rows come first, in column
+    order, each scaled to a leading 1 with zeros above and below.  For a
+    square block, det is the signed product of the pivots, and 0 when the
+    block is singular.
+    """
+    pivots = {}
+    det = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        pv = rows[r][c]
+        det *= pv
+        inv = 1 / pv
+        row = rows[r] = [x * inv for x in rows[r]]
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(other, row)]
+        pivots[c] = r
+        r += 1
+    return pivots, det if len(pivots) == ncols else Fraction(0)
+
+
+def solve_columns(columns, target):
+    """Coefficients x_j with sum_j x_j * columns[j] = target, or None.
+
+    columns and target are sparse {key: coefficient} vectors.  Free
+    directions are set to 0; None means target is outside the span.
+    """
+    n = len(columns)
+    vecs = (*columns, target)
+    keys = {}
+    for vec in vecs:
+        for k in vec:
+            keys.setdefault(k, len(keys))
+    rows = [[Fraction(0)] * (n + 1) for _ in keys]
+    for j, vec in enumerate(vecs):
+        for k, c in vec.items():
+            rows[keys[k]][j] = c
+    basic, _ = row_reduce(rows, n)
+    if any(row[n] for row in rows[len(basic):]):
+        return None
+    x = [Fraction(0)] * n
+    for c, r in basic.items():
+        x[c] = rows[r][n]
+    return x

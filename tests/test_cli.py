@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ckpolylog
 from ckpolylog.cli import main
 
 
@@ -75,6 +79,27 @@ def test_verify_suites_pass(capsys):
 def test_cli_rejects_bad_primes(capsys):
     assert main(["locus", "--S", "3", "--p", "3"]) == 2
     assert main(["verify", "identities", "--S", "5", "--p", "5"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ideal", "--S", "4"), "argument --S: 4 is not prime"),
+    (("ideal", "--S", "0"), "argument --S: 0 is not prime"),
+    (("ideal", "--S", "-3"), "argument --S: -3 is not prime"),
+    (("locus", "--p", "1"), "argument --p: 1 is not prime"),
+    (("locus", "--p", "4"), "argument --p: 4 is not prime"),
+    (("locus", "--p", "9"), "argument --p: 9 is not prime"),
+])
+def test_cli_rejects_non_prime_input(argv, message):
+    # a fresh process, so the exit status and stderr are the real ones and a
+    # hang (as --p 1 once did) fails on the timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ckpolylog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ckpolylog", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_suite_flag_spelling(capsys):

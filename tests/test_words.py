@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from ckpolylog.elimination import _nullspace
+from ckpolylog.symbols import log_u
 from ckpolylog.words import (
     GeneratorSet, ShuffleElement, TensorElement, cobar_square,
     deconcat_coproduct, element_as_lyndon_poly, graded_dimension,
-    project_bidegree, reduced_coproduct, shuffle_product, solve_delta_prime,
-    word_as_lyndon_poly,
+    project_bidegree, reduced_coproduct, row_reduce, shuffle_product,
+    solve_columns, solve_delta_prime, word_as_lyndon_poly,
 )
 
 GS = GeneratorSet([("tau_2", 1), ("tau_3", 1), ("sigma_3", 3)])
@@ -238,3 +240,51 @@ def test_element_lyndon_poly_linear():
     el = w(GS1, "tau", "sigma") + w(GS1, "sigma", "tau")
     poly = element_as_lyndon_poly(el)
     assert poly == {(("sigma",), ("tau",)): F(1)}
+
+
+# -- exact row reduction ----------------------------------------------------
+
+
+def test_row_reduce_determinant_sign_after_swap():
+    rows = [[F(0), F(2)], [F(3), F(0)]]
+    lead, det = row_reduce(rows, 2)
+    assert det == -6
+    assert lead == {0: 0, 1: 1}
+    assert rows == [[1, 0], [0, 1]]
+    _, det = row_reduce([[F(3), F(0)], [F(0), F(2)]], 2)
+    assert det == 6
+
+
+def test_row_reduce_singular_block_has_zero_determinant():
+    rows = [[F(1), F(2), F(5)], [F(2), F(4), F(7)]]
+    lead, det = row_reduce(rows, 2)
+    assert det == 0
+    assert lead == {0: 0}
+    assert rows[1] == [0, 0, -3]  # the right-hand side keeps the inconsistency
+
+
+def test_row_reduce_expression_right_hand_side():
+    a, b = log_u(2), log_u(3)
+    rows = [[F(1), F(1), a], [F(1), F(-1), b]]
+    lead, det = row_reduce(rows, 2)
+    assert det == -2
+    assert rows[lead[0]][2] == (a + b).scale(F(1, 2))
+    assert rows[lead[1]][2] == (a - b).scale(F(1, 2))
+
+
+def test_solve_columns_free_directions_and_inconsistency():
+    cols = [{"x": F(1)}, {"x": F(2)}, {"y": F(1)}]
+    assert solve_columns(cols, {"x": F(3), "y": F(-1)}) == [3, 0, -1]
+    assert solve_columns(cols, {"z": F(1)}) is None
+    assert solve_columns([{"x": F(1), "y": F(1)}], {"x": F(1)}) is None
+
+
+def test_nullspace_of_rank_deficient_matrix():
+    mat = [[F(1), F(2), F(3), F(4)],
+           [F(2), F(4), F(6), F(8)],
+           [F(0), F(0), F(1), F(1)]]
+    null = _nullspace(mat, 4)
+    assert len(null) == 2  # rank 2, four columns
+    for vec in null:
+        assert all(sum(r[j] * vec[j] for j in range(4)) == 0 for r in mat)
+    assert mat[1] == [2, 4, 6, 8]  # the input is left untouched
