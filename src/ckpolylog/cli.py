@@ -7,18 +7,16 @@ Subcommands:
              identities), printing residual valuations
 
 Output is deterministic JSON (sorted keys, canonical term order); the exit
-status is 0 iff every certificate in the run is certified/passes, and 2
-for rejected input such as a non-prime --S entry or --p.  The
-environment variable CKPOLYLOG_CACHE, when set, is used as a cache
-directory for the Frobenius-twisted global polylogarithm series, one file
-per prime, internal precision and truncation degree.
+status is 0 iff every certificate in the run is certified/passes, and 2,
+with a one-line message on stderr, for rejected or unsupported input such
+as a non-prime --S entry or --p, --n below the first Chabauty-Kim weight,
+or an ideal computation that outgrows the elimination guard.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -54,7 +52,12 @@ def _emit(payload, out_path):
 
 def cmd_ideal(args):
     S = args.S
-    gens = elimination.ck_ideal_generators(args.n, set(S))
+    try:
+        gens = elimination.ck_ideal_generators(args.n, set(S))
+    except elimination.EliminationGuard as exc:
+        print("ideal --S %s --n %d is unsupported: %s"
+              % (",".join(map(str, S)), args.n, exc), file=sys.stderr)
+        return 2
     payload = {
         "command": "ideal",
         "S": list(S),
@@ -233,17 +236,34 @@ def build_parser():
     return ap
 
 
+def _unsupported(args):
+    """One line saying why the run cannot go ahead as asked, or None."""
+    if not args.prec > args.guard >= 0:
+        return "need --prec > --guard >= 0"
+    if args.command == "ideal":
+        return "ideal needs --n >= 1" if args.n < 1 else None
+    if args.p in (2, 3):
+        return "numerics need p > 3"
+    if args.p in args.S:
+        return "working prime must avoid S"
+    if args.command == "locus":
+        if args.n < 2:
+            return "locus needs --n >= 2: no Chabauty-Kim function has weight below 2"
+        if args.n >= 4 and args.S not in galois.TABLED_S:
+            return ("locus --n >= 4 needs --S 2 or --S 3: the weight-4 function's "
+                    "periods are tabled for those only")
+    if (args.command == "verify" and len(args.S) != 1
+            and (args.suite or args.suite_flag) in ("counterexample", "all")):
+        return "verify counterexample needs a single prime in --S"
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.p in (2, 3) and args.command != "ideal":
-        print("numerics need p > 3", file=sys.stderr)
+    reason = _unsupported(args)
+    if reason:
+        print(reason, file=sys.stderr)
         return 2
-    if args.p in args.S and args.command != "ideal":
-        print("working prime must avoid S", file=sys.stderr)
-        return 2
-    cache = os.environ.get("CKPOLYLOG_CACHE")
-    if cache:
-        os.makedirs(cache, exist_ok=True)
     return args.func(args)
 
 

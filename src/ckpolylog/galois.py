@@ -407,6 +407,10 @@ def _tensor_coords(t12, left_basis, right_basis):
     return {k: v for k, v in out.items() if v}
 
 
+# the bases whose f_{sigma tau} period expression is tabled below
+TABLED_S = ((2,), (3,))
+
+
 def f_sigma_tau_expression(S, table):
     """The period expression of the coordinate f_{sigma tau} over Z[1/ell].
 

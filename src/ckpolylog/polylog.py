@@ -4,13 +4,20 @@ Strategy.  The Frobenius-twisted functions
 
     t_k(z) = Li_k(z) - p^{-k} Li_k(z^p)
 
-satisfy t_1 = (1/p) log((w+1)^p - w^p) in the coordinate w = 1/(z-1) and
-d t_k = t_{k-1} dz/z, and each t_k is a power series in w without constant
-term whose coefficients tend to zero; the series converges on every good
-residue disk.  At a Teichmueller point theta (theta^p = theta) the twist
-untwists exactly: t_k(theta) = (1 - p^{-k}) Li_k(theta).  Values elsewhere
-in a disk come from the differential system integrated as a power series
-in t, z = center + p t, with integration constants at the center.
+satisfy t_1 = (1/p) log(lambda), lambda = (w+1)^p - w^p, in the coordinate
+w = 1/(z-1) and d t_k = t_{k-1} dz/z, and each t_k is a power series in w
+without constant term whose coefficients tend to zero; the series converges
+on every good residue disk.  lambda has integer coefficients and constant
+term 1, so its log-derivative r = lambda'/lambda obeys an exact integer
+recurrence of length p-1, and t_1[n] = (r[n-1]/p)/n.  Each t_{k+1} follows
+from t_k by alternating prefix sums and one more division by n.  The whole
+build runs on integers modulo p^N; each t_k is one IntSeries, an integer
+vector with one power-of-p scale and one absolute precision, so precision
+loss is accounted once per division step (at most log_p D digits) rather
+than per coefficient.  At a Teichmueller point theta (theta^p = theta) the
+twist untwists exactly: t_k(theta) = (1 - p^{-k}) Li_k(theta).  Values
+elsewhere in a disk come from the differential system integrated as a power
+series in t, z = center + p t, with integration constants at the center.
 
 Everything is verified downstream by the distribution relation, the
 dilogarithm reflection identity and cross-prime rational reconstruction.
@@ -18,16 +25,12 @@ dilogarithm reflection identity and cross-prime rational reconstruction.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from fractions import Fraction
 
 from .padic import (PadicNumber, PrecisionPolicy, PrecisionError, is_prime, iwasawa_log,
-                    log_floor, teichmuller)
+                    log_floor, teichmuller, valuation)
 from .symbols import Expression
-
-CACHE_ENV = "CKPOLYLOG_CACHE"
 
 
 class BadDiskError(ValueError):
@@ -54,6 +57,75 @@ def _series_multiply(a, b, trunc, p):
     return out
 
 
+class IntSeries:
+    """Power series sum coeffs[n] * p^scale * w^n over Z_p.
+
+    The coefficients are integers modulo p^(prec - scale), so every
+    coefficient carries the same absolute precision prec.
+    """
+
+    __slots__ = ("p", "coeffs", "scale", "prec")
+
+    def __init__(self, p, coeffs, scale, prec):
+        self.p, self.coeffs, self.scale, self.prec = p, coeffs, scale, prec
+
+    def coefficient(self, n):
+        return PadicNumber(self.p, self.scale, self.coeffs[n], self.prec - self.scale)
+
+    def min_valuation(self, start=0):
+        """Least valuation among coeffs[start:]; prec when they all vanish."""
+        g = math.gcd(self.p ** (self.prec - self.scale), *self.coeffs[start:])
+        return self.scale + log_floor(g, self.p)
+
+    def evaluate(self, x):
+        """Horner evaluation on integers at x with val(x) >= 0.
+
+        x is known to x.abs_precision() digits, so the value is claimed to
+        min(prec, x.abs_precision() + least coefficient valuation).
+        """
+        prec = min(self.prec, x.abs_precision() + self.min_valuation())
+        mod = self.p ** (prec - self.scale)
+        X = x.lift() % mod
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * X + c) % mod
+        return PadicNumber(self.p, self.scale, acc, prec - self.scale)
+
+
+def _twisted_kernel(p, degree, weights, digits):
+    """t_1..t_weights below w^degree, from lambda'/lambda modulo p^digits."""
+    mod = p ** digits
+    lam = [math.comb(p, j) for j in range(p)]
+    # r = lambda'/lambda: r[n] = (n+1) lam[n+1] - sum_{j=1}^{p-1} lam[j] r[n-j]
+    r = []
+    for n in range(degree - 1):
+        acc = (n + 1) * lam[n + 1] if n + 1 < p else 0
+        for j in range(1, min(n, p - 1) + 1):
+            acc -= lam[j] * r[n - j]
+        r.append(acc % mod)
+    # p^L / n modulo p^(digits-1), L the largest valuation of an index n
+    L = log_floor(degree - 1, p)
+    emod = p ** (digits - 1)
+    over_n = [0]
+    for n in range(1, degree):
+        v, u = valuation(n, p)
+        over_n.append(p ** (L - v) * pow(int(u), -1, emod) % emod)
+    # r is divisible by p, so t_1[n] = (r[n-1]/p)/n is known to digits-1-L
+    t1 = [0] + [r[n - 1] // p * over_n[n] % emod for n in range(1, degree)]
+    series = [IntSeries(p, t1, -L, digits - 1 - L)]
+    for _ in range(2, weights + 1):
+        prev = series[-1]
+        # t_{k+1} = -int t_k(u) du / (u (u+1)); gamma_n = -s_n / n with
+        # s_n = beta_n - s_{n-1} the alternating prefix sums
+        gam = [0]
+        s = 0
+        for n in range(1, degree):
+            s = (prev.coeffs[n] - s) % emod
+            gam.append(-s * over_n[n] % emod)
+        series.append(IntSeries(p, gam, prev.scale - L, prev.prec - L))
+    return series
+
+
 class PolylogEngine:
     """All p-adic polylogarithm numerics for one prime and one policy."""
 
@@ -66,8 +138,8 @@ class PolylogEngine:
         self.policy = policy or PrecisionPolicy()
         self.max_weight = max_weight
         self.workprec = self.policy.workprec()
-        # global twisted series need headroom: one digit for the 1/p in t_1
-        # plus up to ceil(log_p D) per integration step in the prefix sums
+        # absolute precision every global twisted series keeps; the
+        # truncation degree _twist_degree() is sized from it
         self._gsprec = self.workprec + 4 * max_weight + 4
         self._twisted = None
         self._teich_values = {}
@@ -84,87 +156,16 @@ class PolylogEngine:
             logterm += 1
         return (p - 1) * (W + 4 * logterm + 12) + 24
 
-    def _cache_path(self):
-        root = os.environ.get(CACHE_ENV)
-        if not root:
-            return None
-        return os.path.join(root, "twist_p%d_M%d_N%d.json"
-                            % (self.p, self._gsprec, self._twist_degree()))
-
-    def _cache_load(self):
-        path = self._cache_path()
-        if not path or not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("maxWeight", 0) < self.max_weight:
-            return None
-        out = []
-        for row in data["series"][:self.max_weight]:
-            out.append([PadicNumber.exact_zero(self.p) if v is None
-                        else PadicNumber(self.p, v[0], v[1], v[2]) for v in row])
-        return out
-
-    def _cache_store(self, series):
-        path = self._cache_path()
-        if not path:
-            return
-        rows = []
-        for coeffs in series:
-            rows.append([None if c.is_exact_zero() else [c.val, c.unit, c.rel]
-                         for c in coeffs])
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"p": self.p, "M": self._gsprec, "maxWeight": self.max_weight,
-                       "series": rows}, fh)
-        os.replace(tmp, path)
-
     def twisted_series(self):
-        """Coefficients (index = degree in w) of t_1..t_max_weight."""
-        if self._twisted is not None:
-            return self._twisted
-        cached = self._cache_load()
-        if cached is not None:
-            self._twisted = cached
-            return cached
-        p, W = self.p, self._gsprec
-        D = self._twist_degree()
-        one = lambda q: PadicNumber.from_rational(p, q, W)
-        zero = PadicNumber.exact_zero(p)
-        # lambda(w) - 1 = sum_{j=1}^{p-1} C(p, j) w^j, all coefficients in pZ
-        lam1 = [zero] + [one(math.comb(p, j)) for j in range(1, p)]
-        # log(lambda) = sum (-1)^{m+1} (lambda - 1)^m / m
-        loglam = [zero for _ in range(D)]
-        power = lam1[:]
-        m = 1
-        while m <= W + 4:
-            for i, c in enumerate(power):
-                if i >= D:
-                    break
-                if c.is_exact_zero():
-                    continue
-                contrib = c / m
-                if m % 2 == 0:
-                    contrib = -contrib
-                loglam[i] = loglam[i] + contrib
-            m += 1
-            power = _series_multiply(power, lam1, min(D, len(power) + p), p)
-        t1 = [c / p for c in loglam]
-        series = [t1]
-        for _ in range(2, self.max_weight + 1):
-            prev = series[-1]
-            # t_{k+1} = -int t_k(u) du / (u (u+1)); gamma_n = -s_n / n with
-            # s_n = beta_n - s_{n-1} the alternating prefix sums
-            gam = [zero for _ in range(D)]
-            s = PadicNumber.exact_zero(p)
-            for n in range(1, D):
-                s = prev[n] - s
-                gam[n] = -(s / n)
-            series.append(gam)
-        self._check_twisted(series)
-        self._twisted = series
-        self._cache_store(series)
-        return series
+        """t_1..t_max_weight as IntSeries in w, truncated at _twist_degree()."""
+        if self._twisted is None:
+            D, K = self._twist_degree(), self.max_weight
+            # every 1/n costs at most L digits; after K of them t_K keeps _gsprec
+            digits = self._gsprec + 1 + K * log_floor(D - 1, self.p)
+            series = _twisted_kernel(self.p, D, K, digits)
+            self._check_twisted(series)
+            self._twisted = series
+        return self._twisted
 
     def _check_twisted(self, series):
         """Internal truncation guards: tail decay and vanishing at z = 0."""
@@ -172,13 +173,13 @@ class PolylogEngine:
         minus_one = PadicNumber.from_rational(p, -1, self._gsprec)
         # margin absorbs the non-monotone log_p dips just past the cutoff
         need = self.workprec + 3
-        for k, coeffs in enumerate(series, start=1):
-            tail = min(c.val_lower_bound() for c in coeffs[-2 * (p - 1):])
+        for k, tk in enumerate(series, start=1):
+            tail = tk.min_valuation(-2 * (p - 1))
             if tail < need:
                 raise PrecisionError(
                     "twisted series t_%d tail valuation %d < %d; raise degree"
                     % (k, tail, need))
-            at0 = _series_eval(coeffs, minus_one)
+            at0 = tk.evaluate(minus_one)
             if at0.val_lower_bound() < need - 2:
                 raise PrecisionError(
                     "twisted series t_%d fails vanishing at z=0 (val %d)"
@@ -203,7 +204,7 @@ class PolylogEngine:
         series = self.twisted_series()
         vals = {}
         for k in range(1, self.max_weight + 1):
-            tk = _series_eval(series[k - 1], w)
+            tk = series[k - 1].evaluate(w)
             # t_k(theta) = (1 - p^{-k}) Li_k(theta); clamp the claimed
             # precision at workprec so series truncation stays inside it
             vals[k] = (tk * (p ** k) / (p ** k - 1)).truncate_abs(self.workprec)

@@ -92,14 +92,39 @@ def test_cli_rejects_bad_primes(capsys):
 def test_cli_rejects_non_prime_input(argv, message):
     # a fresh process, so the exit status and stderr are the real ones and a
     # hang (as --p 1 once did) fails on the timeout
+    _assert_rejected(argv, message, timeout=5)
+
+
+def _assert_rejected(argv, message, timeout):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ckpolylog.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "ckpolylog", *argv], env=env,
-                          capture_output=True, text=True, timeout=5)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    return proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("locus", "--S", "5", "--p", "7"), "locus --n >= 4 needs --S 2 or --S 3"),
+    (("locus", "--S", "2,3"), "locus --n >= 4 needs --S 2 or --S 3"),
+    (("locus", "--n", "1"), "locus needs --n >= 2"),
+    (("locus", "--prec", "2", "--guard", "3"), "need --prec > --guard >= 0"),
+    (("ideal", "--n", "0"), "ideal needs --n >= 1"),
+    (("ideal", "--S", "3", "--n", "6"),
+     "ideal --S 3 --n 6 is unsupported: degree 13 exceeds guard 12"),
+    (("ideal", "--S", "2,3"),
+     "ideal --S 2,3 --n 4 is unsupported: degree 13 exceeds guard 12"),
+    (("verify", "counterexample", "--S", "2,3"),
+     "verify counterexample needs a single prime in --S"),
+    (("verify", "all", "--S", "2,3"), "verify counterexample needs a single prime in --S"),
+])
+def test_cli_rejects_unsupported_input(argv, message):
+    # ideal --S 2,3 runs the elimination until its degree guard fires (~7 s)
+    stderr = _assert_rejected(argv, message, timeout=60)
+    assert stderr.count("\n") == 1
 
 
 def test_verify_suite_flag_spelling(capsys):

@@ -3,11 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from ckpolylog.padic import (PadicNumber, PrecisionPolicy, PrecisionError,
-                             iwasawa_log, rational_reconstruct)
-from ckpolylog.polylog import BadDiskError, PolylogEngine, get_engine, _series_eval
+                             iwasawa_log, log_floor, rational_reconstruct, teichmuller)
+from ckpolylog.polylog import (BadDiskError, PolylogEngine, get_engine, _series_eval,
+                               _twisted_kernel)
 import ckpolylog.symbols as sy
 
-from oracles import washington_lp, generalized_bernoulli, bernoulli_list
+from oracles import (washington_lp, generalized_bernoulli, bernoulli_list,
+                     twisted_series_by_log)
 
 
 def test_engine_rejects_small_or_composite_primes():
@@ -39,9 +41,53 @@ def test_twisted_series_against_direct_values(p, policy):
         return acc
 
     t1 = -iwasawa_log(1 - z) + iwasawa_log(1 - z ** p) / p
-    assert (_series_eval(series[0], w) - t1).val_lower_bound() >= 20
+    assert (series[0].evaluate(w) - t1).val_lower_bound() >= 20
     t2 = li_small(2, z) - li_small(2, z ** p) / p ** 2
-    assert (_series_eval(series[1], w) - t2).val_lower_bound() >= 20
+    assert (series[1].evaluate(w) - t2).val_lower_bound() >= 20
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_twisted_series_against_log_oracle(p, policy):
+    # every coefficient agrees with log(lambda) summed on PadicNumbers
+    eng = get_engine(p, policy)
+    series = eng.twisted_series()
+    ref = twisted_series_by_log(p, eng._gsprec, eng._twist_degree(), eng.max_weight)
+    for tk, rk in zip(series, ref):
+        assert tk.prec >= eng._gsprec
+        assert tk.coeffs[0] == 0
+        for n in range(1, len(rk)):
+            want = rk[n]
+            assert (tk.coefficient(n) - want).val_lower_bound() >= want.abs_precision()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_twisted_series_precision_is_honest(p, policy):
+    # the kernel rerun with 10 more digits agrees to each series' claimed
+    # precision, coefficient by coefficient and at a Teichmueller point
+    # that is itself known to 10 more digits
+    eng = get_engine(p, policy)
+    series = eng.twisted_series()
+    D, K = eng._twist_degree(), eng.max_weight
+    digits = eng._gsprec + 1 + K * log_floor(D - 1, p)
+    hi = _twisted_kernel(p, D, K, digits + 10)
+    w = 1 / (eng.teichmuller_point(2) - 1)
+    prec = eng.workprec + 10
+    w_hi = 1 / (PadicNumber(p, 0, teichmuller(2, p, prec), prec) - 1)
+    for lo_k, hi_k in zip(series, hi):
+        assert hi_k.prec == lo_k.prec + 10
+        for n in range(D):
+            diff = lo_k.coefficient(n) - hi_k.coefficient(n)
+            assert diff.val_lower_bound() >= lo_k.prec
+        a = lo_k.evaluate(w)
+        assert (a - hi_k.evaluate(w_hi)).val_lower_bound() >= a.abs_precision()
+
+
+def test_twisted_series_tail_guard_fires(policy, monkeypatch):
+    # a series cut far too early must fail the tail-decay guard
+    eng = PolylogEngine(5, policy)
+    monkeypatch.setattr(eng, "_twist_degree", lambda: 4 * (eng.p - 1))
+    with pytest.raises(PrecisionError, match="tail valuation"):
+        eng.twisted_series()
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -187,19 +233,20 @@ def test_cross_prime_w2_recognition(p, policy):
     assert q == F(-26, 3)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
 def test_precision_soundness_resampling(p, policy):
     """Recomputing at M+5 and truncating agrees with the M-precision run."""
-    hi = get_engine(p, PrecisionPolicy(policy.M + 5, policy.g))
-    lo = get_engine(p, policy)
-    samples = [(2, F(3)), (3, F(9)), (4, F(1, 2)), (2, F(-3)), (3, F(-1))]
-    for k, z in samples:
-        a = lo.polylog(k, z)
-        b = hi.polylog(k, z)
-        assert (a - b).val_lower_bound() >= a.abs_precision() - 1
-    assert (lo.zeta(3) - hi.zeta(3)).val_lower_bound() >= lo.zeta(3).abs_precision() - 1
-    la, lb = lo.log(F(2)), hi.log(F(2))
-    assert (la - lb).val_lower_bound() >= la.abs_precision() - 1
+    for M in (12, 30):
+        hi = get_engine(p, PrecisionPolicy(M + 5, policy.g))
+        lo = get_engine(p, PrecisionPolicy(M, policy.g))
+        samples = [(2, F(3)), (3, F(9)), (4, F(1, 2)), (2, F(-3)), (3, F(-1))]
+        for k, z in samples:
+            a = lo.polylog(k, z)
+            b = hi.polylog(k, z)
+            assert (a - b).val_lower_bound() >= a.abs_precision() - 1
+        assert (lo.zeta(3) - hi.zeta(3)).val_lower_bound() >= lo.zeta(3).abs_precision() - 1
+        la, lb = lo.log(F(2)), hi.log(F(2))
+        assert (la - lb).val_lower_bound() >= la.abs_precision() - 1
 
 
 def test_period_map_is_ring_homomorphism(eng5, policy, rng):
@@ -265,15 +312,3 @@ def test_engine_generalizes_to_larger_primes(policy):
     d = (F(2) ** (1 - 4) * eng.polylog(4, F(9))
          - eng.polylog(4, F(3)) - eng.polylog(4, F(-3)))
     assert d.val_lower_bound() >= policy.M - policy.g
-
-
-def test_twisted_series_disk_cache(tmp_path, monkeypatch, policy):
-    monkeypatch.setenv("CKPOLYLOG_CACHE", str(tmp_path))
-    e1 = PolylogEngine(5, policy)
-    s1 = e1.twisted_series()
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    e2 = PolylogEngine(5, policy)
-    s2 = e2.twisted_series()
-    assert all((a - b).is_exact_zero() or (a - b).unit == 0
-               for row1, row2 in zip(s1, s2) for a, b in zip(row1, row2))
