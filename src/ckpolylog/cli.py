@@ -90,6 +90,12 @@ def cmd_locus(args):
     payload = {"command": "locus", "S": list(S), "n": args.n,
                "symmetrized": bool(args.symmetrize)}
     payload.update(locus.to_json())
+    if args.n > loci.FUNCTION_WEIGHTS[-1]:
+        used = loci.used_weights(args.n)
+        payload["usedWeights"] = used
+        print("locus --n %d: no Chabauty-Kim function above weight %d is built; "
+              "the locus uses the weight %s functions only"
+              % (args.n, used[-1], " and ".join(map(str, used))), file=sys.stderr)
     _emit(payload, args.out)
     return 0 if locus.all_certified() else 1
 

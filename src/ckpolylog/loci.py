@@ -6,6 +6,15 @@ polylogarithms, bounds roots per disk by the Newton polygon of the
 truncated series, isolates them by exhaustive digit refinement and
 certifies simple roots by Hensel's criterion; anything uncertifiable is
 reported loudly as a candidate, never dropped.
+
+Root isolation runs on integer vectors (polylog.IntSeries with one claim
+per coefficient).  The Newton polygon reads the coefficient valuations; the
+content is stripped by moving the power-of-p scale; and once every claim is
+at least 3, the residue test needs only the coefficients mod p, so the p
+candidate residues of a disk cost small-integer Horner steps.  Only a
+surviving residue is evaluated with full claims for Hensel's test and
+Newton refinement, and the recentering S(r + p s) claims each coefficient
+as the PadicNumber sum would.
 """
 
 from __future__ import annotations
@@ -16,8 +25,9 @@ from fractions import Fraction
 
 from . import cocycles, galois
 from . import symbols as sy
-from .padic import PadicNumber, PrecisionPolicy, padic_agree, rational_reconstruct
-from .polylog import get_engine, _series_eval, _series_multiply
+from .padic import PadicNumber, PrecisionPolicy, padic_agree, rational_reconstruct, valuation
+from .polylog import (EXACT, IntSeries, get_engine, _power_tables, _series_eval,
+                      _series_multiply, _top)
 
 
 class ColemanFunction:
@@ -52,18 +62,19 @@ class ColemanFunction:
         return acc
 
     def local_series(self, a):
-        """Power series on the disk of a in t, z = a + p t."""
+        """Power series on the disk of a in t, z = a + p t, as one IntSeries."""
         eng = self.engine
         table = eng.disk_table(a)
         N = eng.local_degree
-        zero = PadicNumber.exact_zero(self.p)
-        out = [zero] * N
+        out = IntSeries(self.p, [0] * N, 0, precs=[EXACT] * N)
         for mono, c in self.coeffs.items():
-            term = [c] + [zero] * (N - 1)
+            if c.is_exact_zero():
+                continue
+            term = IntSeries.from_padics(self.p, [c])
             for name, k in mono:
                 for _ in range(k):
-                    term = _series_multiply(term, table[name], N, self.p)
-            out = [x + y for x, y in zip(out, term)]
+                    term = _series_multiply(term, table[name], N)
+            out = out + term
         return out
 
     def to_json(self):
@@ -159,10 +170,8 @@ class Locus:
 def newton_root_bound(series, threshold):
     """Number of roots in the closed unit disk (with multiplicity) from the
     Newton polygon of the known part of a truncated series."""
-    pts = []
-    for j, c in enumerate(series):
-        if c.unit != 0 and c.valuation() < threshold:
-            pts.append((j, c.valuation()))
+    pts = [(j, v) for j, (u, v) in enumerate(zip(series.coeffs, series.valuations()))
+           if u and v < threshold]
     if not pts:
         return None  # series content below precision
     lead = pts[0][0]  # roots at t = 0 up to this order
@@ -188,19 +197,34 @@ def _lower_hull(pts):
 
 
 def _series_shift(series, r, p, workprec):
-    """Coefficients of S(r + p s) as a series in s."""
-    n = len(series)
-    pfac = PadicNumber.from_rational(p, p, workprec)
-    out = []
+    """Coefficients of S(r + p s) as a series in s.
+
+    Coefficient l is sum_j c_j C(j, l) r^(j-l) times (p + O(p^(workprec+1)))^l.
+    The sum claims min_j (A_j + v_p C(j, l)) over the terms it keeps (exact
+    zeros and zeros beyond workprec drop out); the factor caps that claim at
+    l + workprec + v(sum), at l = 0 too.
+    """
+    s, n = series.scale, len(series)
+    claims = series.claims()
+    keep = [j for j, (u, A) in enumerate(zip(series.coeffs, claims))
+            if A != EXACT and (u or A <= workprec)]
+    # a claim grows by at most l + log_p(n) <= 2n here
+    pw, lg = _power_tables(p, _top(claims, s) + 2 * n)
+    coeffs, out = [], []
     for l in range(n):
-        acc = PadicNumber.exact_zero(p)
-        for j in range(l, n):
-            c = series[j]
-            if c.is_exact_zero() or c.unit == 0 and c.val_lower_bound() > workprec:
-                continue
-            acc = acc + c * math.comb(j, l) * r ** (j - l)
-        out.append(acc * pfac ** l)
-    return out
+        js = [j for j in keep if j >= l and (r or j == l)]
+        if not js:
+            coeffs.append(0)
+            out.append(EXACT)
+            continue
+        binom = [math.comb(j, l) for j in js]
+        A = min(claims[j] + valuation(b, p)[0] for j, b in zip(js, binom))
+        acc = sum(series.coeffs[j] * b * r ** (j - l) for j, b in zip(js, binom)) % pw[A - s]
+        v = s + lg[math.gcd(acc, pw[A - s])] if acc else A
+        A = min(A + l, l + workprec + v)
+        coeffs.append(acc * pw[l] % pw[A - s])
+        out.append(A)
+    return IntSeries(p, coeffs, s, precs=out)
 
 
 def _newton_refine(series, deriv, t0, p, workprec, rounds=None):
@@ -218,11 +242,19 @@ def _newton_refine(series, deriv, t0, p, workprec, rounds=None):
 
 def _strip_content(series):
     """Divide out the p-power content; None when flat to working precision."""
-    known = [c.valuation() for c in series if c.unit != 0]
+    known = [v for u, v in zip(series.coeffs, series.valuations()) if u]
     if not known:
         return None, 0
     mu = min(known)
-    return [c.shift(-mu) for c in series], mu
+    return series.shift(-mu), mu
+
+
+def _residues(series):
+    """Coefficients mod p of a series whose coefficients are integral."""
+    p, s = series.p, series.scale
+    if s >= 0:
+        return [u * p ** s % p for u in series.coeffs]
+    return [u // p ** -s % p for u in series.coeffs]
 
 
 def _roots_in_unit_disk(series, p, policy, depth):
@@ -236,17 +268,22 @@ def _roots_in_unit_disk(series, p, policy, depth):
     stripped, _ = _strip_content(series)
     if stripped is None:
         return [(PadicNumber.from_rational(p, r, workprec), False) for r in range(p)]
-    window = min(c.abs_precision() for c in stripped)
+    window = min(stripped.claims())
     if window <= policy.g + 2:
         # not enough honest digits left to separate roots
         return [(PadicNumber.from_rational(p, 0, workprec), False)]
-    deriv = [stripped[i + 1] * (i + 1) for i in range(len(stripped) - 1)]
+    deriv = stripped.derivative()
+    # every claim is at least window >= 3, so val S(r) >= 1 iff S(r) = 0 mod p
+    top_first = _residues(stripped)[::-1]
     found = []
     for r in range(p):
+        acc = 0
+        for c in top_first:
+            acc = (acc * r + c) % p
+        if acc:
+            continue
         rv = PadicNumber.from_rational(p, r, workprec)
         v = _series_eval(stripped, rv)
-        if v.val_lower_bound() < 1:
-            continue
         d = _series_eval(deriv, rv)
         if d.unit != 0 and v.val_lower_bound() > 2 * d.valuation():
             t = _newton_refine(stripped, deriv, rv, p, workprec)
@@ -322,14 +359,23 @@ def intersect_loci(l1, l2, policy=None):
     return out
 
 
+# half-weights of the Chabauty-Kim functions this module builds; a bound n
+# above the last one narrows the locus to these functions
+FUNCTION_WEIGHTS = (2, 4)
+
+
+def used_weights(n):
+    """The function weights locus_for uses for the half-weight bound n."""
+    return [w for w in FUNCTION_WEIGHTS if w <= n]
+
+
 def locus_for(p, S, n, policy=None, symmetrize=False, table=None):
     """The full pipeline: functions for the weight bound, zeros, intersection."""
     policy = policy or PrecisionPolicy()
-    fns = []
-    if n >= 2:
-        fns.append(weight2_function(p, policy))
-    if n >= 4:
-        fns.append(weight4_function(p, S=tuple(sorted(S)), policy=policy, table=table))
+    build = {2: lambda: weight2_function(p, policy),
+             4: lambda: weight4_function(p, S=tuple(sorted(S)), policy=policy,
+                                         table=table)}
+    fns = [build[w]() for w in used_weights(n)]
     if not fns:
         raise ValueError("no Chabauty-Kim functions below weight 2")
     locus = find_zeros(fns[0], policy)

@@ -22,10 +22,19 @@ def is_prime(n):
 
 
 def valuation(q, ell):
-    """(v, u) with q = ell^v * u and u prime to ell, for a nonzero rational q."""
-    q = Fraction(q)
+    """(v, u) with q = ell^v * u and u prime to ell, for a nonzero rational q.
+
+    An int q gives an int u, without going through Fraction.
+    """
     if not q:
         raise ValueError("valuation of zero")
+    if isinstance(q, int):
+        v = 0
+        while q % ell == 0:
+            q //= ell
+            v += 1
+        return v, q
+    q = Fraction(q)
     num, den = q.numerator, q.denominator
     v = 0
     while num % ell == 0:
@@ -279,7 +288,9 @@ class PadicNumber:
         rel = abs_prec - self.val
         if rel >= self.rel:
             return self
-        return PadicNumber(self.p, self.val, self.unit % self.p ** max(rel, 0), max(rel, 0))
+        if rel <= 0:
+            return PadicNumber.zero_to(self.p, abs_prec)
+        return PadicNumber(self.p, self.val, self.unit % self.p ** rel, rel)
 
     def __repr__(self):
         if self.is_exact_zero():

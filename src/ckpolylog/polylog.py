@@ -19,6 +19,18 @@ twist untwists exactly: t_k(theta) = (1 - p^{-k}) Li_k(theta).  Values
 elsewhere in a disk come from the differential system integrated as a power
 series in t, z = center + p t, with integration constants at the center.
 
+The disk series are IntSeries too, but with one absolute precision per
+coefficient: a value Li_k(theta) claims workprec, while a coefficient
+divided by j loses v_p(j) digits, so one claim per series would have to
+absorb the worst loss.  Each operation claims every coefficient by
+PadicNumber's own rules, without building a PadicNumber: a product term
+a_i b_j claims min(A_a[i] + v(b_j), A_b[j] + v(a_i)), a sum the least claim
+of its terms, a division by j costs v_p(j) digits on that coefficient, and
+Horner evaluation claims acc * x + c step by step as PadicNumber would.
+The base series (log, Li_1 and dz/z about a center) are built directly as
+integer geometric series.  The values and claims equal those of the same
+series built as PadicNumber lists (tests/oracles.py).
+
 Everything is verified downstream by the distribution relation, the
 dilogarithm reflection identity and cross-prime rational reconstruction.
 """
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 
 from .padic import (PadicNumber, PrecisionPolicy, PrecisionError, is_prime, iwasawa_log,
                     log_floor, teichmuller, valuation)
@@ -37,59 +50,224 @@ class BadDiskError(ValueError):
     """Argument reduces into a residue disk where Li_k is not defined."""
 
 
-def _series_eval(coeffs, x):
-    """Horner evaluation of sum coeffs[i] * x^i."""
-    acc = PadicNumber.exact_zero(x.p)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+EXACT = math.inf  # the claim of an exact zero coefficient
+
+_POWERS = {}  # p -> ([p^0, p^1, ...], {p^e: e})
 
 
-def _series_multiply(a, b, trunc, p):
-    out = [PadicNumber.exact_zero(p) for _ in range(trunc)]
-    for i, ca in enumerate(a):
-        if i >= trunc or ca.is_exact_zero():
-            continue
-        for j, cb in enumerate(b):
-            if i + j >= trunc:
-                break
-            out[i + j] = out[i + j] + ca * cb
-    return out
+def _power_tables(p, n):
+    """Powers p^0..p^n (at least) and the map p^e -> e, grown on demand."""
+    tables = _POWERS.get(p)
+    if tables is None or len(tables[0]) <= n:
+        pw = [p ** e for e in range(max(n + 1, 96))]
+        tables = _POWERS[p] = (pw, {q: e for e, q in enumerate(pw)})
+    return tables
+
+
+def _top(claims, scale):
+    """Largest finite claim above scale, to size the power tables."""
+    top = max(claims, default=scale)
+    if top == EXACT:
+        top = max((A for A in claims if A != EXACT), default=scale)
+    return top - scale
 
 
 class IntSeries:
     """Power series sum coeffs[n] * p^scale * w^n over Z_p.
 
-    The coefficients are integers modulo p^(prec - scale), so every
-    coefficient carries the same absolute precision prec.
+    Coefficient n is the integer coeffs[n] modulo p^(A_n - scale), A_n its
+    absolute precision.  The Frobenius-twisted series claim one precision
+    prec for every coefficient (precs is None).  Residue-disk series carry
+    precs, one claim per coefficient, EXACT for an exact zero; their
+    arithmetic claims each coefficient as PadicNumber would, with no object
+    per operation.  Every coefficient has valuation >= scale.
     """
 
-    __slots__ = ("p", "coeffs", "scale", "prec")
+    __slots__ = ("p", "coeffs", "scale", "prec", "precs", "_vals", "_minval")
 
-    def __init__(self, p, coeffs, scale, prec):
-        self.p, self.coeffs, self.scale, self.prec = p, coeffs, scale, prec
+    def __init__(self, p, coeffs, scale, prec=None, precs=None):
+        self.p, self.coeffs, self.scale = p, coeffs, scale
+        self.prec = min(precs, default=EXACT) if prec is None else prec
+        self.precs = precs
+        self._vals = self._minval = None
+
+    @classmethod
+    def from_padics(cls, p, values):
+        """Per-coefficient series holding the PadicNumbers values."""
+        scale = min([0] + [x.val_lower_bound() for x in values])
+        claims = [EXACT if x.is_exact_zero() else x.abs_precision() for x in values]
+        pw = _power_tables(p, _top(claims, scale))[0]
+        coeffs = [x.unit * pw[x.val - scale] % pw[A - scale] if x.unit else 0
+                  for x, A in zip(values, claims)]
+        return cls(p, coeffs, scale, precs=claims)
+
+    def __len__(self):
+        return len(self.coeffs)
+
+    def claims(self):
+        return self.precs if self.precs is not None else [self.prec] * len(self.coeffs)
 
     def coefficient(self, n):
-        return PadicNumber(self.p, self.scale, self.coeffs[n], self.prec - self.scale)
+        A = self.claims()[n]
+        if A == EXACT:
+            return PadicNumber.exact_zero(self.p)
+        return PadicNumber(self.p, self.scale, self.coeffs[n], A - self.scale)
+
+    def valuations(self):
+        """Valuation of each coefficient; its claim when it is zero to that claim."""
+        if self._vals is None:
+            s = self.scale
+            claims = self.claims()
+            pw, lg = _power_tables(self.p, _top(claims, s))
+            self._vals = [s + lg[math.gcd(u, pw[A - s])] if u else A
+                          for u, A in zip(self.coeffs, claims)]
+        return self._vals
 
     def min_valuation(self, start=0):
-        """Least valuation among coeffs[start:]; prec when they all vanish."""
+        """Least valuation among coeffs[start:] of a one-claim series; prec
+        when they all vanish."""
         g = math.gcd(self.p ** (self.prec - self.scale), *self.coeffs[start:])
         return self.scale + log_floor(g, self.p)
 
     def evaluate(self, x):
-        """Horner evaluation on integers at x with val(x) >= 0.
+        """Horner evaluation of a one-claim series on integers, val(x) >= 0.
 
         x is known to x.abs_precision() digits, so the value is claimed to
         min(prec, x.abs_precision() + least coefficient valuation).
         """
-        prec = min(self.prec, x.abs_precision() + self.min_valuation())
+        if self._minval is None:
+            self._minval = self.min_valuation()
+        prec = min(self.prec, x.abs_precision() + self._minval)
         mod = self.p ** (prec - self.scale)
         X = x.lift() % mod
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * X + c) % mod
         return PadicNumber(self.p, self.scale, acc, prec - self.scale)
+
+    def rescaled(self, scale):
+        """The same series over a lower scale."""
+        m = self.p ** (self.scale - scale)
+        return IntSeries(self.p, [u * m for u in self.coeffs], scale,
+                         precs=list(self.claims()))
+
+    def with_constant(self, c):
+        """The series with coefficient 0 replaced by the PadicNumber c."""
+        head = IntSeries.from_padics(self.p, [c])
+        s = min(self.scale, head.scale)
+        out, head = self.rescaled(s), head.rescaled(s)
+        out.coeffs[0], out.precs[0] = head.coeffs[0], head.precs[0]
+        return out
+
+    def __add__(self, other):
+        """Termwise sum; the shorter series counts as exact zeros beyond its end."""
+        s = min(self.scale, other.scale)
+        a, b = self.rescaled(s), other.rescaled(s)
+        if len(a) < len(b):
+            a, b = b, a
+        claims = list(a.precs)
+        coeffs = list(a.coeffs)
+        pw = _power_tables(self.p, _top(claims, s))[0]
+        for n, (u, A) in enumerate(zip(b.coeffs, b.precs)):
+            A = min(A, claims[n])
+            claims[n] = A
+            coeffs[n] = 0 if A == EXACT else (coeffs[n] + u) % pw[A - s]
+        return IntSeries(self.p, coeffs, s, precs=claims)
+
+    def shift(self, k):
+        """Multiply by p^k exactly (no precision loss)."""
+        return IntSeries(self.p, self.coeffs, self.scale + k,
+                         precs=[A + k for A in self.claims()])
+
+    def derivative(self):
+        """d/dw; multiplying coefficient n by n gains v_p(n) digits of claim."""
+        p, s = self.p, self.scale
+        claims = [A if A == EXACT else A + valuation(n, p)[0]
+                  for n, A in enumerate(self.claims()) if n]
+        pw = _power_tables(p, _top(claims, s))[0]
+        coeffs = [0 if A == EXACT else u * n % pw[A - s]
+                  for n, (u, A) in enumerate(zip(self.coeffs[1:], claims), start=1)]
+        return IntSeries(p, coeffs, s, precs=claims)
+
+    def integral(self, c0):
+        """Antiderivative with constant term c0: coefficient j is coeffs[j-1]/j.
+
+        Dividing by j costs v_p(j) digits on that coefficient only; the scale
+        drops as far as the divisions need.
+        """
+        p, s = self.p, self.scale
+        index = [valuation(j, p) for j in range(1, len(self.coeffs) + 1)]
+        claims = [EXACT] + [A if A == EXACT else A - e
+                            for A, (e, _) in zip(self.claims(), index)]
+        s_new = min([s] + [v - e for v, (e, _) in zip(self.valuations(), index)
+                           if v != EXACT])
+        pw = _power_tables(p, _top(claims, s_new) + s - s_new)[0]
+        coeffs = [0]
+        for u, A, (e, w) in zip(self.coeffs, claims[1:], index):
+            if not u:
+                coeffs.append(0)
+                continue
+            mod = pw[A - s_new]
+            k = s - e - s_new
+            u = u * pw[k] if k >= 0 else u // pw[-k]
+            coeffs.append(u * pow(w, -1, mod) % mod)
+        return IntSeries(p, coeffs, s_new, precs=claims).with_constant(c0)
+
+
+def _series_eval(series, x):
+    """Horner value of an IntSeries at a PadicNumber x with val(x) >= 0.
+
+    Each step acc * x + c claims min(A_acc + v(x), A_x + v(acc), A_c), as
+    PadicNumber arithmetic would; v(acc) is computed only when it can bind.
+    """
+    p, s = series.p, series.scale
+    if x.is_exact_zero():
+        return series.coefficient(0) if len(series) else PadicNumber.exact_zero(p)
+    Ax, vx, X = x.abs_precision(), x.val_lower_bound(), x.lift()
+    claims = series.claims()
+    pw, lg = _power_tables(p, _top(claims, s))
+    acc, A = 0, EXACT
+    for u, Ac in zip(reversed(series.coeffs), reversed(claims)):
+        if A == EXACT:
+            acc, A = u, Ac
+            continue
+        B = min(A + vx, Ac)
+        k = B - Ax - s
+        if k > 0 and acc:
+            g = math.gcd(acc, pw[k])
+            if g != pw[k]:
+                B = Ax + s + lg[g]
+        A = B
+        acc = (acc * X + u) % pw[A - s]
+    if A == EXACT:
+        return PadicNumber.exact_zero(p)
+    return PadicNumber(p, s, acc, A - s)
+
+
+def _series_multiply(a, b, trunc):
+    """a * b below w^trunc.
+
+    The product term a_i b_j claims min(A_a[i] + v(b_j), A_b[j] + v(a_i))
+    and a sum the least claim of its terms, as PadicNumber would; pairs
+    with an exact zero contribute nothing.
+    """
+    p, s = a.p, a.scale + b.scale
+    ua, Aa, va = a.coeffs, a.claims(), a.valuations()
+    rb, rAb, rvb = b.coeffs[::-1], b.claims()[::-1], b.valuations()[::-1]
+    na, nb = len(ua), len(rb)
+    coeffs, claims = [], []
+    for k in range(min(trunc, na + nb - 1)):
+        lo, hi = max(0, k - nb + 1), min(k, na - 1) + 1
+        blo, bhi = nb - 1 - k + lo, nb - 1 - k + hi
+        A = min(min(map(add, Aa[lo:hi], rvb[blo:bhi])),
+                min(map(add, va[lo:hi], rAb[blo:bhi])))
+        claims.append(A)
+        coeffs.append(0 if A == EXACT else sum(map(mul, ua[lo:hi], rb[blo:bhi])))
+    claims += [EXACT] * (trunc - len(claims))
+    coeffs += [0] * (trunc - len(coeffs))
+    pw = _power_tables(p, _top(claims, s))[0]
+    coeffs = [u % pw[A - s] if u else 0 for u, A in zip(coeffs, claims)]
+    return IntSeries(p, coeffs, s, precs=claims)
 
 
 def _twisted_kernel(p, degree, weights, digits):
@@ -109,7 +287,7 @@ def _twisted_kernel(p, degree, weights, digits):
     over_n = [0]
     for n in range(1, degree):
         v, u = valuation(n, p)
-        over_n.append(p ** (L - v) * pow(int(u), -1, emod) % emod)
+        over_n.append(p ** (L - v) * pow(u, -1, emod) % emod)
     # r is divisible by p, so t_1[n] = (r[n-1]/p)/n is known to digits-1-L
     t1 = [0] + [r[n - 1] // p * over_n[n] % emod for n in range(1, degree)]
     series = [IntSeries(p, t1, -L, digits - 1 - L)]
@@ -213,64 +391,56 @@ class PolylogEngine:
 
     # -- residue-disk power series -----------------------------------------
 
+    def _geometric(self, unit, count, alternate, divide):
+        """Coefficients m = 1..count of sum (-1)^(m+1) (p/unit)^m [/ m].
+
+        The sign alternates only when asked.  unit is known to R digits
+        (R <= workprec), so (p/unit)^m claims R + m digits and the division
+        by m costs v_p(m) of them, as on PadicNumbers.
+        """
+        p = self.p
+        R = min(self.workprec, unit.rel)
+        pw = _power_tables(p, R + count)[0]
+        mod = pw[R]
+        q = pow(unit.unit, -1, mod)
+        qm = 1
+        coeffs, claims = [], []
+        for m in range(1, count + 1):
+            qm = qm * q % mod
+            e, w = valuation(m, p) if divide else (0, 1)
+            c = qm * pow(w, -1, mod) if w != 1 else qm
+            if alternate and m % 2 == 0:
+                c = -c
+            coeffs.append(pw[m - e] * (c % mod))
+            claims.append(R + m - e)
+        return coeffs, claims
+
     def _log_series_at(self, center):
         """log(center + p t) as a power series in t."""
-        p = self.p
-        N = self.local_degree
-        out = [iwasawa_log(center)]
-        ratio = PadicNumber.from_rational(p, p, self.workprec) / center
-        power = ratio
-        for l in range(1, N):
-            c = power / l
-            if l % 2 == 0:
-                c = -c
-            out.append(c)
-            power = power * ratio
-        return out
+        coeffs, claims = self._geometric(center, self.local_degree - 1, True, True)
+        return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(
+            iwasawa_log(center))
 
-    def _li1_series_at(self, center):
-        """-log(1 - center - p t) as a power series in t."""
-        p = self.p
-        N = self.local_degree
-        one_minus = 1 - center
-        out = [-iwasawa_log(one_minus)]
-        ratio = PadicNumber.from_rational(p, p, self.workprec) / one_minus
-        power = ratio
-        for l in range(1, N):
-            out.append(power / l)
-            power = power * ratio
-        return out
+    def _li1_series_at(self, center, value):
+        """-log(1 - center - p t) as a power series in t, with constant value."""
+        coeffs, claims = self._geometric(1 - center, self.local_degree - 1, False, True)
+        return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(value)
 
     def _dz_over_z_series(self, center):
         """p/(center + p t) as a power series in t (the factor in dLi_k)."""
-        p = self.p
-        N = self.local_degree
-        inv = 1 / center
-        pfac = PadicNumber.from_rational(p, p, self.workprec)
-        out = []
-        power = pfac * inv
-        for l in range(N):
-            out.append(power if l % 2 == 0 else -power)
-            power = power * pfac * inv
-        return out
+        coeffs, claims = self._geometric(center, self.local_degree, True, False)
+        return IntSeries(self.p, coeffs, 0, precs=claims)
 
     def _disk_series(self, center, values_at_center):
-        """Series of log, Li_1..Li_n about a center with known initial values."""
-        p = self.p
+        """Series of Li_1..Li_n about a center with known initial values."""
         N = self.local_degree
-        table = {"log": self._log_series_at(center)}
-        li = self._li1_series_at(center)
-        li[0] = values_at_center[1]
-        table["li1"] = li
+        table = {}
+        prev = table["li1"] = self._li1_series_at(center, values_at_center[1])
         dzz = self._dz_over_z_series(center)
-        prev = li
         for k in range(2, self.max_weight + 1):
-            integrand = _series_multiply(prev, dzz, N, p)
-            cur = [values_at_center[k]]
-            for j in range(1, N):
-                cur.append(integrand[j - 1] / j)
-            table["li%d" % k] = cur
-            prev = cur
+            # dLi_k = Li_{k-1} dz/z
+            prev = _series_multiply(prev, dzz, N - 1).integral(values_at_center[k])
+            table["li%d" % k] = prev
         return table
 
     def disk_table(self, a):
@@ -289,6 +459,7 @@ class PolylogEngine:
         center_vals = {k: _series_eval(theta_table["li%d" % k], shift)
                        for k in range(1, self.max_weight + 1)}
         table = self._disk_series(a_pn, center_vals)
+        table["log"] = self._log_series_at(a_pn)
         self._disk_tables[a] = table
         return table
 

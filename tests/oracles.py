@@ -5,13 +5,16 @@ against its interpolation property at negative integers, serves as the
 cross-validation for the engine's zeta values.  The Frobenius-twisted
 series summed as log(lambda) = sum (-1)^{m+1} (lambda - 1)^m / m on
 PadicNumbers cross-checks the engine's integer log-derivative kernel.
+The residue-disk series rebuilt as lists of PadicNumbers (one object per
+coefficient, each operation claiming precision by PadicNumber's own rules)
+are the reference for the engine's integer disk tables, Coleman local
+series and root-search shifts.
 """
 
 import math
 from fractions import Fraction as F
 
-from ckpolylog.padic import PadicNumber, log_floor, teichmuller
-from ckpolylog.polylog import _series_multiply
+from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller
 
 
 def bernoulli_list(n):
@@ -84,7 +87,7 @@ def twisted_series_by_log(p, W, D, K):
                 contrib = -contrib
             loglam[i] = loglam[i] + contrib
         m += 1
-        power = _series_multiply(power, lam1, min(D, len(power) + p), p)
+        power = series_multiply(power, lam1, min(D, len(power) + p), p)
     # adding O(p^omitted) caps every entry there, whatever its valuation
     omitted = PadicNumber.zero_to(p, m - log_floor(m, p))
     series = [[(c + omitted) / p for c in loglam]]
@@ -99,3 +102,128 @@ def twisted_series_by_log(p, W, D, K):
             gam[n] = -(s / n)
         series.append(gam)
     return series
+
+
+# -- residue-disk series as PadicNumber lists ------------------------------------
+
+
+def series_eval(coeffs, x):
+    """Horner evaluation of sum coeffs[i] * x^i."""
+    acc = PadicNumber.exact_zero(x.p)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def series_multiply(a, b, trunc, p):
+    out = [PadicNumber.exact_zero(p) for _ in range(trunc)]
+    for i, ca in enumerate(a):
+        if i >= trunc or ca.is_exact_zero():
+            continue
+        for j, cb in enumerate(b):
+            if i + j >= trunc:
+                break
+            out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def log_series_at(eng, center):
+    """log(center + p t) as a power series in t."""
+    p = eng.p
+    out = [iwasawa_log(center)]
+    ratio = PadicNumber.from_rational(p, p, eng.workprec) / center
+    power = ratio
+    for l in range(1, eng.local_degree):
+        c = power / l
+        if l % 2 == 0:
+            c = -c
+        out.append(c)
+        power = power * ratio
+    return out
+
+
+def li1_series_at(eng, center):
+    """-log(1 - center - p t) as a power series in t."""
+    p = eng.p
+    one_minus = 1 - center
+    out = [-iwasawa_log(one_minus)]
+    ratio = PadicNumber.from_rational(p, p, eng.workprec) / one_minus
+    power = ratio
+    for l in range(1, eng.local_degree):
+        out.append(power / l)
+        power = power * ratio
+    return out
+
+
+def dz_over_z_series(eng, center):
+    """p/(center + p t) as a power series in t (the factor in dLi_k)."""
+    p = eng.p
+    inv = 1 / center
+    pfac = PadicNumber.from_rational(p, p, eng.workprec)
+    out = []
+    power = pfac * inv
+    for l in range(eng.local_degree):
+        out.append(power if l % 2 == 0 else -power)
+        power = power * pfac * inv
+    return out
+
+
+def disk_series(eng, center, values_at_center):
+    """Series of log, Li_1..Li_n about a center with known initial values."""
+    p, N = eng.p, eng.local_degree
+    table = {"log": log_series_at(eng, center)}
+    li = li1_series_at(eng, center)
+    li[0] = values_at_center[1]
+    table["li1"] = li
+    dzz = dz_over_z_series(eng, center)
+    prev = li
+    for k in range(2, eng.max_weight + 1):
+        integrand = series_multiply(prev, dzz, N, p)
+        cur = [values_at_center[k]]
+        for j in range(1, N):
+            cur.append(integrand[j - 1] / j)
+        table["li%d" % k] = cur
+        prev = cur
+    return table
+
+
+def disk_table(eng, a):
+    """The engine's disk table for a, rebuilt on PadicNumber lists."""
+    p = eng.p
+    theta = eng.teichmuller_point(a)
+    theta_table = disk_series(eng, theta, eng.values_at_teichmuller(a))
+    a_pn = PadicNumber.from_rational(p, a, eng.workprec)
+    shift = (a_pn - theta) / p
+    center_vals = {k: series_eval(theta_table["li%d" % k], shift)
+                   for k in range(1, eng.max_weight + 1)}
+    return disk_series(eng, a_pn, center_vals)
+
+
+def local_series(F, table):
+    """A Coleman function's series on one disk from an oracle disk table."""
+    N = F.engine.local_degree
+    zero = PadicNumber.exact_zero(F.p)
+    out = [zero] * N
+    for mono, c in F.coeffs.items():
+        term = [c] + [zero] * (N - 1)
+        for name, k in mono:
+            for _ in range(k):
+                term = series_multiply(term, table[name], N, F.p)
+        out = [x + y for x, y in zip(out, term)]
+    return out
+
+
+def series_shift(series, r, p, workprec):
+    """Coefficients of S(r + p s) as a series in s."""
+    n = len(series)
+    pfac = PadicNumber.from_rational(p, p, workprec)
+    out = []
+    for l in range(n):
+        acc = PadicNumber.exact_zero(p)
+        for j in range(l, n):
+            c = series[j]
+            if c.is_exact_zero() or c.unit == 0 and c.val_lower_bound() > workprec:
+                continue
+            acc = acc + c * math.comb(j, l) * r ** (j - l)
+        out.append(acc * pfac ** l)
+    return out

@@ -59,6 +59,22 @@ def test_locus_weight4_and_symmetrized(capsys):
     assert data["zeros"] == []
 
 
+def test_locus_above_weight4_says_it_narrowed(capsys):
+    # --n 6 asks for more than the wt2 and wt4 functions: the run says so on
+    # stderr and in the payload, and finds the same locus as --n 4
+    code = main(["locus", "--S", "3", "--p", "5", "--n", "6"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert code == 0
+    assert data["usedWeights"] == [2, 4]
+    assert data["functions"] == ["wt2", "wt4[S=3]"]
+    assert [z["rationalGuess"] for z in data["zeros"]] == ["-1/1"]
+    line, = captured.err.splitlines()
+    assert "--n 6" in line and "weight 2 and 4" in line
+    _, at4 = run_cli(capsys, "locus", "--S", "3", "--p", "5", "--n", "4")
+    assert "usedWeights" not in at4
+
+
 def test_locus_determinism_byte_identical(capsys):
     _, first = run_cli(capsys, "locus", "--S", "3", "--p", "5", "--n", "4",
                        "--symmetrize")

@@ -5,7 +5,9 @@ import pytest
 
 import ckpolylog.loci as L
 from ckpolylog.padic import PadicNumber, PrecisionPolicy, padic_agree
-from ckpolylog.polylog import get_engine, _series_eval
+from ckpolylog.polylog import IntSeries, get_engine, _series_eval
+
+import oracles
 
 
 def rational_points(locus):
@@ -251,3 +253,70 @@ def test_counterexample_requires_good_prime(policy):
         L.counterexample_cocycle(3, 4, 3, policy)
     with pytest.raises(ValueError):
         L.counterexample_cocycle(5, 4, 5, policy)
+
+
+def _assert_matches_oracle(got, ref, where):
+    # the integer kernel applies PadicNumber's claim rules per coefficient, so
+    # it claims exactly what the reference claims (never less, and never more
+    # without a proof of its own) and agrees with it to that claim
+    if not isinstance(got, PadicNumber):
+        assert len(got) == len(ref), where
+        for n, want in enumerate(ref):
+            _assert_matches_oracle(got.coefficient(n), want, (where, n))
+        return
+    assert got.abs_precision() == ref.abs_precision(), where
+    assert (got - ref).val_lower_bound() >= ref.abs_precision(), where
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_disk_series_against_padic_oracle(p, policy, table_z_sixth):
+    """Disk tables, Coleman local series (and their Horner values) and
+    root-search shifts on integer vectors against the same series built as
+    PadicNumber lists."""
+    eng = get_engine(p, policy)
+    fns = [L.weight2_function(p, policy),
+           L.weight4_function(p, S=(3,), policy=policy, table=table_z_sixth)]
+    t = PadicNumber.from_rational(p, F(2 + p, 3), policy.workprec() - 5)
+    for a in range(2, p):
+        ref = oracles.disk_table(eng, a)
+        table = eng.disk_table(a)
+        assert set(table) == set(ref)
+        for name in ref:
+            _assert_matches_oracle(table[name], ref[name], (a, name))
+        for f in fns:
+            series = f.local_series(a)
+            want = oracles.local_series(f, ref)
+            _assert_matches_oracle(series, want, (a, f.label))
+            _assert_matches_oracle(_series_eval(series, t), oracles.series_eval(want, t),
+                                   (a, f.label, "eval"))
+        stripped, _ = L._strip_content(series)
+        r = (a + 1) % p  # r = 0 on the disk of p - 1
+        padics = [stripped.coefficient(n) for n in range(len(stripped))]
+        _assert_matches_oracle(L._series_shift(stripped, r, p, policy.workprec()),
+                               oracles.series_shift(padics, r, p, policy.workprec()),
+                               (a, "shift", r))
+
+
+def test_series_kernels_on_mixed_claims_against_padic_oracle():
+    """Shift, derivative and Horner on a series mixing high claims, low
+    claims, tracked zeros on both sides of workprec and exact zeros."""
+    p, workprec = 5, 23
+    coeffs = [PadicNumber.from_rational(p, F(7, 3), 40),
+              PadicNumber.from_rational(p, 50, 12),
+              PadicNumber.zero_to(p, 30),
+              PadicNumber.exact_zero(p),
+              PadicNumber.zero_to(p, 20),
+              PadicNumber.from_rational(p, F(-2, 7), 10),
+              PadicNumber.from_rational(p, 125 * 3, 26),
+              PadicNumber.from_rational(p, 4, 40)]
+    series = IntSeries.from_padics(p, coeffs)
+    for n, c in enumerate(coeffs):
+        assert series.coefficient(n) == c
+    for r in range(p):
+        _assert_matches_oracle(L._series_shift(series, r, p, workprec),
+                               oracles.series_shift(coeffs, r, p, workprec), ("shift", r))
+    _assert_matches_oracle(series.derivative(),
+                           [c * (i + 1) for i, c in enumerate(coeffs[1:])], "derivative")
+    for x in (PadicNumber.from_rational(p, 3, workprec), PadicNumber.zero_to(p, 9),
+              PadicNumber.from_rational(p, F(10, 3), 15), PadicNumber.exact_zero(p)):
+        _assert_matches_oracle(_series_eval(series, x), oracles.series_eval(coeffs, x), x)

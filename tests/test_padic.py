@@ -30,6 +30,17 @@ def test_arithmetic_precision_semantics():
     assert z.unit == 0 and z.val_lower_bound() == 8
 
 
+def test_truncate_abs_never_claims_beyond_its_bound():
+    # a nonzero value of valuation >= A truncates to O(p^A), not O(p^val)
+    x = PadicNumber(7, 50, 2, 10).truncate_abs(47)
+    assert x.is_zeroish() and not x.is_exact_zero()
+    assert x.abs_precision() == 47
+    y = PadicNumber(7, 47, 2, 10).truncate_abs(47)
+    assert y.is_zeroish() and y.abs_precision() == 47
+    z = PadicNumber(7, 45, 2 + 3 * 7, 10).truncate_abs(47)
+    assert z.valuation() == 45 and z.abs_precision() == 47 and z.unit == 23
+
+
 def test_tracked_zero_propagation():
     p = 5
     z = PadicNumber.zero_to(p, 8)
