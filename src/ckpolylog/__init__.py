@@ -12,9 +12,8 @@ from .words import (GeneratorSet, ShuffleElement, TensorElement,
                     project_bidegree, graded_dimension)
 from .symbols import Expression, Symbol, li_u, log_u, zeta_u
 from .galois import (PeriodTable, basis_certificate_deg3, build_table_z_half,
-                     build_table_z_sixth, expand_in_basis,
-                     f_sigma_tau_expression, kummer_degree_one,
-                     standard_genset)
+                     build_table_z_sixth, f_sigma_tau_expression,
+                     kummer_degree_one, standard_genset)
 from .cocycles import (CocycleCoordinates, PolylogWord, brown_entry,
                        cocycle_apply, eval_universal, kappa_coordinates,
                        theta_sharp)

@@ -12,11 +12,14 @@ and the nine-term Kummer-Spence relation evaluated at (x, y) = (-1, 1/3).
 from __future__ import annotations
 
 import math
+from functools import cache
 
 PI2_6 = math.pi ** 2 / 6
 
 
+@cache
 def zeta3():
+    """zeta(3) in double precision, summed once per process."""
     n = 20000
     s = sum(1.0 / m ** 3 for m in range(1, n + 1))
     # Euler-Maclaurin tail for the cubic sum

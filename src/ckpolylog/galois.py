@@ -285,11 +285,6 @@ class PeriodTable:
 # -- numeric resolution of zeta coefficients -----------------------------------
 
 
-def expand_in_basis(symbol, table):
-    """Free-function view of PeriodTable.expand_in_basis: (word form, zeta coefficient)."""
-    return table.expand_in_basis(symbol)
-
-
 def numeric_primitive_resolver(primes=(5, 7), policy=None,
                                num_bound=10 ** 4, den_bound=10 ** 3):
     """Recognize the zeta-coefficient of a symbol at two primes and compare."""

@@ -115,9 +115,9 @@ class PadicNumber:
         q = Fraction(q)
         if q == 0:
             return cls.exact_zero(p)
-        v, u = valuation(q, p)
-        unit = u.numerator * pow(u.denominator, -1, p ** rel) % p ** rel
-        return cls(p, v, unit, rel)
+        v, num = valuation(q.numerator, p)
+        w, den = valuation(q.denominator, p)
+        return cls(p, v - w, num * pow(den, -1, p ** rel), rel)
 
     @classmethod
     def from_int_mod(cls, p, residue, abs_prec):
@@ -336,30 +336,28 @@ def iwasawa_log(z):
 
     Works for any nonzero PadicNumber; the valuation is discarded (branch)
     and the unit u is handled through u^(p-1) = 1 + t with val(t) >= 1.
+    The result is known modulo p^rel, rel the relative precision of z.
     """
     if z.unit == 0:
         raise ValueError("log of zero")
     p = z.p
     rel = z.rel
-    mod = p ** rel
-    u = pow(z.unit, p - 1, mod)
-    t = (u - 1) % mod
-    if t == 0:
-        return PadicNumber.zero_to(p, rel)
-    # log(1+t) = sum (-1)^(m+1) t^m / m; val(t^m/m) >= m - log_p(m)
-    acc = PadicNumber.zero_to(p, rel + 2)
-    m = 1
-    tp = PadicNumber(p, 0, t, rel)
-    power = tp
-    while m <= rel + log_floor(max(m, 1), p) + 1:
-        contrib = power / m
-        if m % 2 == 0:
-            contrib = -contrib
-        acc = acc + contrib
-        m += 1
-        power = power * tp
-    res = acc / (p - 1)
-    return res.truncate_abs(rel)
+    t = pow(z.unit, p - 1, p ** rel) - 1
+    # log(1+t) = sum (-1)^(m+1) t^m / m; val(t^m/m) >= m - log_p(m), so the
+    # terms past m_max vanish mod p^rel.  Dividing by m costs at most
+    # log_p(m_max) digits, which the working modulus carries.
+    m_max = 1
+    while m_max + 1 <= rel + log_floor(m_max + 1, p) + 1:
+        m_max += 1
+    mod = p ** (rel + log_floor(m_max, p))
+    acc = 0
+    power = 1
+    for m in range(1, m_max + 1):
+        power = power * t % mod
+        v, unit = valuation(m, p)
+        term = power // p ** v * pow(unit, -1, mod)
+        acc += term if m % 2 else -term
+    return PadicNumber.from_int_mod(p, acc * pow(p - 1, -1, p ** rel), rel)
 
 
 def log_floor(m, p):

@@ -323,6 +323,7 @@ class PolylogEngine:
         self._teich_values = {}
         self._disk_tables = {}
         self._zeta_cache = {}
+        self._periods = {}
         self.local_degree = self.workprec + 4
 
     # -- Frobenius-twisted global series ----------------------------------
@@ -556,11 +557,12 @@ class PolylogEngine:
         return acc
 
     def _period_symbol(self, s):
-        if s.kind == "log":
-            return self.log(s.z)
-        if s.kind == "zeta":
-            return self.zeta(s.n)
-        return self.polylog(s.n, s.z)
+        """Coleman value of one motivic symbol, computed once per engine."""
+        if s not in self._periods:
+            self._periods[s] = (self.log(s.z) if s.kind == "log" else
+                                self.zeta(s.n) if s.kind == "zeta" else
+                                self.polylog(s.n, s.z))
+        return self._periods[s]
 
     # -- appendix check ---------------------------------------------------------
 

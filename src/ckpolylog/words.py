@@ -3,7 +3,9 @@
 Words in a graded alphabet, the shuffle product, the deconcatenation
 coproduct and its reduced/bidegree variants, plus the Lyndon-word
 polynomial decomposition used to present the algebra as a free
-commutative polynomial ring.  The exact row reduction here (row_reduce,
+commutative polynomial ring.  A cut (u, v) determines its word uv, so
+the coproducts are read off the cuts term by term, with no two terms
+to add.  The exact row reduction here (row_reduce,
 solve_columns) is the one linear-algebra core of the package.
 
 All coefficients are exact (fractions.Fraction or any ring element
@@ -311,30 +313,21 @@ def shuffle_product(a, b):
 
 
 def deconcat_coproduct(a):
-    """Deconcatenation: every way of cutting each word in two."""
-    terms = {}
-    for w, c in a.terms.items():
-        for i in range(len(w) + 1):
-            k = (w[:i], w[i:])
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-    return TensorElement(a.genset, terms)
+    """Deconcatenation: every way of cutting each word in two.
+
+    A cut (u, v) determines its word uv, so no two terms meet.
+    """
+    return TensorElement(a.genset, {(w[:i], w[i:]): c for w, c in a.terms.items()
+                                    for i in range(len(w) + 1)})
 
 
 def reduced_coproduct(a):
-    """Delta'(x) = Delta(x) - x (x) 1 - 1 (x) x."""
-    t = deconcat_coproduct(a)
-    for w, c in a.terms.items():
-        for k in ((w, ()), ((), w)):
-            s = t.terms.get(k, 0) - c
-            if s:
-                t.terms[k] = s
-            else:
-                t.terms.pop(k, None)
-    return t
+    """Delta'(x) = Delta(x) - x (x) 1 - 1 (x) x + eps(x) 1 (x) 1: the proper cuts.
+
+    Zero on constants and on single letters (the primitives).
+    """
+    return TensorElement(a.genset, {(w[:i], w[i:]): c for w, c in a.terms.items()
+                                    for i in range(1, len(w))})
 
 
 def project_bidegree(t, i, j):
@@ -352,27 +345,20 @@ def graded_dimension(genset, n):
 
 
 def cobar_square(a):
-    """(Delta' (x) id - id (x) Delta') composed with Delta'; zero by coassociativity."""
-    t = reduced_coproduct(a)
-    out = {}
-    for (l, r), c in t.terms.items():
-        tl = reduced_coproduct(ShuffleElement.word(a.genset, l))
-        for (x, y), d in tl.terms.items():
-            k = (x, y, r)
-            s = out.get(k, 0) + c * d
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        tr = reduced_coproduct(ShuffleElement.word(a.genset, r))
-        for (x, y), d in tr.terms.items():
-            k = (l, x, y)
-            s = out.get(k, 0) - c * d
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+    """(Delta' (x) id - id (x) Delta') Delta'(a) as {(x, y, z): coefficient}.
+
+    Zero by coassociativity.  Each composite is a dict without collisions:
+    (x, y, z) determines the two cuts it came from.
+    """
+    gs = a.genset
+    left, right = {}, {}
+    for (l, r), c in reduced_coproduct(a).terms.items():
+        left.update(((x, y, r), d) for (x, y), d in
+                    reduced_coproduct(ShuffleElement.word(gs, l, c)).terms.items())
+        right.update(((l, x, y), d) for (x, y), d in
+                     reduced_coproduct(ShuffleElement.word(gs, r, c)).terms.items())
+    return {k: d for k in left.keys() | right.keys()
+            if (d := left.get(k, 0) - right.get(k, 0))}
 
 
 # -- Lyndon polynomial decomposition --------------------------------------
@@ -442,27 +428,23 @@ def solve_delta_prime(genset, n, target):
 
     Returns (x, primitive_dims) where primitive directions (single-letter
     words of weight n) are set to zero; raises ValueError when the system
-    is inconsistent.  Delta' restricted to weight n is injective modulo
-    primitives, so the non-primitive part of x is unique.
+    is inconsistent.  The cut (w[:1], w[1:]) occurs in Delta'(f_w) alone,
+    so x_w is the target's coefficient there; the exact re-check of
+    Delta'(x) = target is the certificate.
     """
     words = genset.words_of_weight(n)
-    # primitives have Delta' = 0, so they are free columns and stay 0
-    images = [reduced_coproduct(ShuffleElement.word(genset, w)).terms for w in words]
-    vec = solve_columns(images, target.terms)
-    if vec is None:
-        raise ValueError("inconsistent Delta' system at weight %d" % n)
-    x = ShuffleElement(genset, dict(zip(words, vec)))
+    x = ShuffleElement(genset, {w: target.terms.get((w[:1], w[1:]), 0)
+                                for w in words if len(w) > 1})
     if reduced_coproduct(x) != target:
-        raise ValueError("Delta' solve failed consistency re-check at weight %d" % n)
+        raise ValueError("inconsistent Delta' system at weight %d" % n)
     return x, sum(1 for w in words if len(w) == 1)
 
 
 # -- exact row reduction ----------------------------------------------------
 #
 # The one Gauss-Jordan elimination behind every exact linear solve: the
-# Lyndon inversion and Delta' solves here, the period-span rewrite, basis
-# determinant and f_{sigma tau} system in galois, and the graded kernel in
-# elimination.
+# Lyndon inversion here, the period-span rewrite, basis determinant and
+# f_{sigma tau} system in galois, and the graded kernel in elimination.
 
 
 def row_reduce(rows, ncols):

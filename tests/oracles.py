@@ -8,13 +8,17 @@ PadicNumbers cross-checks the engine's integer log-derivative kernel.
 The residue-disk series rebuilt as lists of PadicNumbers (one object per
 coefficient, each operation claiming precision by PadicNumber's own rules)
 are the reference for the engine's integer disk tables, Coleman local
-series and root-search shifts.
+series and root-search shifts.  The Iwasawa logarithm summed on
+PadicNumbers is the reference for the integer one.  The coproducts
+accumulated term by term and the dense Delta' solve are the references
+for the cut-by-cut coproducts and the first-cut Delta' solve in words.
 """
 
 import math
 from fractions import Fraction as F
 
 from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller
+from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
 
 
 def bernoulli_list(n):
@@ -227,3 +231,67 @@ def series_shift(series, r, p, workprec):
             acc = acc + c * math.comb(j, l) * r ** (j - l)
         out.append(acc * pfac ** l)
     return out
+
+
+# -- logarithm and coproducts, accumulated ---------------------------------------
+
+
+def iwasawa_log_by_padic_loop(z):
+    """log(1 + t) / (p - 1) with u^(p-1) = 1 + t, summed on PadicNumbers."""
+    if z.unit == 0:
+        raise ValueError("log of zero")
+    p = z.p
+    rel = z.rel
+    mod = p ** rel
+    t = (pow(z.unit, p - 1, mod) - 1) % mod
+    if t == 0:
+        return PadicNumber.zero_to(p, rel)
+    acc = PadicNumber.zero_to(p, rel + 2)
+    m = 1
+    tp = PadicNumber(p, 0, t, rel)
+    power = tp
+    while m <= rel + log_floor(m, p) + 1:
+        contrib = power / m
+        if m % 2 == 0:
+            contrib = -contrib
+        acc = acc + contrib
+        m += 1
+        power = power * tp
+    return (acc / (p - 1)).truncate_abs(rel)
+
+
+def _accumulate(terms, key, c):
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def deconcat_by_accumulation(a):
+    """Delta(a), adding the coefficient of every cut of every word."""
+    terms = {}
+    for w, c in a.terms.items():
+        for i in range(len(w) + 1):
+            _accumulate(terms, (w[:i], w[i:]), c)
+    return TensorElement(a.genset, terms)
+
+
+def reduced_by_accumulation(a):
+    """Delta(a) - a (x) 1 - 1 (x) a + eps(a) 1 (x) 1, term by term."""
+    terms = dict(deconcat_by_accumulation(a).terms)
+    for w, c in a.terms.items():
+        _accumulate(terms, (w, ()), -c)
+        _accumulate(terms, ((), w), -c)
+    _accumulate(terms, ((), ()), a.coefficient(()))
+    return TensorElement(a.genset, terms)
+
+
+def solve_delta_prime_dense(genset, n, target):
+    """x of pure weight n with Delta'(x) = target by a dense column solve."""
+    words = genset.words_of_weight(n)
+    images = [reduced_by_accumulation(ShuffleElement.word(genset, w)).terms for w in words]
+    vec = solve_columns(images, target.terms)
+    if vec is None:
+        raise ValueError("inconsistent Delta' system at weight %d" % n)
+    return ShuffleElement(genset, dict(zip(words, vec)))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import ckpolylog
+import ckpolylog.words as wd
 from ckpolylog.cli import main
 
 
@@ -90,6 +91,25 @@ def test_verify_suites_pass(capsys):
         code, data = run_cli(capsys, "verify", suite, "--S", "3", "--p", "5")
         assert code == 0, suite
         assert suite in data["suites"]
+
+
+def test_verify_hopf_fails_when_a_cut_is_dropped(capsys, monkeypatch):
+    real = wd.reduced_coproduct
+
+    def drop_first_cut(a):
+        t = real(a)
+        for word in a.terms:
+            if len(word) == 3:
+                t.terms.pop((word[:1], word[1:]), None)
+        return t
+
+    monkeypatch.setattr(wd, "reduced_coproduct", drop_first_cut)
+    code, data = run_cli(capsys, "verify", "hopf", "--p", "5")
+    assert code == 1
+    failing = [row["check"] for row in data["suites"]["hopf"] if not row["passed"]]
+    assert "cobar:tau_2.tau_3.tau_2" in failing
+    assert "cobar exactness through weight 8" in failing
+    assert all(c.startswith("cobar") for c in failing)
 
 
 def test_cli_rejects_bad_primes(capsys):

@@ -62,10 +62,10 @@ def test_li4_half_tabled_form(table_z_half):
 
 
 def test_expand_in_basis_surface(table_z_half, table_z_sixth):
-    form, prim = G.expand_in_basis(sym_li(3, F(1, 2)), table_z_half)
+    form, prim = table_z_half.expand_in_basis(sym_li(3, F(1, 2)))
     assert form.terms == {("tau_2",) * 3: F(1)}
     assert prim == F(7, 8)
-    form, prim = G.expand_in_basis(sym_li(2, -2), table_z_sixth)
+    form, prim = table_z_sixth.expand_in_basis(sym_li(2, -2))
     assert form.terms == {("tau_3", "tau_2"): F(-1)}
     assert prim == 0  # dim E_2 = 0: complete
 

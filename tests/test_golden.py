@@ -19,6 +19,8 @@ from ckpolylog import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "ideal_S3": ["ideal", "--S", "3"],
+    "ideal_S2": ["ideal", "--S", "2"],
     "locus_S3_p5": ["locus", "--S", "3", "--p", "5"],
     "locus_S2_p5": ["locus", "--S", "2", "--p", "5"],
     "locus_S3_p7_sym": ["locus", "--S", "3", "--p", "7", "--symmetrize"],
@@ -26,6 +28,7 @@ COMMANDS = {
     "locus_S3_p5_n2": ["locus", "--S", "3", "--p", "5", "--n", "2"],
     "verify_identities_p5": ["verify", "identities", "--p", "5"],
     "verify_counterexample_p5_n6": ["verify", "counterexample", "--p", "5", "--n", "6"],
+    "verify_hopf_p5": ["verify", "hopf", "--p", "5"],
 }
 
 

@@ -6,6 +6,7 @@ from ckpolylog.padic import (
     PadicNumber, PrecisionPolicy, iwasawa_log, padic_agree,
     rational_reconstruct, teichmuller,
 )
+from oracles import iwasawa_log_by_padic_loop
 
 
 def test_from_rational_and_lift():
@@ -144,6 +145,22 @@ def test_log_2_against_series_oracle():
     log2 = iwasawa_log(PadicNumber.from_rational(p, 2, N + 4))
     assert log2.valuation() >= 1
     assert (log2 - acc / 4).val_lower_bound() >= N
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+def test_iwasawa_log_matches_padic_loop_oracle(p, rng):
+    # value and claimed precision; the units take turns among random ones,
+    # Teichmueller ones (t = 0) and 1 + p^k (val(t) = k)
+    for rel in range(1, 60):
+        mod = p ** rel
+        for val in range(-3, 4):
+            u = (rng.randrange(1, mod), teichmuller(p - 1, p, rel),
+                 1 + p ** rng.randrange(1, rel + 1))[val % 3]
+            if u % p == 0:
+                u += 1
+            z = PadicNumber(p, val, u, rel)
+            got, want = iwasawa_log(z), iwasawa_log_by_padic_loop(z)
+            assert (got.val, got.unit, got.rel) == (want.val, want.unit, want.rel)
 
 
 def test_padic_agree_equality_rule():

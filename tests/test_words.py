@@ -11,6 +11,7 @@ from ckpolylog.words import (
     project_bidegree, reduced_coproduct, row_reduce, shuffle_product,
     solve_columns, solve_delta_prime, word_as_lyndon_poly,
 )
+from oracles import deconcat_by_accumulation, reduced_by_accumulation, solve_delta_prime_dense
 
 GS = GeneratorSet([("tau_2", 1), ("tau_3", 1), ("sigma_3", 3)])
 GS1 = GeneratorSet([("tau", 1), ("sigma", 3), ("sigma_5", 5)])
@@ -72,6 +73,21 @@ def test_reduced_coproduct_examples():
         (("tau",), ("tau", "tau")): F(1),
         (("tau", "tau"), ("tau",)): F(1),
     }
+
+
+def random_combination(genset, rng, max_weight=6, size=12):
+    words = [wd for n in range(max_weight + 1) for wd in genset.words_of_weight(n)]
+    return ShuffleElement(genset, {wd: F(rng.randint(-9, 9), rng.randint(1, 5))
+                                   for wd in rng.sample(words, size)})
+
+
+def test_coproducts_on_combinations_match_accumulation(rng):
+    for gs in (GS, GS1):
+        for _ in range(20):
+            a = random_combination(gs, rng)
+            a = a + ShuffleElement.one(gs).scale(F(rng.randint(-3, 3)))
+            assert deconcat_coproduct(a) == deconcat_by_accumulation(a)
+            assert reduced_coproduct(a) == reduced_by_accumulation(a)
 
 
 def test_project_bidegree():
@@ -206,6 +222,32 @@ def test_solve_delta_prime_and_primitive_count():
     target3 = reduced_coproduct(w(GS1, "tau", "tau", "tau"))
     sol3, prim3 = solve_delta_prime(GS1, 3, target3)
     assert prim3 == 1  # sigma direction
+
+
+def test_solve_delta_prime_matches_dense_solve(table_z_half, table_z_sixth, rng):
+    for gs in (table_z_half.genset, table_z_sixth.genset):
+        for n in range(1, 5):
+            words = gs.words_of_weight(n)
+            targets = [reduced_coproduct(ShuffleElement.word(gs, wd)) for wd in words]
+            targets += [reduced_coproduct(random_combination(gs, rng, n, len(words)).graded_part(n))
+                        for _ in range(3)]
+            for target in targets:
+                x, prim = solve_delta_prime(gs, n, target)
+                assert x == solve_delta_prime_dense(gs, n, target)
+                assert prim == sum(1 for wd in words if len(wd) == 1)
+
+
+def test_solve_delta_prime_rejects_inconsistent_targets():
+    target = reduced_coproduct(w(GS1, "tau", "tau", "sigma"))
+    # a cut of another weight, a cut missing, a cut with the wrong coefficient
+    bad = [target + TensorElement(GS1, {(("tau",), ("tau",)): F(1)}),
+           TensorElement(GS1, {(("tau",), ("tau", "sigma")): F(1)}),
+           target + TensorElement(GS1, {(("tau", "tau"), ("sigma",)): F(1)})]
+    for t in bad:
+        with pytest.raises(ValueError):
+            solve_delta_prime(GS1, 5, t)
+        with pytest.raises(ValueError):
+            solve_delta_prime_dense(GS1, 5, t)
 
 
 def test_primitive_profile_matches_expected_dimensions():
