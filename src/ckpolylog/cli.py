@@ -10,7 +10,8 @@ Output is deterministic JSON (sorted keys, canonical term order); the exit
 status is 0 iff every certificate in the run is certified/passes, and 2,
 with a one-line message on stderr, for rejected or unsupported input such
 as a non-prime --S entry or --p, --n below the first Chabauty-Kim weight,
-or an ideal computation that outgrows the elimination guard.
+a locus over more than one prime, or an ideal computation that outgrows
+the elimination guard.
 """
 
 from __future__ import annotations
@@ -260,6 +261,9 @@ def _unsupported(args):
         if args.n >= 4 and args.S not in galois.TABLED_S:
             return ("locus --n >= 4 needs --S 2 or --S 3: the weight-4 function's "
                     "periods are tabled for those only")
+        if len(args.S) > 1:
+            return ("locus needs a single prime in --S: its Chabauty-Kim "
+                    "functions are built for Z[1/l] only")
     if (args.command == "verify" and len(args.S) != 1
             and (args.suite or args.suite_flag) in ("counterexample", "all")):
         return "verify counterexample needs a single prime in --S"

@@ -16,15 +16,14 @@ field-valued counterexample cocycle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .padic import valuation
 from .words import ShuffleElement
 
 
-@dataclass(frozen=True, order=True)
-class PolylogWord:
+class PolylogWord(NamedTuple):
     """Either e0^i (kind "e0") or the word e1 e0^{k-1} (kind "li")."""
 
     kind: str
@@ -93,18 +92,12 @@ class CocycleCoordinates:
         except KeyError:
             raise KeyError("missing cocycle coordinate (%s, %r)" % (gen_id, lam))
 
-    # Named views for |S| = 1 (and w_i for any S).
+    # Named views for |S| = 1.
     def w0(self, tau_id):
         return self.get(tau_id, LOG)
 
     def w1(self, tau_id):
         return self.get(tau_id, PolylogWord.li(1))
-
-    def wi(self, i, sigma_id=None):
-        k = 2 * i - 1
-        if sigma_id is None:
-            sigma_id = "sigma_%d" % k
-        return self.get(sigma_id, PolylogWord.li(k))
 
 
 def brown_entry(word, lam, c):

@@ -163,7 +163,7 @@ class PeriodTable:
         if not (_is_s_unit(z, self.S) and _is_s_unit(1 - z, self.S)):
             raise ValueError("Li_%d(%s) is not an S-point symbol for S=%s"
                              % (n, z, list(self.S)))
-        tens = sy.goncharov_reduced_coproduct(sy.Symbol("li", n, z))
+        tens = sy.reduced_coproduct(sy.Expression.sym(sy.Symbol("li", n, z)))
         target = self.tensor_to_words(tens)
         dec, _ = wd.solve_delta_prime(self.genset, n, target)
         if n % 2 == 0 or n == 1:

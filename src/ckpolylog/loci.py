@@ -20,7 +20,6 @@ as the PadicNumber sum would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cocycles, galois
@@ -121,14 +120,14 @@ def weight4_function(p, S=(3,), policy=None, table=None):
                             weight=4)
 
 
-@dataclass
 class Zero:
-    disk: int
-    t: PadicNumber          # local coordinate, z = disk + p t
-    z: PadicNumber
-    certified: bool
-    multiplicity_bound: int
-    rational_guess: Fraction | None = None
+    """A zero z = disk + p t of a Coleman function, with its certificate."""
+
+    def __init__(self, disk, t, z, certified, multiplicity_bound, rational_guess=None):
+        self.disk, self.t, self.z = disk, t, z
+        self.certified = certified
+        self.multiplicity_bound = multiplicity_bound
+        self.rational_guess = rational_guess
 
     def to_json(self, digit_count=None):
         return {
@@ -142,13 +141,13 @@ class Zero:
         }
 
 
-@dataclass
 class Locus:
-    p: int
-    policy: PrecisionPolicy
-    zeros: list
-    functions: list
-    newton_bounds: dict = field(default_factory=dict)
+    """Zeros on X(Z_p) of the named functions, with per-disk Newton bounds."""
+
+    def __init__(self, p, policy, zeros, functions, newton_bounds=None):
+        self.p, self.policy = p, policy
+        self.zeros, self.functions = zeros, functions
+        self.newton_bounds = {} if newton_bounds is None else newton_bounds
 
     def points(self):
         return [z.z for z in self.zeros]
@@ -421,14 +420,13 @@ def s3_symmetrize(locus, policy=None):
 # -- the counterexample cocycle ------------------------------------------------
 
 
-@dataclass
 class CounterexampleReport:
-    ell: int
-    n: int
-    p: int
-    symbolic: dict
-    numeric: dict
-    zeta_guard: bool
+    """Symbolic checks and numeric valuations of the counterexample cocycle."""
+
+    def __init__(self, ell, n, p, symbolic, numeric, zeta_guard):
+        self.ell, self.n, self.p = ell, n, p
+        self.symbolic, self.numeric = symbolic, numeric
+        self.zeta_guard = zeta_guard
 
     def passed(self, policy):
         return (all(self.symbolic.values())

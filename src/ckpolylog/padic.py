@@ -9,7 +9,6 @@ Iwasawa branch (log p = 0), which kills Teichmueller roots of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -50,16 +49,26 @@ class PrecisionError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
 class PrecisionPolicy:
     """Working precision M (digits), guard g; x = y iff val(x-y) >= M - g."""
 
-    M: int = 12
-    g: int = 3
+    __slots__ = ("M", "g")
 
-    def __post_init__(self):
-        if not (self.M > self.g >= 0):
+    def __init__(self, M=12, g=3):
+        if not (M > g >= 0):
             raise ValueError("need M > g >= 0")
+        self.M, self.g = M, g
+
+    def __eq__(self, other):
+        if not isinstance(other, PrecisionPolicy):
+            return NotImplemented
+        return (self.M, self.g) == (other.M, other.g)
+
+    def __hash__(self):
+        return hash((self.M, self.g))
+
+    def __repr__(self):
+        return "PrecisionPolicy(M=%r, g=%r)" % (self.M, self.g)
 
     @property
     def equality_threshold(self):

@@ -16,8 +16,8 @@ primitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def _factor(n):
@@ -34,8 +34,7 @@ def _factor(n):
     return out
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+class Symbol(NamedTuple):
     kind: str        # "log" | "li" | "zeta"
     n: int           # weight index (1 for log)
     z: Fraction      # argument (0 for zeta)
@@ -137,9 +136,6 @@ class Expression:
         for _ in range(k):
             out = out * self
         return out
-
-    def constant_term(self):
-        return self.terms.get((), Fraction(0))
 
     def symbols(self):
         return {s for m in self.terms for s in m}
@@ -323,12 +319,6 @@ def reduced_coproduct(expr):
             else:
                 t.terms.pop(k, None)
     return t
-
-
-def goncharov_reduced_coproduct(sym_or_expr):
-    if isinstance(sym_or_expr, Symbol):
-        sym_or_expr = Expression.sym(sym_or_expr)
-    return reduced_coproduct(sym_or_expr)
 
 
 class ExprFraction:

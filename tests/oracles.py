@@ -4,7 +4,9 @@ A Washington-style partial-sum p-adic L-function, checkable exactly
 against its interpolation property at negative integers, serves as the
 cross-validation for the engine's zeta values.  The Frobenius-twisted
 series summed as log(lambda) = sum (-1)^{m+1} (lambda - 1)^m / m on
-PadicNumbers cross-checks the engine's integer log-derivative kernel.
+PadicNumbers cross-checks the engine's integer log-derivative kernel, and
+Horner over every coefficient of a twisted series, unreduced, is the
+reference for its reduced, trimmed evaluation.
 The residue-disk series rebuilt as lists of PadicNumbers (one object per
 coefficient, each operation claiming precision by PadicNumber's own rules)
 are the reference for the engine's integer disk tables, Coleman local
@@ -106,6 +108,19 @@ def twisted_series_by_log(p, W, D, K):
             gam[n] = -(s / n)
         series.append(gam)
     return series
+
+
+def twisted_horner(series, x):
+    """A twisted IntSeries at x by Horner over every coefficient, unreduced,
+    modulo p^(claim - scale), claimed as IntSeries.evaluate claims it."""
+    p, s = series.p, series.scale
+    prec = min(series.prec, x.abs_precision() + series.min_valuation())
+    mod = p ** (prec - s)
+    X = x.lift() % mod
+    acc = 0
+    for c in reversed(series.coeffs):
+        acc = (acc * X + c) % mod
+    return PadicNumber(p, s, acc, prec - s)
 
 
 # -- residue-disk series as PadicNumber lists ------------------------------------

@@ -156,11 +156,24 @@ def _assert_rejected(argv, message, timeout):
     (("verify", "counterexample", "--S", "2,3"),
      "verify counterexample needs a single prime in --S"),
     (("verify", "all", "--S", "2,3"), "verify counterexample needs a single prime in --S"),
+    (("locus", "--S", "2,3", "--n", "2", "--p", "5"), "locus needs a single prime in --S"),
+    (("locus", "--S", "2,3", "--n", "3", "--p", "5"), "locus needs a single prime in --S"),
 ])
 def test_cli_rejects_unsupported_input(argv, message):
     # ideal --S 2,3 runs the elimination until its degree guard fires (~7 s)
     stderr = _assert_rejected(argv, message, timeout=60)
     assert stderr.count("\n") == 1
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every command pays its import time; -S keeps site hooks out of the count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ckpolylog.__file__)))
+    code = ("import sys, ckpolylog.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_suite_flag_spelling(capsys):

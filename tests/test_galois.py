@@ -125,7 +125,7 @@ def test_full_forms_reproduce_goncharov_coproducts(table_z_sixth):
               sym_li(4, 3), sym_li(4, 9)]:
         lhs = wd.reduced_coproduct(table_z_sixth.full_form(s))
         rhs = table_z_sixth.tensor_to_words(
-            sy.goncharov_reduced_coproduct(sy.Expression.sym(s)))
+            sy.reduced_coproduct(sy.Expression.sym(s)))
         assert lhs == rhs
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import ckpolylog.loci as L
 from ckpolylog.padic import PadicNumber, PrecisionPolicy, padic_agree
-from ckpolylog.polylog import IntSeries, get_engine, _series_eval
+from ckpolylog.polylog import IntSeries, get_engine, _series_eval, _series_multiply
 
 import oracles
 
@@ -298,8 +298,9 @@ def test_disk_series_against_padic_oracle(p, policy, table_z_sixth):
 
 
 def test_series_kernels_on_mixed_claims_against_padic_oracle():
-    """Shift, derivative and Horner on a series mixing high claims, low
-    claims, tracked zeros on both sides of workprec and exact zeros."""
+    """Shift, derivative, Horner and products with a one-coefficient factor
+    on a series mixing high claims, low claims, tracked zeros on both sides
+    of workprec and exact zeros."""
     p, workprec = 5, 23
     coeffs = [PadicNumber.from_rational(p, F(7, 3), 40),
               PadicNumber.from_rational(p, 50, 12),
@@ -320,3 +321,15 @@ def test_series_kernels_on_mixed_claims_against_padic_oracle():
     for x in (PadicNumber.from_rational(p, 3, workprec), PadicNumber.zero_to(p, 9),
               PadicNumber.from_rational(p, F(10, 3), 15), PadicNumber.exact_zero(p)):
         _assert_matches_oracle(_series_eval(series, x), oracles.series_eval(coeffs, x), x)
+    # a unit, a tracked zero, an exact zero and a low-precision constant, as
+    # either factor, truncated inside and beyond the product's length
+    for c in (PadicNumber.from_rational(p, F(7, 3), 40), PadicNumber.zero_to(p, 15),
+              PadicNumber.exact_zero(p), PadicNumber.from_rational(p, 10, 4)):
+        const = IntSeries.from_padics(p, [c])
+        for trunc in (5, len(coeffs) + 2):
+            _assert_matches_oracle(_series_multiply(const, series, trunc),
+                                   oracles.series_multiply([c], coeffs, trunc, p),
+                                   (c, "left", trunc))
+            _assert_matches_oracle(_series_multiply(series, const, trunc),
+                                   oracles.series_multiply(coeffs, [c], trunc, p),
+                                   (c, "right", trunc))

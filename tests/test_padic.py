@@ -186,6 +186,15 @@ def test_policy_validation():
     assert pol.equality_threshold == 9
 
 
+def test_policy_equality_hash_repr():
+    pol = PrecisionPolicy(12, 3)
+    assert pol == PrecisionPolicy() and hash(pol) == hash(PrecisionPolicy())
+    assert pol != PrecisionPolicy(12, 4) and pol != PrecisionPolicy(13, 3)
+    assert pol != (12, 3)
+    assert len({pol, PrecisionPolicy(12, 3), PrecisionPolicy(20, 3)}) == 2
+    assert repr(PrecisionPolicy(20, 5)) == "PrecisionPolicy(M=20, g=5)"
+
+
 def test_json_rendering():
     x = PadicNumber.from_rational(5, F(-26, 3), 6)
     data = x.to_json()

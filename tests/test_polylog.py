@@ -9,7 +9,7 @@ from ckpolylog.polylog import (BadDiskError, PolylogEngine, get_engine, _series_
 import ckpolylog.symbols as sy
 
 from oracles import (washington_lp, generalized_bernoulli, bernoulli_list,
-                     twisted_series_by_log)
+                     twisted_horner, twisted_series_by_log)
 
 
 def test_engine_rejects_small_or_composite_primes():
@@ -80,6 +80,18 @@ def test_twisted_series_precision_is_honest(p, policy):
             assert diff.val_lower_bound() >= lo_k.prec
         a = lo_k.evaluate(w)
         assert (a - hi_k.evaluate(w_hi)).val_lower_bound() >= a.abs_precision()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_twisted_evaluate_equals_untrimmed_horner(p, policy):
+    # the reduced, trimmed Horner gives the full Horner's value and claim at
+    # every Teichmueller point and at the vanishing check's point z = 0
+    eng = get_engine(p, policy)
+    points = [1 / (eng.teichmuller_point(a) - 1) for a in range(2, p)]
+    points.append(PadicNumber.from_rational(p, -1, eng._gsprec))
+    for tk in eng.twisted_series():
+        for w in points:
+            assert tk.evaluate(w) == twisted_horner(tk, w)  # value and claim
 
 
 def test_twisted_series_tail_guard_fires(policy, monkeypatch):

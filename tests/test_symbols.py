@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ckpolylog.symbols import (
-    Expression, ExprFraction, Symbol, coproduct, goncharov_reduced_coproduct,
+    Expression, ExprFraction, Symbol, coproduct,
     li_u, log_u, reduced_coproduct, zeta_u,
 )
 
@@ -41,23 +41,23 @@ def test_zeta_even_vanishes():
 
 
 def test_goncharov_log_and_zeta_primitive():
-    assert goncharov_reduced_coproduct(log_u(2)).is_zero()
-    assert goncharov_reduced_coproduct(zeta_u(3)).is_zero()
+    assert reduced_coproduct(log_u(2)).is_zero()
+    assert reduced_coproduct(zeta_u(3)).is_zero()
 
 
 def test_goncharov_li3_half_bidegree_12():
-    d = goncharov_reduced_coproduct(Symbol("li", 3, F(1, 2)))
+    d = reduced_coproduct(Expression.sym(Symbol("li", 3, F(1, 2))))
     part = d.bidegree_part(1, 2)
     assert part.terms == {(mono(L2), mono(L2, L2)): F(1, 2)}
 
 
 def test_goncharov_li2_minus2():
-    d = goncharov_reduced_coproduct(Symbol("li", 2, F(-2)))
+    d = reduced_coproduct(Expression.sym(Symbol("li", 2, F(-2))))
     assert d.terms == {(mono(L3), mono(L2)): F(-1)}
 
 
 def test_goncharov_li3_nine_bidegree_12():
-    d = goncharov_reduced_coproduct(Symbol("li", 3, F(9)))
+    d = reduced_coproduct(Expression.sym(Symbol("li", 3, F(9))))
     assert d.bidegree_part(1, 2).terms == {(mono(L2), mono(L3, L3)): F(-6)}
 
 
@@ -75,7 +75,7 @@ def test_goncharov_coassociativity_table_symbols():
                for n in (2, 3, 4)
                for z in (F(1, 2), F(3), F(9), F(-2), F(-3))]
     for s in symbols:
-        t = goncharov_reduced_coproduct(s)
+        t = reduced_coproduct(Expression.sym(s))
         acc = {}
         for (l, r), c in t.terms.items():
             tl = reduced_coproduct(Expression({l: F(1)}))
