@@ -19,9 +19,7 @@ from .cocycles import (CocycleCoordinates, PolylogWord, brown_entry,
                        theta_sharp)
 from .elimination import (IdealElement, ck_ideal_generators,
                           specialize_coefficients, verify_vanishing)
-from .polylog import (PolylogEngine, get_engine, local_polylog_table,
-                      padic_log, padic_polylog, padic_zeta, padic_L3_check,
-                      period_map)
+from .polylog import PolylogEngine, get_engine, padic_L3_check
 from .loci import (ColemanFunction, Locus, assemble_coleman,
                    counterexample_cocycle, find_zeros, intersect_loci,
                    locus_for, s3_symmetrize, weight2_function,

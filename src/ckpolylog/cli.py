@@ -59,14 +59,14 @@ def cmd_ideal(args):
         print("ideal --S %s --n %d is unsupported: %s"
               % (",".join(map(str, S)), args.n, exc), file=sys.stderr)
         return 2
+    failures = [g for g in gens if not elimination.verify_vanishing(g)]
     payload = {
         "command": "ideal",
         "S": list(S),
         "n": args.n,
-        "certified": args.n <= 4 and len(S) == 1,
+        "certified": args.n <= 4 and len(S) == 1 and not failures,
         "generators": [g.to_json() for g in gens],
     }
-    failures = [g for g in gens if not elimination.verify_vanishing(g)]
     if gens and len(S) == 1 and S[0] in (2, 3) and not args.abstract_only:
         assignment = galois.specialization_assignment(S)
         rows = []

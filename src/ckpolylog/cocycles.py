@@ -92,13 +92,6 @@ class CocycleCoordinates:
         except KeyError:
             raise KeyError("missing cocycle coordinate (%s, %r)" % (gen_id, lam))
 
-    # Named views for |S| = 1.
-    def w0(self, tau_id):
-        return self.get(tau_id, LOG)
-
-    def w1(self, tau_id):
-        return self.get(tau_id, PolylogWord.li(1))
-
 
 def brown_entry(word, lam, c):
     """Matrix entry phi^word_lambda(c) via the structure theorem.

@@ -12,7 +12,8 @@ substitution; we compute it three ways:
   * brute-force graded linear algebra on coefficient vectors (used by
     the test suite to certify completeness degree by degree).
 
-Polynomials are dense-exponent dicts over Fraction with lex order.
+Polynomials are words.LinearCombination subclasses keyed by dense
+exponent tuples, with Fraction coefficients and lex order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from . import cocycles, words
 
@@ -28,10 +30,11 @@ class EliminationGuard(RuntimeError):
     """Degree or step budget exceeded during Buchberger's algorithm."""
 
 
-class Poly:
+class Poly(words.LinearCombination):
     """Multivariate polynomial over Q: {exponent tuple: Fraction}."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _context = "ring"
 
     def __init__(self, ring, terms=None):
         self.ring = ring
@@ -55,51 +58,14 @@ class Poly:
         e[ring.index(name)] = power
         return cls(ring, {tuple(e): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.ring, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Poly(self.ring)
-        return Poly(self.ring, {e: c * x for e, x in self.terms.items()})
+    @staticmethod
+    def _mul_keys(e1, e2):
+        return tuple(map(add, e1, e2))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return self._product(other)
 
     __rmul__ = __mul__
 
@@ -418,16 +384,12 @@ def ck_ideal_generators(n, S, max_degree=12, max_steps=10 ** 6):
         kept.append(g)
     out = [IdealElement(prob, g).normalized() for g in kept]
     out.sort(key=lambda el: (el.weight or 10 ** 9, sorted(el.poly.terms.items())))
-    for el in out:
-        if not verify_vanishing(el, n, S, problem=prob):
-            raise AssertionError("elimination produced a non-vanishing element")
     return out
 
 
-def verify_vanishing(element, n=None, S=None, problem=None):
+def verify_vanishing(element):
     """Substitute the evaluation image and expand; True iff identically zero."""
-    prob = problem or element.problem
-    return prob.substitute(element.poly).is_zero()
+    return element.problem.substitute(element.poly).is_zero()
 
 
 def structured_shortcut_generators(S):

@@ -204,12 +204,7 @@ class PeriodTable:
             re = self.expression_to_words(sy.Expression({mr: Fraction(1)}))
             for wl, cl in le.terms.items():
                 for wr, cr in re.terms.items():
-                    k = (wl, wr)
-                    s = out.terms.get(k, 0) + c * cl * cr
-                    if s:
-                        out.terms[k] = s
-                    else:
-                        out.terms.pop(k, None)
+                    wd.add_term(out.terms, (wl, wr), c * cl * cr)
         return out
 
     def period_expression_of(self, el):

@@ -297,11 +297,6 @@ def _roots_in_unit_disk(series, p, policy, depth):
     return found
 
 
-def evaluate(F, z):
-    """Value of a Coleman function at a point of X(Z_p)."""
-    return F.evaluate(z)
-
-
 def find_zeros(F, policy=None):
     """All zeros of F on X(Z_p), disk by disk, with certificates."""
     policy = policy or F.policy

@@ -601,28 +601,6 @@ class PolylogEngine:
                 + self.polylog(1, z) * lg * lg / 2)
 
 
-def padic_log(z, p, policy=None):
-    """Iwasawa-branch logarithm of a nonzero rational or p-adic number."""
-    return get_engine(p, policy).log(z)
-
-
-def padic_polylog(k, z, p, policy=None):
-    return get_engine(p, policy).polylog(k, z)
-
-
-def padic_zeta(k, p, policy=None):
-    return get_engine(p, policy).zeta(k)
-
-
-def local_polylog_table(p, a, policy=None):
-    """Residue-disk series of log, Li_1..Li_n about the integer a (z = a + p t)."""
-    return get_engine(p, policy).disk_table(a)
-
-
-def period_map(expr, p, policy=None):
-    return get_engine(p, policy).period(expr)
-
-
 def padic_L3_check(p, policy=None):
     """Residual valuations for the p-adic Kummer-Spence instance.
 

@@ -8,7 +8,8 @@ n >= 3; everything else reduces eagerly:
   * zeta(even) is 0.
 
 Expressions are polynomials in symbols with exact rational coefficients,
-graded by half-weight.  The reduced coproduct of Li_n(z) is the Goncharov
+graded by half-weight; they and their tensors are words.LinearCombination
+subclasses keyed by sorted symbol tuples.  The reduced coproduct of Li_n(z) is the Goncharov
 formula sum_i Li_{n-i}(z) (x) log(z)^i / i!; log and zeta symbols are
 primitive.
 """
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
+
+from .words import LinearCombination, add_term
 
 
 def _factor(n):
@@ -51,10 +54,10 @@ class Symbol(NamedTuple):
         return "Li%d(%s)" % (self.n, self.z)
 
 
-class Expression:
+class Expression(LinearCombination):
     """Polynomial in symbols; terms map sorted symbol tuples to Fractions."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -75,59 +78,17 @@ class Expression:
     def sym(cls, s):
         return cls({(s,): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Expression) and self.terms == other.terms
-
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        out = Expression()
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Expression()
-        out = Expression()
-        out.terms = {m: c * x for m, x in self.terms.items()}
-        return out
+    @staticmethod
+    def _mul_keys(m1, m2):
+        return tuple(sorted(m1 + m2))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        out = Expression()
-        out.terms = terms
-        return out
+        return self._product(other)
 
     __rmul__ = __mul__
 
@@ -144,10 +105,8 @@ class Expression:
         return sorted({sum(s.weight for s in m) for m in self.terms})
 
     def graded_part(self, n):
-        out = Expression()
-        out.terms = {m: c for m, c in self.terms.items()
-                     if sum(s.weight for s in m) == n}
-        return out
+        return self._new({m: c for m, c in self.terms.items()
+                          if sum(s.weight for s in m) == n})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: (len(mc[0]), repr(mc[0])))
@@ -198,10 +157,10 @@ def zeta_u(n):
     return Expression.sym(Symbol("zeta", n, Fraction(0)))
 
 
-class TensorExpr:
+class TensorExpr(LinearCombination):
     """Element of Expression (x) Expression, keyed by monomial pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -210,65 +169,24 @@ class TensorExpr:
                 if c:
                     self.terms[k] = c
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorExpr) and self.terms == other.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        out = TensorExpr()
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        out = TensorExpr()
-        if c:
-            out.terms = {k: c * x for k, x in self.terms.items()}
-        return out
+    @staticmethod
+    def _mul_keys(k1, k2):
+        return (tuple(sorted(k1[0] + k2[0])), tuple(sorted(k1[1] + k2[1])))
 
     def __mul__(self, other):
-        terms = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                k = (tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))
-                s = terms.get(k, 0) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        out = TensorExpr()
-        out.terms = terms
-        return out
+        return self._product(other)
 
     def bidegree_part(self, i, j):
-        out = TensorExpr()
-        out.terms = {
+        return self._new({
             (l, r): c for (l, r), c in self.terms.items()
-            if sum(s.weight for s in l) == i and sum(s.weight for s in r) == j}
-        return out
+            if sum(s.weight for s in l) == i and sum(s.weight for s in r) == j})
 
     @classmethod
     def of(cls, left, right):
-        terms = {}
+        out = cls()
         for ml, cl in left.terms.items():
             for mr, cr in right.terms.items():
-                k = (ml, mr)
-                s = terms.get(k, 0) + cl * cr
-                if s:
-                    terms[k] = s
-        out = cls()
-        out.terms = terms
+                add_term(out.terms, (ml, mr), cl * cr)
         return out
 
     def __repr__(self):
@@ -313,11 +231,7 @@ def reduced_coproduct(expr):
     t = coproduct(expr)
     for m, c in expr.terms.items():
         for k in ((m, ()), ((), m)):
-            s = t.terms.get(k, 0) - c
-            if s:
-                t.terms[k] = s
-            else:
-                t.terms.pop(k, None)
+            add_term(t.terms, k, -c)
     return t
 
 

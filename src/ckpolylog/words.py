@@ -5,8 +5,11 @@ coproduct and its reduced/bidegree variants, plus the Lyndon-word
 polynomial decomposition used to present the algebra as a free
 commutative polynomial ring.  A cut (u, v) determines its word uv, so
 the coproducts are read off the cuts term by term, with no two terms
-to add.  The exact row reduction here (row_reduce,
-solve_columns) is the one linear-algebra core of the package.
+to add.  The package's two exact cores live here: LinearCombination
+(with add_term), the one implementation of sparse exact combinations
+behind ShuffleElement, TensorElement, symbols.Expression,
+symbols.TensorExpr and elimination.Poly; and the exact row reduction
+(row_reduce, solve_columns), the one linear-algebra core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -137,10 +140,97 @@ def _shuffle_words(u, v):
     return tuple(sorted(counts.items()))
 
 
-class ShuffleElement:
+# -- exact linear combinations ---------------------------------------------
+#
+# The one implementation of the linear operations behind every sparse exact
+# combination: shuffle elements and tensors here, symbol expressions and
+# their tensors in symbols, polynomials in elimination.
+
+
+def add_term(terms, key, c):
+    """terms[key] += c, dropping the key when the sum is zero."""
+    if key in terms:
+        s = terms[key] + c
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+    elif c:
+        terms[key] = c
+
+
+class LinearCombination:
+    """Finite combination {key: nonzero coefficient} with exact coefficients.
+
+    A subclass names the slot holding its context (_context: a generator
+    set or a ring; None when there is none), keeps a public constructor
+    that normalizes outside input, and, when keys multiply, says how
+    (_mul_keys).  Results built here take their terms as given.
+    Combinations in different contexts are unequal and do not add.
+    """
+
+    __slots__ = ("terms",)
+    _context = None
+
+    def _new(self, terms):
+        out = object.__new__(type(self))
+        out.terms = terms
+        if self._context:
+            setattr(out, self._context, getattr(self, self._context))
+        return out
+
+    def _check(self, other):
+        ctx = self._context
+        if ctx and getattr(self, ctx) != getattr(other, ctx):
+            raise ValueError("mismatched %s: %r and %r"
+                             % (ctx, getattr(self, ctx), getattr(other, ctx)))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        ctx = self._context
+        return (type(other) is type(self) and self.terms == other.terms
+                and (not ctx or getattr(self, ctx) == getattr(other, ctx)))
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(terms, k, c)
+        return self._new(terms)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        """c times self; c may be any ring element, it is not coerced."""
+        if not c:
+            return self._new({})
+        return self._new({k: c * x for k, x in self.terms.items()})
+
+    def _product(self, other):
+        """Bilinear extension of _mul_keys over the two term dicts."""
+        self._check(other)
+        mul = self._mul_keys
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                add_term(terms, mul(k1, k2), c1 * c2)
+        return self._new(terms)
+
+
+class ShuffleElement(LinearCombination):
     """Finite linear combination of basis words f_w with exact coefficients."""
 
-    __slots__ = ("genset", "terms")
+    __slots__ = ("genset",)
+    _context = "genset"
 
     def __init__(self, genset, terms=None):
         self.genset = genset
@@ -162,38 +252,6 @@ class ShuffleElement:
     def one(cls, genset):
         return cls(genset, {(): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, ShuffleElement)
-                and self.genset == other.genset and self.terms == other.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return ShuffleElement(self.genset, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def __neg__(self):
-        return self.scale(Fraction(-1))
-
-    def scale(self, c):
-        if not c:
-            return ShuffleElement.zero(self.genset)
-        return ShuffleElement(self.genset, {w: c * x for w, x in self.terms.items()})
-
     def __mul__(self, other):
         """Shuffle product."""
         return shuffle_product(self, other)
@@ -208,7 +266,7 @@ class ShuffleElement:
         return self.terms.get(tuple(word), Fraction(0))
 
     def graded_part(self, n):
-        return ShuffleElement(self.genset, {
+        return self._new({
             w: c for w, c in self.terms.items() if self.genset.word_weight(w) == n})
 
     def weights(self):
@@ -216,10 +274,6 @@ class ShuffleElement:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: self.genset.word_sort_key(wc[0]))
-
-    def _check(self, other):
-        if self.genset != other.genset:
-            raise ValueError("mismatched generator sets")
 
     def __repr__(self):
         if not self.terms:
@@ -239,10 +293,11 @@ def _frac_str(c):
     return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else "%d" % f.numerator
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Element of the tensor square, keyed by pairs of words."""
 
-    __slots__ = ("genset", "terms")
+    __slots__ = ("genset",)
+    _context = "genset"
 
     def __init__(self, genset, terms=None):
         self.genset = genset
@@ -252,34 +307,9 @@ class TensorElement:
                 if c:
                     self.terms[(tuple(k[0]), tuple(k[1]))] = c
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and self.genset == other.genset and self.terms == other.terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return TensorElement(self.genset, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        if not c:
-            return TensorElement(self.genset, {})
-        return TensorElement(self.genset, {k: c * x for k, x in self.terms.items()})
-
     def bidegree_part(self, i, j):
         gs = self.genset
-        return TensorElement(gs, {
+        return self._new({
             (l, r): c for (l, r), c in self.terms.items()
             if gs.word_weight(l) == i and gs.word_weight(r) == j})
 
@@ -304,12 +334,8 @@ def shuffle_product(a, b):
         for v, cv in b.terms.items():
             c = cu * cv
             for w, m in _shuffle_words(u, v):
-                s = terms.get(w, 0) + c * m
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
-    return ShuffleElement(a.genset, terms)
+                add_term(terms, w, c * m)
+    return a._new(terms)
 
 
 def deconcat_coproduct(a):
@@ -415,11 +441,7 @@ def element_as_lyndon_poly(el):
     out = {}
     for w, c in el.terms.items():
         for mono, d in word_as_lyndon_poly(el.genset, w).items():
-            s = out.get(mono, 0) + c * d
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            add_term(out, mono, c * d)
     return out
 
 

@@ -160,9 +160,19 @@ def _assert_rejected(argv, message, timeout):
     (("locus", "--S", "2,3", "--n", "3", "--p", "5"), "locus needs a single prime in --S"),
 ])
 def test_cli_rejects_unsupported_input(argv, message):
-    # ideal --S 2,3 runs the elimination until its degree guard fires (~7 s)
+    # ideal --S 2,3 runs the elimination until its degree guard fires (~1.5 s)
     stderr = _assert_rejected(argv, message, timeout=60)
     assert stderr.count("\n") == 1
+
+
+def test_ideal_exits_1_when_a_generator_does_not_vanish(capsys, monkeypatch):
+    # the re-check in cmd_ideal is the certificate: a failure is reported, not raised
+    import ckpolylog.elimination as E
+    monkeypatch.setattr(E, "verify_vanishing", lambda *args, **kwargs: False)
+    code, data = run_cli(capsys, "ideal", "--S", "3")
+    assert code == 1
+    assert data["certified"] is False
+    assert [g["weight"] for g in data["generators"]] == [2, 8]
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

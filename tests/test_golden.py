@@ -29,6 +29,8 @@ COMMANDS = {
     "verify_identities_p5": ["verify", "identities", "--p", "5"],
     "verify_counterexample_p5_n6": ["verify", "counterexample", "--p", "5", "--n", "6"],
     "verify_hopf_p5": ["verify", "hopf", "--p", "5"],
+    "ideal_S5_n5_abstract": ["ideal", "--S", "5", "--n", "5", "--abstract-only"],
+    "ideal_S23_n3": ["ideal", "--S", "2,3", "--n", "3"],
 }
 
 

@@ -203,7 +203,7 @@ def test_weight4_over_z_half_vanishes_on_integral_points(p, policy, table_z_half
 def test_assemble_zero_element_gives_zero_function(policy):
     f = L.assemble_coleman({}, 5, policy, label="zero")
     assert f.coeffs == {}
-    assert L.evaluate(f, F(2)).is_exact_zero()
+    assert f.evaluate(F(2)).is_exact_zero()
 
 
 def test_assemble_bad_disk_coefficient_propagates(policy):

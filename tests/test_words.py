@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ckpolylog.elimination import _nullspace
-from ckpolylog.symbols import log_u
+from ckpolylog.elimination import Poly, _nullspace
+from ckpolylog.symbols import Expression, ExprFraction, Symbol, TensorExpr, log_u
 from ckpolylog.words import (
     GeneratorSet, ShuffleElement, TensorElement, cobar_square,
     deconcat_coproduct, element_as_lyndon_poly, graded_dimension,
@@ -330,3 +330,58 @@ def test_nullspace_of_rank_deficient_matrix():
     for vec in null:
         assert all(sum(r[j] * vec[j] for j in range(4)) == 0 for r in mat)
     assert mat[1] == [2, 4, 6, 8]  # the input is left untouched
+
+
+_L2, _L3 = Symbol("log", 1, F(2)), Symbol("log", 1, F(3))
+# class -> (build from a context and two keys, two contexts or None, two keys)
+_CORE = {
+    "ShuffleElement": (lambda ctx, a, b: ShuffleElement(ctx, {a: F(2), b: F(-1, 3)}),
+                       (GS1, GeneratorSet([("tau", 1), ("sigma", 3)])),
+                       (("tau",), ("sigma", "tau"))),
+    "TensorElement": (lambda ctx, a, b: TensorElement(ctx, {(a, b): F(2), (b, a): F(-1, 3)}),
+                      (GS1, GeneratorSet([("tau", 1), ("sigma", 3)])),
+                      (("tau",), ("sigma",))),
+    "Expression": (lambda ctx, a, b: Expression({a: F(2), b: F(-1, 3)}),
+                   None, ((_L2,), (_L2, _L3))),
+    "TensorExpr": (lambda ctx, a, b: TensorExpr({(a, b): F(2), (b, a): F(-1, 3)}),
+                   None, ((_L2,), (_L3,))),
+    "Poly": (lambda ctx, a, b: Poly(ctx, {a: F(2), b: F(-1, 3)}),
+             (("x", "y"), ("x", "z")), ((1, 0), (0, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORE))
+def test_linear_combination_core(name):
+    build, contexts, (a, b) = _CORE[name]
+    ctx, other_ctx = contexts or (None, None)
+    x = build(ctx, a, b)
+    assert x and not x.is_zero()
+    for zero in (x - x, x.scale(0), x + -x):
+        assert type(zero) is type(x) and zero.is_zero() and not zero and zero.terms == {}
+        assert zero == build(ctx, a, b).scale(0)
+    assert x - x == x.scale(0) and x.scale(2) == x + x and x.scale(2) != x
+    assert x == build(ctx, a, b) and x != build(ctx, b, a)
+    twin = _CORE[min(set(_CORE) - {name})][0](None, a, b)
+    twin.terms = dict(x.terms)
+    assert x != twin  # same terms, another class
+    if name in ("ShuffleElement", "TensorElement"):
+        ef = ExprFraction(Expression.sym(_L2), Expression.sym(_L3))
+        y = x.scale(ef)
+        assert set(y.terms) == set(x.terms)
+        assert all(type(c) is ExprFraction and c.equals(ef * x.terms[k])
+                   for k, c in y.terms.items())
+    if contexts:
+        elsewhere = build(other_ctx, a, b)
+        assert x.terms == elsewhere.terms and x != elsewhere
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(ValueError):
+                op(x, elsewhere)
+        with pytest.raises(TypeError):
+            hash(x)
+    elif name == "Expression":
+        y = build(None, b, a) + x - build(None, b, a)
+        assert y == x and hash(y) == hash(x)
+        assert hash(x - x) == hash(Expression.zero())
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
