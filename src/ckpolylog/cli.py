@@ -1,25 +1,44 @@
 """Batch command-line front-end emitting machine-readable certificates.
 
+Usage:
+  ckpolylog ideal  [options] [--abstract-only]
+  ckpolylog locus  [options] [--symmetrize]
+  ckpolylog verify {appendix,counterexample,hopf,identities,all} [options]
+  ckpolylog verify --suite SUITE [options]
+
 Subcommands:
   ideal   -- Chabauty-Kim ideal generators for Z = Spec Z[1/S], weight <= n
   locus   -- zero loci on X(Z_p), optionally S_3-symmetrized
   verify  -- named verification suites (appendix, counterexample, hopf,
              identities), printing residual valuations
 
-Output is deterministic JSON (sorted keys, canonical term order); the exit
-status is 0 iff every certificate in the run is certified/passes, and 2,
-with a one-line message on stderr, for rejected or unsupported input such
-as a non-prime --S entry or --p, --n below the first Chabauty-Kim weight,
-a locus over more than one prime, or an ideal computation that outgrows
-the elimination guard.
+Options, spelled in full, as --opt VALUE or --opt=VALUE:
+  --S PRIMES       comma-separated primes inverted on the base (default 3)
+  --p PRIME        working prime (default 5)
+  --n N            half-weight bound (default 4)
+  --prec M         precision digits M (default 12)
+  --guard G        guard digits g (default 3)
+  --out FILE       write the JSON here instead of stdout
+  --abstract-only  ideal: skip the period specialization of the coefficients
+  --symmetrize     locus: intersect with the six Moebius translates
+  -h, --help       print this text and exit 0
+
+Output is deterministic JSON (sorted keys, canonical term order).  The
+exit status is 0 iff every certificate in the run is certified/passes;
+1 when a certificate is computed but not certified (an ideal above
+--n 4 or over more than one prime, an uncertified zero, a failed check);
+and 2, with a one-line message on stderr, for rejected or unsupported
+input such as a malformed command line, a non-prime --S entry or --p,
+--n below the first Chabauty-Kim weight, a locus over more than one
+prime, or an ideal computation that outgrows the elimination guard.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import archimedean, elimination, galois, loci
 from . import words as wd
@@ -27,14 +46,25 @@ from .padic import PrecisionPolicy, is_prime
 from .polylog import get_engine, padic_L3_check
 
 
+class UsageError(ValueError):
+    """A command line outside the grammar; the message is one line."""
+
+
 def _policy(args):
     return PrecisionPolicy(args.prec, args.guard)
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("invalid int value: %r" % text) from None
+
+
 def _parse_prime(text):
-    p = int(text)
+    p = _parse_int(text)
     if not is_prime(p):
-        raise argparse.ArgumentTypeError("%d is not prime" % p)
+        raise UsageError("%d is not prime" % p)
     return p
 
 
@@ -81,7 +111,7 @@ def cmd_ideal(args):
             })
         payload["specialized"] = rows
     _emit(payload, args.out)
-    return 1 if failures else 0
+    return 0 if payload["certified"] else 1
 
 
 def cmd_locus(args):
@@ -189,7 +219,7 @@ SUITES = {
 
 def cmd_verify(args):
     policy = _policy(args)
-    suite = args.suite or getattr(args, "suite_flag", None)
+    suite = args.suite or args.suite_flag
     if suite is None:
         print("verify needs a suite (positional or --suite)", file=sys.stderr)
         return 2
@@ -210,39 +240,63 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="ckpolylog",
-        description="Chabauty-Kim computations for the thrice-punctured line "
-                    "over Spec Z[1/S] via motivic polylogarithms.")
-    sub = ap.add_subparsers(dest="command", required=True)
+SUITE_CHOICES = sorted(SUITES) + ["all"]
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--S", type=_parse_S, default=(3,),
-                        help="comma-separated primes inverted on the base (default 3)")
-    common.add_argument("--p", type=_parse_prime, default=5, help="working prime (default 5)")
-    common.add_argument("--n", type=int, default=4, help="half-weight bound (default 4)")
-    common.add_argument("--prec", type=int, default=12, help="precision digits M")
-    common.add_argument("--guard", type=int, default=3, help="guard digits g")
-    common.add_argument("--out", default=None, help="write JSON here instead of stdout")
+# option -> (attribute, parser), shared by the three subcommands
+OPTIONS = {"--S": ("S", _parse_S), "--p": ("p", _parse_prime), "--n": ("n", _parse_int),
+           "--prec": ("prec", _parse_int), "--guard": ("guard", _parse_int),
+           "--out": ("out", str)}
+# subcommand -> its flags (option -> attribute)
+FLAGS = {"ideal": {"--abstract-only": "abstract_only"},
+         "locus": {"--symmetrize": "symmetrize"},
+         "verify": {}}
 
-    p_ideal = sub.add_parser("ideal", parents=[common],
-                             help="Chabauty-Kim ideal generators")
-    p_ideal.add_argument("--abstract-only", action="store_true",
-                         help="skip the period specialization of the coefficients")
-    p_ideal.set_defaults(func=cmd_ideal)
 
-    p_locus = sub.add_parser("locus", parents=[common], help="zero loci on X(Z_p)")
-    p_locus.add_argument("--symmetrize", action="store_true",
-                         help="intersect with the six Moebius translates")
-    p_locus.set_defaults(func=cmd_locus)
+def _parse_suite(text):
+    if text not in SUITE_CHOICES:
+        raise UsageError("invalid choice: %r (choose from %s)"
+                         % (text, ", ".join(map(repr, SUITE_CHOICES))))
+    return text
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verification suites")
-    p_verify.add_argument("suite", nargs="?", choices=sorted(SUITES) + ["all"])
-    p_verify.add_argument("--suite", dest="suite_flag",
-                          choices=sorted(SUITES) + ["all"], default=None)
-    p_verify.set_defaults(func=cmd_verify)
-    return ap
+
+def parse_args(argv):
+    """The namespace of one command line; raises UsageError when it is malformed."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command not in FLAGS:
+        raise UsageError("argument command: invalid choice: %r (choose from %s)"
+                         % (command, ", ".join(map(repr, FLAGS))))
+    args = SimpleNamespace(command=command, S=(3,), p=5, n=4, prec=12, guard=3, out=None,
+                           abstract_only=False, symmetrize=False, suite=None,
+                           suite_flag=None)
+    options = dict(OPTIONS)
+    if command == "verify":
+        options["--suite"] = ("suite_flag", _parse_suite)
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if name in FLAGS[command] and not eq:
+            setattr(args, FLAGS[command][name], True)
+            continue
+        if name in options:
+            if not eq:
+                if i == len(rest) or rest[i].startswith("--"):
+                    raise UsageError("argument %s: expected one argument" % name)
+                value = rest[i]
+                i += 1
+            dest, parse = options[name]
+        elif command == "verify" and args.suite is None and not token.startswith("-"):
+            name, dest, parse, value = "suite", "suite", _parse_suite, token
+        else:
+            raise UsageError("unrecognized arguments: %s" % token)
+        try:
+            setattr(args, dest, parse(value))
+        except UsageError as exc:
+            raise UsageError("argument %s: %s" % (name, exc)) from None
+    return args
 
 
 def _unsupported(args):
@@ -271,12 +325,21 @@ def _unsupported(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
+    try:
+        args = parse_args(argv)
+    except UsageError as exc:
+        print("ckpolylog: error: %s" % exc, file=sys.stderr)
+        return 2
     reason = _unsupported(args)
     if reason:
         print(reason, file=sys.stderr)
         return 2
-    return args.func(args)
+    # looked up per call, so a wrapper installed on cmd_* is the one that runs
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":

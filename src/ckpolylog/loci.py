@@ -15,6 +15,14 @@ candidate residues of a disk cost small-integer Horner steps.  Only a
 surviving residue is evaluated with full claims for Hensel's test and
 Newton refinement, and the recentering S(r + p s) claims each coefficient
 as the PadicNumber sum would.
+
+locus_for isolates the roots of its second function only in the residue
+classes of the running locus: on a disk a, only the residues r = t mod p
+of the locus points a + p t.  Two points agree when val(z - z') >= M - g,
+which from 2 up needs the same disk and the same t mod p, and the
+restricted search returns the full one's roots in those classes in the
+same order, so the intersection is unchanged.  Every disk still gets its
+local series, Newton bound and flatness check.
 """
 
 from __future__ import annotations
@@ -256,26 +264,30 @@ def _residues(series):
     return [u // p ** -s % p for u in series.coeffs]
 
 
-def _roots_in_unit_disk(series, p, policy, depth):
+def _roots_in_unit_disk(series, p, policy, depth, residues=None):
     """Exhaustive digit search for roots t in Z_p; returns (t, certified) pairs.
 
     Each level strips the p-power content so that the residue test
     branches on the nonzero reduction mod p (at most deg-many residues),
     then certifies simple roots by Hensel and refines by recentering.
+    Given residues (ascending), only roots with t mod p among them are
+    sought: the result is the full search's roots in those classes, in the
+    same order.
     """
     workprec = policy.workprec()
+    candidates = range(p) if residues is None else residues
     stripped, _ = _strip_content(series)
     if stripped is None:
-        return [(PadicNumber.from_rational(p, r, workprec), False) for r in range(p)]
+        return [(PadicNumber.from_rational(p, r, workprec), False) for r in candidates]
     window = min(stripped.claims())
     if window <= policy.g + 2:
         # not enough honest digits left to separate roots
-        return [(PadicNumber.from_rational(p, 0, workprec), False)]
+        return [(PadicNumber.from_rational(p, 0, workprec), False)] if 0 in candidates else []
     deriv = stripped.derivative()
     # every claim is at least window >= 3, so val S(r) >= 1 iff S(r) = 0 mod p
     top_first = _residues(stripped)[::-1]
     found = []
-    for r in range(p):
+    for r in candidates:
         acc = 0
         for c in top_first:
             acc = (acc * r + c) % p
@@ -297,12 +309,33 @@ def _roots_in_unit_disk(series, p, policy, depth):
     return found
 
 
-def find_zeros(F, policy=None):
-    """All zeros of F on X(Z_p), disk by disk, with certificates."""
+def _residue_classes(locus, policy):
+    """disk -> ascending residues t mod p of the locus's points on it, or None.
+
+    A zero z = a + p t can agree with a locus point only if val(z - z') >=
+    M - g; from 2 up that needs the same disk and the same t mod p.  (A
+    point known to fewer than two digits agrees with nothing.)  Below 2
+    every class can agree: None.
+    """
+    if policy.equality_threshold < 2:
+        return None
+    p = locus.p
+    classes = {}
+    for zero in locus.zeros:
+        classes.setdefault(zero.disk, set()).add(zero.z.lift() // p % p)
+    return {a: sorted(rs) for a, rs in classes.items()}
+
+
+def find_zeros(F, policy=None, within=None):
+    """All zeros of F on X(Z_p), disk by disk, with certificates.
+
+    Given a locus within, roots are isolated only in the residue classes
+    of its points, which leaves intersect_loci(within, result) unchanged.
+    """
     policy = policy or F.policy
     p = F.p
-    eng = F.engine
     threshold = policy.workprec() - policy.g
+    classes = None if within is None else _residue_classes(within, policy)
     zeros = []
     bounds = {}
     for a in range(2, p):
@@ -313,9 +346,10 @@ def find_zeros(F, policy=None):
                 "function %s is zero to working precision on disk %d"
                 % (F.label or "<anon>", a))
         bounds[a] = bound
-        if bound == 0:
+        residues = None if classes is None else classes.get(a, [])
+        if bound == 0 or residues == []:
             continue
-        roots = _roots_in_unit_disk(series, p, policy, depth=policy.M)
+        roots = _roots_in_unit_disk(series, p, policy, depth=policy.M, residues=residues)
         for t, certified in roots:
             z = a + p * t
             guess = None
@@ -374,7 +408,7 @@ def locus_for(p, S, n, policy=None, symmetrize=False, table=None):
         raise ValueError("no Chabauty-Kim functions below weight 2")
     locus = find_zeros(fns[0], policy)
     for f in fns[1:]:
-        locus = intersect_loci(locus, find_zeros(f, policy), policy)
+        locus = intersect_loci(locus, find_zeros(f, policy, within=locus), policy)
     if symmetrize:
         locus = s3_symmetrize(locus, policy)
     return locus

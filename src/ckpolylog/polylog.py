@@ -34,9 +34,18 @@ of its terms, a division by j costs v_p(j) digits on that coefficient, and
 Horner evaluation claims acc * x + c step by step as PadicNumber would.
 A product with a one-coefficient factor, the constant that starts each
 monomial of a Coleman function's local series, takes one pass.
-The base series (log, Li_1 and dz/z about a center) are built directly as
-integer geometric series.  The values and claims equal those of the same
-series built as PadicNumber lists (tests/oracles.py).
+The base series (log and Li_1 about a center c) are built directly as
+integer geometric series.  The factor dz/z = p/(c + p t) of dLi_k =
+Li_(k-1) dz/z is never built: with q = p/c, the product y of a series a
+by it obeys y_k = q (a_k - y_(k-1)), one pass modulo p^(top - scale), and
+coefficient j of dz/z has valuation j + 1 and claims R + j + 1
+(R = min(workprec, rel(c))), so y_k claims
+
+    (k + 1) + min over i <= k of (min(A_a[i], v_a[i] + R) - i),
+
+exactly what the dense product claims; any lift of q changes y_k by
+multiples of p^(that claim).  The values and claims equal those of the
+same series built as PadicNumber lists (tests/oracles.py).
 
 Everything is verified downstream by the distribution relation, the
 dilogarithm reflection identity and cross-prime rational reconstruction.
@@ -420,8 +429,8 @@ class PolylogEngine:
 
     # -- residue-disk power series -----------------------------------------
 
-    def _geometric(self, unit, count, alternate, divide):
-        """Coefficients m = 1..count of sum (-1)^(m+1) (p/unit)^m [/ m].
+    def _geometric(self, unit, count, alternate):
+        """Coefficients m = 1..count of sum (-1)^(m+1) (p/unit)^m / m.
 
         The sign alternates only when asked.  unit is known to R digits
         (R <= workprec), so (p/unit)^m claims R + m digits and the division
@@ -436,7 +445,7 @@ class PolylogEngine:
         coeffs, claims = [], []
         for m in range(1, count + 1):
             qm = qm * q % mod
-            e, w = valuation(m, p) if divide else (0, 1)
+            e, w = valuation(m, p)
             c = qm * pow(w, -1, mod) if w != 1 else qm
             if alternate and m % 2 == 0:
                 c = -c
@@ -446,29 +455,45 @@ class PolylogEngine:
 
     def _log_series_at(self, center):
         """log(center + p t) as a power series in t."""
-        coeffs, claims = self._geometric(center, self.local_degree - 1, True, True)
+        coeffs, claims = self._geometric(center, self.local_degree - 1, True)
         return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(
             iwasawa_log(center))
 
     def _li1_series_at(self, center, value):
         """-log(1 - center - p t) as a power series in t, with constant value."""
-        coeffs, claims = self._geometric(1 - center, self.local_degree - 1, False, True)
+        coeffs, claims = self._geometric(1 - center, self.local_degree - 1, False)
         return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(value)
 
-    def _dz_over_z_series(self, center):
-        """p/(center + p t) as a power series in t (the factor in dLi_k)."""
-        coeffs, claims = self._geometric(center, self.local_degree, True, False)
-        return IntSeries(self.p, coeffs, 0, precs=claims)
+    def _times_dz_over_z(self, series, center, trunc):
+        """series * p/(center + p t) below t^trunc (<= len(series)), in one
+        pass: the recurrence and claims of the module docstring, equal to
+        _series_multiply by the dz/z series."""
+        p, s = self.p, series.scale
+        R = min(self.workprec, center.rel)
+        claims = []
+        low = EXACT
+        for k, (A, v) in enumerate(zip(series.claims()[:trunc], series.valuations())):
+            low = min(low, min(A, v + R) - k)
+            claims.append(k + 1 + low)
+        top = _top(claims, s)
+        pw = _power_tables(p, top)[0]
+        mod = pw[top]
+        q = p * pow(center.unit, -1, mod) % mod
+        y = 0
+        coeffs = []
+        for u, A in zip(series.coeffs, claims):
+            y = q * (u - y) % mod
+            coeffs.append(0 if A == EXACT else y % pw[A - s])
+        return IntSeries(p, coeffs, s, precs=claims)
 
     def _disk_series(self, center, values_at_center):
         """Series of Li_1..Li_n about a center with known initial values."""
         N = self.local_degree
         table = {}
         prev = table["li1"] = self._li1_series_at(center, values_at_center[1])
-        dzz = self._dz_over_z_series(center)
         for k in range(2, self.max_weight + 1):
             # dLi_k = Li_{k-1} dz/z
-            prev = _series_multiply(prev, dzz, N - 1).integral(values_at_center[k])
+            prev = self._times_dz_over_z(prev, center, N - 1).integral(values_at_center[k])
             table["li%d" % k] = prev
         return table
 

@@ -268,9 +268,14 @@ class ExprFraction:
         return ExprFraction(self.num * other.den - other.num * self.den,
                             self.den * other.den)
 
+    def __neg__(self):
+        return ExprFraction(-self.num, self.den)
+
     def __mul__(self, other):
         other = _as_fraction(other)
         return ExprFraction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_fraction(other)

@@ -144,6 +144,72 @@ def _assert_rejected(argv, message, timeout):
 
 
 @pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("solve",), "argument command: invalid choice: 'solve'"),
+    (("--p", "5", "locus"), "argument command: invalid choice: '--p'"),
+    (("locus", "--p"), "argument --p: expected one argument"),
+    (("locus", "--out", "--S", "3"), "argument --out: expected one argument"),
+    (("locus", "--n", "four"), "argument --n: invalid int value: 'four'"),
+    (("locus", "--prec=x"), "argument --prec: invalid int value: 'x'"),
+    (("ideal", "--S", "3,x"), "argument --S: invalid int value: 'x'"),
+    (("ideal", "--S=4"), "argument --S: 4 is not prime"),
+    (("locus", "--bogus"), "unrecognized arguments: --bogus"),
+    (("locus", "--abstract-only"), "unrecognized arguments: --abstract-only"),
+    (("ideal", "--symmetrize"), "unrecognized arguments: --symmetrize"),
+    (("ideal", "--suite", "hopf"), "unrecognized arguments: --suite"),
+    (("locus", "extra"), "unrecognized arguments: extra"),
+    (("verify", "hopf", "identities"), "unrecognized arguments: identities"),
+    (("verify", "nope"), "argument suite: invalid choice: 'nope'"),
+    (("verify", "--suite", "nope"), "argument --suite: invalid choice: 'nope'"),
+])
+def test_cli_argument_errors_are_one_line(argv, message, capsys):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert message in line
+
+
+def test_cli_argument_error_in_a_fresh_process():
+    stderr = _assert_rejected(("locus", "--n", "four"), "invalid int value", timeout=5)
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_help_prints_the_module_docstring(flag, capsys):
+    import ckpolylog.cli as cli
+    assert main(["locus", flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli.__doc__ and captured.err == ""
+
+
+def test_cli_option_spellings_and_defaults(capsys):
+    # --opt=value, repeated options (the last wins), options in any order
+    code, data = run_cli(capsys, "locus", "--n=2", "--p", "11", "--S", "3", "--p=7")
+    assert code == 0 and data["p"] == 7 and data["n"] == 2 and data["S"] == [3]
+    assert data["policy"] == {"M": 12, "g": 3}
+    _, default = run_cli(capsys, "locus", "--n", "2")
+    assert default["p"] == 5 and default["S"] == [3]
+
+
+def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
+    # the parser is the module's own; -S keeps site hooks out of the count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ckpolylog.__file__)))
+    out = str(tmp_path / "cert.json")
+    code = ("import sys\n"
+            "from ckpolylog.cli import main\n"
+            "codes = [main(['locus', '--S', '3', '--p', '5', '--out', %r]),\n"
+            "         main(['verify', 'all', '--p', '5', '--out', %r])]\n"
+            "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+            % (out, out))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
+@pytest.mark.parametrize("argv, message", [
     (("locus", "--S", "5", "--p", "7"), "locus --n >= 4 needs --S 2 or --S 3"),
     (("locus", "--S", "2,3"), "locus --n >= 4 needs --S 2 or --S 3"),
     (("locus", "--n", "1"), "locus needs --n >= 2"),
@@ -163,6 +229,14 @@ def test_cli_rejects_unsupported_input(argv, message):
     # ideal --S 2,3 runs the elimination until its degree guard fires (~1.5 s)
     stderr = _assert_rejected(argv, message, timeout=60)
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("ideal", "--S", "3", "--n", "5", "--abstract-only"),
+                                  ("ideal", "--S", "2,3", "--n", "2")])
+def test_uncertified_ideal_exits_1(argv, capsys):
+    code, data = run_cli(capsys, *argv)
+    assert code == 1
+    assert data["certified"] is False
 
 
 def test_ideal_exits_1_when_a_generator_does_not_vanish(capsys, monkeypatch):

@@ -333,3 +333,71 @@ def test_series_kernels_on_mixed_claims_against_padic_oracle():
             _assert_matches_oracle(_series_multiply(series, const, trunc),
                                    oracles.series_multiply(coeffs, [c], trunc, p),
                                    (c, "right", trunc))
+
+
+@pytest.mark.parametrize("p, S", [(5, (3,)), (7, (3,)), (13, (3,)), (5, (2,)), (19, (2,))])
+def test_locus_for_equals_intersection_of_full_searches(p, S, policy, table_z_half,
+                                                        table_z_sixth):
+    """locus_for isolates the weight-4 roots only in the residue classes of
+    the weight-2 locus; the certificate equals the one from two full searches."""
+    table = table_z_half if S == (2,) else table_z_sixth
+    f2 = L.weight2_function(p, policy)
+    f4 = L.weight4_function(p, S=S, policy=policy, table=table)
+    l2 = L.find_zeros(f2, policy)
+    full = L.intersect_loci(l2, L.find_zeros(f4, policy), policy)
+    for symmetrize in (False, True):
+        want = L.s3_symmetrize(full, policy) if symmetrize else full
+        got = L.locus_for(p, S, 4, policy, symmetrize=symmetrize, table=table)
+        assert got.to_json() == want.to_json(), symmetrize
+    within = L.find_zeros(f4, policy, within=l2)
+    assert within.newton_bounds == L.find_zeros(f4, policy).newton_bounds
+    if p == 13:
+        # the restriction is what saves the work: fewer weight-4 zeros isolated
+        assert len(within.zeros) < len(L.find_zeros(f4, policy).zeros)
+
+
+def test_locus_for_restricts_the_second_search_only(policy, table_z_sixth, monkeypatch):
+    seen = []
+    real = L.find_zeros
+
+    def spy(f, policy=None, within=None):
+        seen.append(within)
+        return real(f, policy, within=within)
+
+    monkeypatch.setattr(L, "find_zeros", spy)
+    L.locus_for(5, (3,), 4, policy, table=table_z_sixth)
+    assert seen[0] is None and isinstance(seen[1], L.Locus)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_locus_for_at_equality_threshold_one(p):
+    # M - g = 1: points agree on the same disk whatever t mod p, so every
+    # class of a disk with a locus point is searched
+    policy = PrecisionPolicy(4, 3)
+    f2, f4 = L.weight2_function(p, policy), L.weight4_function(p, S=(3,), policy=policy)
+    full = L.intersect_loci(L.find_zeros(f2, policy), L.find_zeros(f4, policy), policy)
+    assert L.locus_for(p, (3,), 4, policy).to_json() == full.to_json()
+
+
+def test_restricted_root_search_is_the_full_search_in_those_classes(policy):
+    p = 13
+    f4 = L.weight4_function(p, S=(3,), policy=policy)
+    for a in range(2, p):
+        series = f4.local_series(a)
+        full = L._roots_in_unit_disk(series, p, policy, depth=policy.M)
+        for residues in ([], [0], [1, 5, 12], list(range(p))):
+            got = L._roots_in_unit_disk(series, p, policy, depth=policy.M,
+                                        residues=residues)
+            want = [(t, ok) for t, ok in full if t.lift() % p in residues]
+            assert [(t.digits(), t.val, ok) for t, ok in got] == \
+                [(t.digits(), t.val, ok) for t, ok in want], (a, residues)
+    # a series flat to its precision, and one with too few honest digits
+    flat = IntSeries.from_padics(p, [PadicNumber.zero_to(p, 9)] * 4)
+    coarse = IntSeries.from_padics(p, [PadicNumber.from_rational(p, c, 3) for c in (1, 2, 1)])
+    for series in (flat, coarse):
+        full = L._roots_in_unit_disk(series, p, policy, depth=policy.M)
+        for residues in ([], [0], [1, 5, 12]):
+            got = L._roots_in_unit_disk(series, p, policy, depth=policy.M,
+                                        residues=residues)
+            assert [(t.digits(), ok) for t, ok in got] == \
+                [(t.digits(), ok) for t, ok in full if t.lift() % p in residues]

@@ -4,12 +4,12 @@ import pytest
 
 from ckpolylog.padic import (PadicNumber, PrecisionPolicy, PrecisionError,
                              iwasawa_log, log_floor, rational_reconstruct, teichmuller)
-from ckpolylog.polylog import (BadDiskError, PolylogEngine, get_engine, _series_eval,
-                               _series_multiply, _twisted_kernel)
+from ckpolylog.polylog import (BadDiskError, IntSeries, PolylogEngine, get_engine,
+                               _series_eval, _series_multiply, _twisted_kernel)
 import ckpolylog.symbols as sy
 
 from oracles import (washington_lp, generalized_bernoulli, bernoulli_list,
-                     twisted_horner, twisted_series_by_log)
+                     dz_over_z_series, twisted_horner, twisted_series_by_log)
 
 
 def test_engine_rejects_small_or_composite_primes():
@@ -132,7 +132,7 @@ def test_disk_series_differential_system(p, policy):
         table = eng.disk_table(a)
         N = eng.local_degree
         apn = PadicNumber.from_rational(p, a, policy.workprec())
-        dzz = eng._dz_over_z_series(apn)
+        dzz = IntSeries.from_padics(p, dz_over_z_series(eng, apn))
         for k in (2, 3, 4):
             dS = [table["li%d" % k].coefficient(j + 1) * (j + 1) for j in range(N - 1)]
             rhs = _series_multiply(table["li%d" % (k - 1)], dzz, N - 1)
@@ -147,6 +147,58 @@ def test_disk_series_differential_system(p, policy):
         for j in range(N - 4):
             assert (dS1[j] - power).val_lower_bound() >= policy.M
             power = power * ratio
+
+
+def _assert_dz_over_z_product(eng, series, center, trunc, where):
+    # the one-pass recurrence gives the dense product's integers, scale and claims
+    dzz = IntSeries.from_padics(eng.p, dz_over_z_series(eng, center))
+    got = eng._times_dz_over_z(series, center, trunc)
+    want = _series_multiply(series, dzz, trunc)
+    assert (got.coeffs, got.scale, got.claims()) == \
+        (want.coeffs, want.scale, want.claims()), where
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_dz_over_z_recurrence_equals_dense_product(p, policy):
+    eng = get_engine(p, policy)
+    N = eng.local_degree
+    for a in range(2, p):
+        theta = eng.teichmuller_point(a)
+        apn = PadicNumber.from_rational(p, a, policy.workprec())
+        tables = {"theta": (theta, eng._disk_series(theta, eng.values_at_teichmuller(a))),
+                  "integer": (apn, eng.disk_table(a))}
+        for kind, (center, table) in tables.items():
+            for k in (1, 2, 3):
+                _assert_dz_over_z_product(eng, table["li%d" % k], center, N - 1,
+                                          (a, kind, k))
+
+
+def test_dz_over_z_recurrence_on_mixed_claims(policy):
+    """Exact zeros, tracked zeros on both sides of workprec, low-claim
+    constants, a negative scale, and centers known to fewer digits than
+    workprec."""
+    p = 5
+    eng = get_engine(p, policy)
+    W = policy.workprec()
+    coeffs = [PadicNumber.from_rational(p, F(7, 3), 40),
+              PadicNumber.exact_zero(p),
+              PadicNumber.from_rational(p, 50, 12),
+              PadicNumber.zero_to(p, 30),
+              PadicNumber.exact_zero(p),
+              PadicNumber.zero_to(p, 8),
+              PadicNumber.from_rational(p, F(-2, 7), 3),
+              PadicNumber.from_rational(p, F(1, 125), 26),
+              PadicNumber.from_rational(p, 4, W)]
+    leading_zeros = [PadicNumber.exact_zero(p)] * 2 + coeffs[2:]
+    for values in (coeffs, leading_zeros, [PadicNumber.exact_zero(p)] * 4):
+        series = IntSeries.from_padics(p, values)
+        for center in (PadicNumber.from_rational(p, 3, W),
+                       PadicNumber.from_rational(p, F(-2, 3), 6),
+                       PadicNumber.from_rational(p, 4, W + 9),
+                       eng.teichmuller_point(2)):
+            for trunc in (1, len(values) - 1, len(values)):
+                _assert_dz_over_z_product(eng, series, center, trunc,
+                                          (len(values), center, trunc))
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -385,3 +385,14 @@ def test_linear_combination_core(name):
     else:
         with pytest.raises(TypeError):
             hash(x)
+
+
+@pytest.mark.parametrize("name", ["ShuffleElement", "TensorElement"])
+def test_exprfraction_coefficients_negate_and_cancel(name):
+    # scale(-1) multiplies -1 * ExprFraction, which needs __rmul__ and __neg__
+    build, (ctx, _), (a, b) = _CORE[name]
+    y = build(ctx, a, b).scale(ExprFraction(Expression.sym(_L2), Expression.sym(_L3)))
+    for zero in (y - y, -y + y):
+        assert type(zero) is type(y) and zero.is_zero() and zero.terms == {}
+    assert all(type(c) is ExprFraction and c.equals(-y.terms[k])
+               for k, c in (-y).terms.items())
