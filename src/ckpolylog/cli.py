@@ -30,19 +30,22 @@ exit status is 0 iff every certificate in the run is certified/passes;
 and 2, with a one-line message on stderr, for rejected or unsupported
 input such as a malformed command line, a non-prime --S entry or --p,
 --n below the first Chabauty-Kim weight, a locus over more than one
-prime, or an ideal computation that outgrows the elimination guard.
+prime, a verify suite below the --prec it needs, an --out path that
+cannot be written, or an ideal computation that outgrows the elimination
+guard.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 from . import archimedean, elimination, galois, loci
 from . import words as wd
-from .padic import PrecisionPolicy, is_prime
+from .padic import PrecisionPolicy, is_prime, rational_reconstruct
 from .polylog import get_engine, padic_L3_check
 
 
@@ -198,16 +201,21 @@ def _suite_identities(args, policy):
         ok = ok and good
         rows.append({"check": name, "residualValuation": v.val_lower_bound(),
                      "passed": good})
-    from .padic import rational_reconstruct
     ratio = (eng.polylog(3, Fraction(9)) - 12 * eng.polylog(3, Fraction(3))) \
         / eng.zeta_nonzero(3)
-    q = rational_reconstruct(ratio.truncate_abs(policy.M - policy.g + 4), 10 ** 4, 10 ** 3)
+    q = rational_reconstruct(ratio.truncate_abs(policy.M - policy.g + RECOGNITION_DIGITS),
+                             *RECOGNITION_BOUNDS)
     good = q == Fraction(-26, 3)
     ok = ok and good
     rows.append({"check": "(Li3(9)-12Li3(3))/zeta(3) = -26/3", "passed": good,
                  "recognized": str(q)})
     return rows, ok
 
+
+# the identities suite recognizes -26/3 from RECOGNITION_DIGITS digits
+# above M - g, with numerator and denominator bounds RECOGNITION_BOUNDS
+RECOGNITION_DIGITS = 4
+RECOGNITION_BOUNDS = (10 ** 4, 10 ** 3)
 
 SUITES = {
     "appendix": _suite_appendix,
@@ -299,10 +307,45 @@ def parse_args(argv):
     return args
 
 
+def _out_unwritable(path):
+    """Why the certificate cannot be written to path, or None; creates nothing."""
+    if os.path.isdir(path):
+        return "--out %s is a directory" % path
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return "--out %s: directory %s does not exist" % (path, folder)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "--out %s is not writable" % path
+    return None
+
+
+def _verify_unsupported(args):
+    """Why the chosen verify suites cannot certify at this precision, or None."""
+    suite = args.suite or args.suite_flag
+    digits = args.prec - args.guard
+    if suite in ("identities", "appendix", "all") and digits <= 3:
+        # zeta_p(3) has valuation 3 (more only at an irregular pair (p, p-3));
+        # these suites divide by it, so it must not vanish to M - g digits
+        return ("verify %s needs --prec >= %d at --guard %d: it divides by "
+                "zeta_p(3), which has valuation 3" % (suite, args.guard + 4, args.guard))
+    if suite in ("identities", "all"):
+        num, den = RECOGNITION_BOUNDS
+        need = 1
+        while args.p ** need <= 2 * num * den:
+            need += 1
+        need -= RECOGNITION_DIGITS
+        if digits < need:
+            return ("verify %s needs --prec >= %d at --p %d --guard %d to recognize -26/3"
+                    % (suite, args.guard + need, args.p, args.guard))
+    return None
+
+
 def _unsupported(args):
     """One line saying why the run cannot go ahead as asked, or None."""
     if not args.prec > args.guard >= 0:
         return "need --prec > --guard >= 0"
+    if args.out and (reason := _out_unwritable(args.out)):
+        return reason
     if args.command == "ideal":
         return "ideal needs --n >= 1" if args.n < 1 else None
     if args.p in (2, 3):
@@ -321,6 +364,8 @@ def _unsupported(args):
     if (args.command == "verify" and len(args.S) != 1
             and (args.suite or args.suite_flag) in ("counterexample", "all")):
         return "verify counterexample needs a single prime in --S"
+    if args.command == "verify":
+        return _verify_unsupported(args)
     return None
 
 

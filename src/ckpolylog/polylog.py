@@ -17,10 +17,18 @@ loss is accounted once per division step (at most log_p D digits) rather
 than per coefficient.  At a Teichmueller point theta (theta^p = theta) the
 twist untwists exactly: t_k(theta) = (1 - p^{-k}) Li_k(theta).  That value
 is claimed only to the point's precision plus the least coefficient
-valuation, far below the series' own precision, so each t_k is reduced
+valuation, below the series' own precision, so each t_k is reduced
 once modulo p^(claim - scale) and its top coefficients that vanish there
-are dropped: at p = 31 a Horner runs over about 690 of 2,034 of them, to
-the same value and claim.  Values elsewhere in a disk come from the
+are dropped: at p = 31 a Horner runs over about 690 of 1,554 of them, to
+the same value and claim.
+
+The series keep workprec + 4 digits (_gsprec), and the degree is sized
+from that.  Every t_k is integral (least coefficient valuation 0), so a
+Teichmueller point, known to workprec digits, gets a value claiming
+min(prec, workprec) = workprec: more series digits would change neither
+value nor claim.  The truncation guards need the rest: a tail valuation of
+workprec + 3, and at z = 0 (w = -1, known to _gsprec digits) a value
+claimed to at least workprec + 1.  Values elsewhere in a disk come from the
 differential system integrated as a power series in t, z = center + p t,
 with integration constants at the center.
 
@@ -353,9 +361,10 @@ class PolylogEngine:
         self.policy = policy or PrecisionPolicy()
         self.max_weight = max_weight
         self.workprec = self.policy.workprec()
-        # absolute precision every global twisted series keeps; the
-        # truncation degree _twist_degree() is sized from it
-        self._gsprec = self.workprec + 4 * max_weight + 4
+        # absolute precision every global twisted series keeps (see the
+        # module docstring); the truncation degree _twist_degree() is sized
+        # from it
+        self._gsprec = self.workprec + 4
         self._twisted = None
         self._teich_values = {}
         self._disk_tables = {}

@@ -374,17 +374,29 @@ def cobar_square(a):
     """(Delta' (x) id - id (x) Delta') Delta'(a) as {(x, y, z): coefficient}.
 
     Zero by coassociativity.  Each composite is a dict without collisions:
-    (x, y, z) determines the two cuts it came from.
+    (x, y, z) determines the two cuts it came from.  The inner Delta' of a
+    factor (word, coefficient) is computed once per call and read for every
+    outer cut that has that factor on its left or its right.  Equal
+    composites, the expected case, return {} after one dict comparison;
+    otherwise only the keys whose values differ are subtracted.
     """
     gs = a.genset
+    inner = {}
+
+    def cuts(w, c):
+        t = inner.get((w, c))
+        if t is None:
+            t = inner[w, c] = reduced_coproduct(ShuffleElement.word(gs, w, c)).terms
+        return t
+
     left, right = {}, {}
     for (l, r), c in reduced_coproduct(a).terms.items():
-        left.update(((x, y, r), d) for (x, y), d in
-                    reduced_coproduct(ShuffleElement.word(gs, l, c)).terms.items())
-        right.update(((l, x, y), d) for (x, y), d in
-                     reduced_coproduct(ShuffleElement.word(gs, r, c)).terms.items())
-    return {k: d for k in left.keys() | right.keys()
-            if (d := left.get(k, 0) - right.get(k, 0))}
+        left.update(((x, y, r), d) for (x, y), d in cuts(l, c).items())
+        right.update(((l, x, y), d) for (x, y), d in cuts(r, c).items())
+    if left == right:
+        return {}
+    return {k: left.get(k, 0) - right.get(k, 0) for k in left.keys() | right.keys()
+            if left.get(k) != right.get(k)}
 
 
 # -- Lyndon polynomial decomposition --------------------------------------

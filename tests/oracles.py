@@ -13,12 +13,15 @@ are the reference for the engine's integer disk tables, Coleman local
 series and root-search shifts.  The Iwasawa logarithm summed on
 PadicNumbers is the reference for the integer one.  The coproducts
 accumulated term by term and the dense Delta' solve are the references
-for the cut-by-cut coproducts and the first-cut Delta' solve in words.
+for the cut-by-cut coproducts and the first-cut Delta' solve in words,
+and the cobar square with one inner Delta' per outer cut and a full
+Fraction difference is the reference for the memoized one.
 """
 
 import math
 from fractions import Fraction as F
 
+import ckpolylog.words as wd
 from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
 
@@ -310,3 +313,18 @@ def solve_delta_prime_dense(genset, n, target):
     if vec is None:
         raise ValueError("inconsistent Delta' system at weight %d" % n)
     return ShuffleElement(genset, dict(zip(words, vec)))
+
+
+def cobar_square_by_terms(a):
+    """(Delta' (x) id - id (x) Delta') Delta'(a), one inner Delta' per outer
+    cut and a difference over every key; Delta' is looked up on the module,
+    so a patched one is used."""
+    gs = a.genset
+    left, right = {}, {}
+    for (l, r), c in wd.reduced_coproduct(a).terms.items():
+        left.update(((x, y, r), d) for (x, y), d in
+                    wd.reduced_coproduct(ShuffleElement.word(gs, l, c)).terms.items())
+        right.update(((l, x, y), d) for (x, y), d in
+                     wd.reduced_coproduct(ShuffleElement.word(gs, r, c)).terms.items())
+    return {k: d for k in left.keys() | right.keys()
+            if (d := left.get(k, 0) - right.get(k, 0))}

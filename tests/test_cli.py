@@ -224,11 +224,47 @@ def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
     (("verify", "all", "--S", "2,3"), "verify counterexample needs a single prime in --S"),
     (("locus", "--S", "2,3", "--n", "2", "--p", "5"), "locus needs a single prime in --S"),
     (("locus", "--S", "2,3", "--n", "3", "--p", "5"), "locus needs a single prime in --S"),
+    # zeta_p(3) has valuation 3, so M - g <= 3 cannot divide by it
+    (("verify", "identities", "--p", "7", "--prec", "6"),
+     "verify identities needs --prec >= 7 at --guard 3"),
+    (("verify", "appendix", "--p", "7", "--prec", "5"),
+     "verify appendix needs --prec >= 7 at --guard 3"),
+    (("verify", "all", "--p", "7", "--prec", "6"), "verify all needs --prec >= 7 at --guard 3"),
+    # recognizing -26/3 needs 5^(M - g + 4) > 2 * 10^4 * 10^3
+    (("verify", "identities", "--p", "5", "--prec", "7"),
+     "verify identities needs --prec >= 10 at --p 5 --guard 3"),
 ])
 def test_cli_rejects_unsupported_input(argv, message):
     # ideal --S 2,3 runs the elimination until its degree guard fires (~1.5 s)
     stderr = _assert_rejected(argv, message, timeout=60)
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("locus", "--S", "3", "--p", "5"), ("ideal", "--S", "3")])
+def test_cli_rejects_bad_out_path(argv, tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    stderr = _assert_rejected(argv + ("--out", str(missing)), "does not exist", timeout=30)
+    assert stderr.count("\n") == 1
+    assert not missing.parent.exists()
+    stderr = _assert_rejected(argv + ("--out", str(tmp_path)), "is a directory", timeout=30)
+    assert stderr.count("\n") == 1
+
+
+def test_cli_rejects_unwritable_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(["ideal", "--S", "3", "--out", str(tmp_path / "x.json")]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert "is not writable" in line
+
+
+def test_rejected_run_neither_creates_nor_truncates_out(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for out in (new, old):
+        _assert_rejected(("verify", "identities", "--p", "5", "--prec", "7", "--out", str(out)),
+                         "needs --prec >= 10", timeout=30)
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [("ideal", "--S", "3", "--n", "5", "--abstract-only"),

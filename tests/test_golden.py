@@ -29,6 +29,7 @@ COMMANDS = {
     "locus_S2_p5": (["locus", "--S", "2", "--p", "5"], 0),
     "locus_S3_p7_sym": (["locus", "--S", "3", "--p", "7", "--symmetrize"], 0),
     "locus_S3_p13": (["locus", "--S", "3", "--p", "13"], 0),
+    "locus_S3_p31": (["locus", "--S", "3", "--p", "31"], 0),
     "locus_S3_p5_n2": (["locus", "--S", "3", "--p", "5", "--n", "2"], 0),
     "verify_identities_p5": (["verify", "identities", "--p", "5"], 0),
     "verify_counterexample_p5_n6": (["verify", "counterexample", "--p", "5", "--n", "6"], 0),

@@ -94,6 +94,24 @@ def test_twisted_evaluate_equals_untrimmed_horner(p, policy):
             assert tk.evaluate(w) == twisted_horner(tk, w)  # value and claim
 
 
+TWIST_GRID = [(p, M, g, 4) for p in (5, 7, 13, 31) for M, g in ((12, 3), (4, 3), (30, 3))]
+TWIST_GRID += [(p, M, g, 6) for p in (5, 7) for M, g in ((12, 3), (4, 3), (30, 3))]
+
+
+@pytest.mark.parametrize("p, M, g, K", TWIST_GRID)
+def test_teichmuller_values_need_only_workprec_plus_four_digits(p, M, g, K):
+    # the series built to workprec + 4 digits give every Teichmueller value
+    # and claim that series built to workprec + 4 K + 4 digits give; the
+    # z = 0 check's margin rests on every t_k being integral
+    eng = PolylogEngine(p, PrecisionPolicy(M, g), K)
+    assert eng._gsprec == eng.workprec + 4
+    wide = PolylogEngine(p, PrecisionPolicy(M, g), K)
+    wide._gsprec = wide.workprec + 4 * K + 4
+    assert all(tk.min_valuation() >= 0 for tk in eng.twisted_series())
+    for a in range(2, p):
+        assert eng.values_at_teichmuller(a) == wide.values_at_teichmuller(a)
+
+
 def test_twisted_series_tail_guard_fires(policy, monkeypatch):
     # a series cut far too early must fail the tail-decay guard
     eng = PolylogEngine(5, policy)

@@ -11,7 +11,10 @@ from ckpolylog.words import (
     project_bidegree, reduced_coproduct, row_reduce, shuffle_product,
     solve_columns, solve_delta_prime, word_as_lyndon_poly,
 )
-from oracles import deconcat_by_accumulation, reduced_by_accumulation, solve_delta_prime_dense
+import ckpolylog.words as wd
+from ckpolylog.galois import standard_genset
+from oracles import (cobar_square_by_terms, deconcat_by_accumulation, reduced_by_accumulation,
+                     solve_delta_prime_dense)
 
 GS = GeneratorSet([("tau_2", 1), ("tau_3", 1), ("sigma_3", 3)])
 GS1 = GeneratorSet([("tau", 1), ("sigma", 3), ("sigma_5", 5)])
@@ -144,6 +147,45 @@ def test_cobar_exactness_stage_two_weight_8():
     for n in range(1, 9):
         for word in GS1.words_of_weight(n):
             assert cobar_square(ShuffleElement.word(GS1, word)) == {}
+
+
+def _cobar_inputs():
+    gs = standard_genset({2, 3}, 8)
+    inputs = [ShuffleElement(gs, dict.fromkeys(gs.words_of_weight(n), F(1)))
+              for n in range(1, 9)]
+    coeffs = [F(2), F(-3, 4), F(5)]
+    spread = {}
+    for n in range(2, 9):
+        for i, word in enumerate(gs.words_of_weight(n)[:5]):
+            spread[word] = coeffs[(n + i) % 3]
+    inputs.append(ShuffleElement(gs, spread))
+    inputs.append(ShuffleElement.word(gs, ("tau_2", "tau_3", "tau_2", "sigma_3", "tau_3")))
+    return inputs
+
+
+def test_cobar_square_equals_per_cut_oracle():
+    # the memoized inner Delta' and the equality short-circuit change nothing
+    for a in _cobar_inputs():
+        assert cobar_square(a) == cobar_square_by_terms(a) == {}
+
+
+def test_cobar_square_equals_per_cut_oracle_with_a_cut_dropped(monkeypatch):
+    # a broken Delta' is read the same way by both: equal nonzero defects
+    real = wd.reduced_coproduct
+
+    def drop_first_cut(a):
+        t = real(a)
+        for word in a.terms:
+            if len(word) == 3:
+                t.terms.pop((word[:1], word[1:]), None)
+        return t
+
+    monkeypatch.setattr(wd, "reduced_coproduct", drop_first_cut)
+    inputs = _cobar_inputs()
+    for a in inputs:
+        assert cobar_square(a) == cobar_square_by_terms(a)
+    # the weight 1 and 2 basis sums have no word of length 3 to break
+    assert all(cobar_square(a) for a in inputs[2:])
 
 
 def tensor_mul(t1, t2):
