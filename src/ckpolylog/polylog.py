@@ -370,7 +370,32 @@ class PolylogEngine:
         self._disk_tables = {}
         self._zeta_cache = {}
         self._periods = {}
-        self.local_degree = self.workprec + 4
+        self.local_degree = self._local_degree()
+
+    def _local_degree(self):
+        """Truncation degree N of the residue-disk series.
+
+        Coefficient j of Li_k about a centre has valuation at least
+        j - L_k(j), with L_k(j) = v_p(j) + the k - 1 largest v_p(m), m < j:
+        the nested integrals divide by j and by k - 1 distinct smaller
+        indices.  N is the least n >= workprec + 4 with j - L_K(j) >= workprec
+        for every j >= n (K = max_weight), so the dropped tail of every table
+        series, and of every product of Li-weight <= K, lies at or above
+        workprec.
+        """
+        p, W, K = self.p, self.workprec, self.max_weight
+        n = W + 4
+        top = []  # the K - 1 largest v_p(m), m < j
+        j = 1
+        # L_K(j) <= K log_p(j), and j - K log_p(j) increases from j = K on,
+        # so once j - K (log_floor(j) + 1) >= W no later j can fail
+        while j < max(n, K) or j - K * (log_floor(j, p) + 1) < W:
+            e = valuation(j, p)[0]
+            if j - e - sum(top) < W:
+                n = max(n, j + 1)
+            top = sorted(top + [e], reverse=True)[:K - 1]
+            j += 1
+        return n
 
     # -- Frobenius-twisted global series ----------------------------------
 

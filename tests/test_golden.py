@@ -33,6 +33,8 @@ COMMANDS = {
     "locus_S3_p5_n2": (["locus", "--S", "3", "--p", "5", "--n", "2"], 0),
     "verify_identities_p5": (["verify", "identities", "--p", "5"], 0),
     "verify_counterexample_p5_n6": (["verify", "counterexample", "--p", "5", "--n", "6"], 0),
+    "verify_counterexample_p7_n6_prec20": (["verify", "counterexample", "--p", "7", "--n", "6",
+                                            "--prec", "20"], 0),
     "verify_hopf_p5": (["verify", "hopf", "--p", "5"], 0),
     "ideal_S5_n5_abstract": (["ideal", "--S", "5", "--n", "5", "--abstract-only"], 1),
     "ideal_S23_n3": (["ideal", "--S", "2,3", "--n", "3"], 1),

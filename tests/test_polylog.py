@@ -315,20 +315,71 @@ def test_cross_prime_w2_recognition(p, policy):
     assert q == F(-26, 3)
 
 
+def _assert_resampling_sound(p, M, K, g):
+    hi = get_engine(p, PrecisionPolicy(M + 5, g), K)
+    lo = get_engine(p, PrecisionPolicy(M, g), K)
+    samples = [(2, F(3)), (3, F(9)), (4, F(1, 2)), (2, F(-3)), (3, F(-1))]
+    samples += [(k, z) for k in range(5, K + 1) for z in (F(-1), F(3), F(1, 2))]
+    for k, z in samples:
+        a = lo.polylog(k, z)
+        b = hi.polylog(k, z)
+        assert (a - b).val_lower_bound() >= a.abs_precision(), (M, k, z)
+    assert (lo.zeta(3) - hi.zeta(3)).val_lower_bound() >= lo.zeta(3).abs_precision()
+    la, lb = lo.log(F(2)), hi.log(F(2))
+    assert (la - lb).val_lower_bound() >= la.abs_precision()
+
+
 @pytest.mark.parametrize("p", [5, 7, 13, 31])
 def test_precision_soundness_resampling(p, policy):
-    """Recomputing at M+5 and truncating agrees with the M-precision run."""
+    """Recomputing at M+5 agrees with the M-precision run to every digit it
+    claims."""
     for M in (12, 30):
-        hi = get_engine(p, PrecisionPolicy(M + 5, policy.g))
-        lo = get_engine(p, PrecisionPolicy(M, policy.g))
-        samples = [(2, F(3)), (3, F(9)), (4, F(1, 2)), (2, F(-3)), (3, F(-1))]
-        for k, z in samples:
-            a = lo.polylog(k, z)
-            b = hi.polylog(k, z)
-            assert (a - b).val_lower_bound() >= a.abs_precision() - 1
-        assert (lo.zeta(3) - hi.zeta(3)).val_lower_bound() >= lo.zeta(3).abs_precision() - 1
-        la, lb = lo.log(F(2)), hi.log(F(2))
-        assert (la - lb).val_lower_bound() >= la.abs_precision() - 1
+        _assert_resampling_sound(p, M, 4, policy.g)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("M", [12, 20])
+def test_precision_soundness_resampling_weight6(p, M, policy):
+    # weight 6 loses the most digits to the nested integrals' divisions
+    _assert_resampling_sound(p, M, 6, policy.g)
+
+
+def _monomials(names, weight):
+    """Monomials (name lists) of positive Li-weight <= weight in the names,
+    each name with its weight."""
+    out = []
+    for i, (name, k) in enumerate(names):
+        if k <= weight:
+            out.append([name])
+            out += [[name] + m for m in _monomials(names[i:], weight - k)]
+    return out
+
+
+@pytest.mark.parametrize("p, M, K", [(5, 12, 6), (7, 20, 6), (5, 30, 4)])
+def test_local_degree_drops_only_digits_past_workprec(p, M, K):
+    # the disk series rebuilt 24 coefficients longer: every coefficient the
+    # truncation drops, of a table series or of any product of Li-weight
+    # <= K, has valuation >= workprec
+    eng = PolylogEngine(p, PrecisionPolicy(M, 3), K)
+    N, W = eng.local_degree, eng.workprec
+    assert N >= W + 4
+    eng.local_degree = N + 24
+    names = [("log", 1)] + [("li%d" % k, k) for k in range(1, K + 1)]
+    for a in range(2, p):
+        table = eng.disk_table(a)
+        for mono in _monomials(names, K):
+            series = table[mono[0]]
+            for name in mono[1:]:
+                series = _series_multiply(series, table[name], N + 24)
+            assert min(series.valuations()[N:]) >= W, (a, mono)
+
+
+def test_local_degree_at_the_default_policy():
+    # default policy, weight 4: N = workprec + 4 at every prime
+    for p in (5, 7, 13, 31, 101):
+        eng = PolylogEngine(p)
+        assert eng.local_degree == eng.workprec + 4 == 27
+    assert PolylogEngine(5, max_weight=6).local_degree == 29
 
 
 def test_period_map_is_ring_homomorphism(eng5, policy, rng):
