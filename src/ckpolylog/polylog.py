@@ -20,7 +20,11 @@ is claimed only to the point's precision plus the least coefficient
 valuation, below the series' own precision, so each t_k is reduced
 once modulo p^(claim - scale) and its top coefficients that vanish there
 are dropped: at p = 31 a Horner runs over about 690 of 1,554 of them, to
-the same value and claim.
+the same value and claim.  Two shortcuts spare most of these Horners.
+Li_1(theta) = -log(1 - theta) directly, so t_1 is evaluated only by the
+truncation guard at z = 0.  And theta_(1/a) = 1/theta_a with log theta = 0
+on the Iwasawa branch, so Li_k(1/theta) = (-1)^(k+1) Li_k(theta): of each
+pair of inverse disks a, a^-1 only the first one asked for runs a Horner.
 
 The series keep workprec + 4 digits (_gsprec), and the degree is sized
 from that.  Every t_k is integral (least coefficient valuation 0), so a
@@ -28,9 +32,26 @@ Teichmueller point, known to workprec digits, gets a value claiming
 min(prec, workprec) = workprec: more series digits would change neither
 value nor claim.  The truncation guards need the rest: a tail valuation of
 workprec + 3, and at z = 0 (w = -1, known to _gsprec digits) a value
-claimed to at least workprec + 1.  Values elsewhere in a disk come from the
-differential system integrated as a power series in t, z = center + p t,
-with integration constants at the center.
+claimed to at least workprec + 1.
+
+Values elsewhere on the disk of a come from the differential system
+dLi_k = Li_(k-1) dz/z integrated as power series in t, z = a + p t, about
+the integer a itself.  Li_1 and log are geometric series about a, with
+Li_1(a) = -log(1 - a).  For k >= 2 the integral I_k of Li_(k-1) dz/z that
+vanishes at a is built first; since Li_k(theta_a) - Li_k(a) = I_k at
+t = (theta_a - a)/p, its constant is
+
+    Li_k(a) = Li_k(theta_a) - I_k((theta_a - a)/p),
+
+truncated to workprec.  Every such constant claims exactly workprec, so
+this route gives the same integers and claims as one that expands about
+theta_a and evaluates there (tests/oracles.py does).  The series stop at
+the degree N of _local_degree: coefficient j of Li_k has valuation at least
+j - v_p(j) minus the k - 1 largest v_p(m), m < j, which the nested
+divisions cost, and N is the least n >= workprec + 4 past which that bound
+stays at or above workprec for k = max_weight.  So the dropped tail of every
+table series, and of every Coleman local series (Li-weight <= max_weight),
+lies at or above workprec; at the default policy N = workprec + 4 = 27.
 
 The disk series are IntSeries too, but with one absolute precision per
 coefficient: a value Li_k(theta) claims workprec, while a coefficient
@@ -224,8 +245,8 @@ class IntSeries:
                   for n, (u, A) in enumerate(zip(self.coeffs[1:], claims), start=1)]
         return IntSeries(p, coeffs, s, precs=claims)
 
-    def integral(self, c0):
-        """Antiderivative with constant term c0: coefficient j is coeffs[j-1]/j.
+    def integral(self):
+        """Antiderivative with exact-zero constant: coefficient j is coeffs[j-1]/j.
 
         Dividing by j costs v_p(j) digits on that coefficient only; the scale
         drops as far as the divisions need.
@@ -246,7 +267,7 @@ class IntSeries:
             k = s - e - s_new
             u = u * pw[k] if k >= 0 else u // pw[-k]
             coeffs.append(u * pow(w, -1, mod) % mod)
-        return IntSeries(p, coeffs, s_new, precs=claims).with_constant(c0)
+        return IntSeries(p, coeffs, s_new, precs=claims)
 
 
 def _series_eval(series, x):
@@ -373,16 +394,10 @@ class PolylogEngine:
         self.local_degree = self._local_degree()
 
     def _local_degree(self):
-        """Truncation degree N of the residue-disk series.
-
-        Coefficient j of Li_k about a centre has valuation at least
-        j - L_k(j), with L_k(j) = v_p(j) + the k - 1 largest v_p(m), m < j:
-        the nested integrals divide by j and by k - 1 distinct smaller
-        indices.  N is the least n >= workprec + 4 with j - L_K(j) >= workprec
-        for every j >= n (K = max_weight), so the dropped tail of every table
-        series, and of every product of Li-weight <= K, lies at or above
-        workprec.
-        """
+        """Truncation degree N of the residue-disk series (module docstring):
+        the least n >= workprec + 4 with j - L_K(j) >= workprec for all
+        j >= n, L_K(j) = v_p(j) + the K - 1 largest v_p(m), m < j, and
+        K = max_weight."""
         p, W, K = self.p, self.workprec, self.max_weight
         n = W + 4
         top = []  # the K - 1 largest v_p(m), m < j
@@ -442,22 +457,32 @@ class PolylogEngine:
         return PadicNumber(self.p, 0, t, self.workprec)
 
     def values_at_teichmuller(self, a):
-        """Li_k(theta_a) for k = 1..max_weight (theta_a != 1 required)."""
+        """Li_k(theta_a) for k = 1..max_weight (theta_a != 1 required).
+
+        Li_1(theta) = -log(1 - theta); Li_k for k >= 2 untwists the Horner
+        value of t_k.  theta_(1/a) = 1/theta_a and log theta_a = 0, so once
+        the disk of a^-1 has its values, Li_k(theta_a) = (-1)^(k+1)
+        Li_k(theta_(1/a)) costs no Horner at all.
+        """
         a = a % self.p
         if a in (0, 1):
             raise BadDiskError("no Teichmueller polylog values over disk %d" % a)
         if a in self._teich_values:
             return self._teich_values[a]
         p = self.p
-        theta = self.teichmuller_point(a)
-        w = 1 / (theta - 1)
-        series = self.twisted_series()
-        vals = {}
-        for k in range(1, self.max_weight + 1):
-            tk = series[k - 1].evaluate(w)
-            # t_k(theta) = (1 - p^{-k}) Li_k(theta); clamp the claimed
-            # precision at workprec so series truncation stays inside it
-            vals[k] = (tk * (p ** k) / (p ** k - 1)).truncate_abs(self.workprec)
+        inverse = self._teich_values.get(pow(a, -1, p))
+        if inverse is not None:
+            vals = {k: v if k % 2 else -v for k, v in inverse.items()}
+        else:
+            theta = self.teichmuller_point(a)
+            w = 1 / (theta - 1)
+            series = self.twisted_series()
+            vals = {1: -iwasawa_log(1 - theta)}
+            for k in range(2, self.max_weight + 1):
+                tk = series[k - 1].evaluate(w)
+                # t_k(theta) = (1 - p^{-k}) Li_k(theta); clamp the claimed
+                # precision at workprec so series truncation stays inside it
+                vals[k] = (tk * (p ** k) / (p ** k - 1)).truncate_abs(self.workprec)
         self._teich_values[a] = vals
         return vals
 
@@ -493,10 +518,11 @@ class PolylogEngine:
         return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(
             iwasawa_log(center))
 
-    def _li1_series_at(self, center, value):
-        """-log(1 - center - p t) as a power series in t, with constant value."""
+    def _li1_series_at(self, center):
+        """Li_1(center + p t) = -log(1 - center - p t) as a power series in t."""
         coeffs, claims = self._geometric(1 - center, self.local_degree - 1, False)
-        return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(value)
+        return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(
+            -iwasawa_log(1 - center))
 
     def _times_dz_over_z(self, series, center, trunc):
         """series * p/(center + p t) below t^trunc (<= len(series)), in one
@@ -520,33 +546,30 @@ class PolylogEngine:
             coeffs.append(0 if A == EXACT else y % pw[A - s])
         return IntSeries(p, coeffs, s, precs=claims)
 
-    def _disk_series(self, center, values_at_center):
-        """Series of Li_1..Li_n about a center with known initial values."""
-        N = self.local_degree
-        table = {}
-        prev = table["li1"] = self._li1_series_at(center, values_at_center[1])
-        for k in range(2, self.max_weight + 1):
-            # dLi_k = Li_{k-1} dz/z
-            prev = self._times_dz_over_z(prev, center, N - 1).integral(values_at_center[k])
-            table["li%d" % k] = prev
-        return table
-
     def disk_table(self, a):
-        """Local series on the disk of a (2 <= a <= p-1), centered at a itself."""
+        """Local series of log, Li_1..Li_n on the disk of a (2 <= a <= p-1),
+        centered at a itself.
+
+        Li_1 and log are geometric series about a.  For k >= 2 the integral
+        I_k of Li_(k-1) dz/z that vanishes at a gives Li_k(a) = Li_k(theta_a)
+        - I_k((theta_a - a)/p), claimed to workprec.
+        """
         a = a % self.p
         if a in (0, 1):
             raise BadDiskError("disk %d mod %d is a bad disk" % (a, self.p))
         if a in self._disk_tables:
             return self._disk_tables[a]
-        theta = self.teichmuller_point(a)
+        p, N = self.p, self.local_degree
         tvals = self.values_at_teichmuller(a)
-        theta_table = self._disk_series(theta, tvals)
-        # move the expansion center from theta to the integer a
-        a_pn = PadicNumber.from_rational(self.p, a, self.workprec)
-        shift = (a_pn - theta) / self.p
-        center_vals = {k: _series_eval(theta_table["li%d" % k], shift)
-                       for k in range(1, self.max_weight + 1)}
-        table = self._disk_series(a_pn, center_vals)
+        a_pn = PadicNumber.from_rational(p, a, self.workprec)
+        shift = (self.teichmuller_point(a) - a_pn) / p
+        prev = self._li1_series_at(a_pn)
+        table = {"li1": prev}
+        for k in range(2, self.max_weight + 1):
+            # dLi_k = Li_(k-1) dz/z
+            integral = self._times_dz_over_z(prev, a_pn, N - 1).integral()
+            value = (tvals[k] - _series_eval(integral, shift)).truncate_abs(self.workprec)
+            prev = table["li%d" % k] = integral.with_constant(value)
         table["log"] = self._log_series_at(a_pn)
         self._disk_tables[a] = table
         return table

@@ -1,0 +1,43 @@
+"""Run every golden command in a fresh ``python -m ckpolylog`` process.
+
+tests/test_golden.py calls ``cli.main`` in the test process; the benchmark
+runs each command as its own ``python -m ckpolylog`` child with
+PYTHONDONTWRITEBYTECODE=1.  This script does the same for every entry of
+``test_golden.COMMANDS`` and compares stdout and exit status with the
+golden file and the entry.  From the repository root:
+
+    PYTHONPATH=src python tests/check_golden_cli.py
+
+It prints a diff for each mismatch and exits 1 if there was any.
+"""
+
+import difflib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_golden import COMMANDS, GOLDEN  # noqa: E402
+
+
+def main():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    failed = 0
+    for name, (argv, status) in sorted(COMMANDS.items()):
+        run = subprocess.run([sys.executable, "-m", "ckpolylog", *argv],
+                             capture_output=True, text=True, env=env)
+        want = (GOLDEN / (name + ".json")).read_text()
+        if run.returncode == status and run.stdout == want:
+            print("ok   %s" % name)
+            continue
+        failed += 1
+        print("FAIL %s: exit %d, want %d" % (name, run.returncode, status))
+        sys.stdout.writelines(difflib.unified_diff(
+            want.splitlines(True), run.stdout.splitlines(True),
+            "golden/%s.json" % name, "stdout"))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ reference for its reduced, trimmed evaluation.
 The residue-disk series rebuilt as lists of PadicNumbers (one object per
 coefficient, each operation claiming precision by PadicNumber's own rules)
 are the reference for the engine's integer disk tables, Coleman local
-series and root-search shifts.  The Iwasawa logarithm summed on
+series and root-search shifts; the oracle table of a disk a is expanded
+about theta_a first and Horner-evaluated at a for its constants, a route
+the engine no longer takes.  The Iwasawa logarithm summed on
 PadicNumbers is the reference for the integer one.  The coproducts
 accumulated term by term and the dense Delta' solve are the references
 for the cut-by-cut coproducts and the first-cut Delta' solve in words,

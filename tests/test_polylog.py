@@ -8,7 +8,7 @@ from ckpolylog.polylog import (BadDiskError, IntSeries, PolylogEngine, get_engin
                                _series_eval, _series_multiply, _twisted_kernel)
 import ckpolylog.symbols as sy
 
-from oracles import (washington_lp, generalized_bernoulli, bernoulli_list,
+from oracles import (washington_lp, generalized_bernoulli, bernoulli_list, disk_series,
                      dz_over_z_series, twisted_horner, twisted_series_by_log)
 
 
@@ -120,15 +120,36 @@ def test_twisted_series_tail_guard_fires(policy, monkeypatch):
         eng.twisted_series()
 
 
+def _untwisted_horner(eng, a, k):
+    # (p^k / (p^k - 1)) t_k(theta_a) by the unreduced Horner, at workprec
+    p = eng.p
+    w = 1 / (eng.teichmuller_point(a) - 1)
+    tk = twisted_horner(eng.twisted_series()[k - 1], w)
+    return (tk * (p ** k) / (p ** k - 1)).truncate_abs(eng.workprec)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_untwist_at_teichmuller_against_log(p, policy):
-    # Li_1(theta) from the global twisted series must equal -log(1 - theta)
+    # Li_1(theta) untwisted from the global series t_1 must equal -log(1 - theta)
     eng = get_engine(p, policy)
     for a in range(2, p):
         theta = eng.teichmuller_point(a)
-        untwisted = eng.values_at_teichmuller(a)[1]
+        untwisted = _untwisted_horner(eng, a, 1)
         direct = -iwasawa_log(1 - theta)
         assert (untwisted - direct).val_lower_bound() >= eng.workprec - 2
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_teichmuller_values_equal_direct_horner(p, policy):
+    # every value, Li_1 by log and the disks whose value came from the disk
+    # of a^-1 by Li_k(1/theta) = (-1)^(k+1) Li_k(theta) included, equals the
+    # untwisted Horner at theta_a itself, digits and claim
+    eng = PolylogEngine(p, policy)
+    for a in range(2, p):
+        vals = eng.values_at_teichmuller(a)
+        assert sorted(vals) == [1, 2, 3, 4]
+        for k, v in vals.items():
+            assert v == _untwisted_horner(eng, a, k), (a, k)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -178,12 +199,15 @@ def _assert_dz_over_z_product(eng, series, center, trunc, where):
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_dz_over_z_recurrence_equals_dense_product(p, policy):
+    # on the engine's tables about a and on the oracle's tables about theta_a
     eng = get_engine(p, policy)
     N = eng.local_degree
     for a in range(2, p):
         theta = eng.teichmuller_point(a)
         apn = PadicNumber.from_rational(p, a, policy.workprec())
-        tables = {"theta": (theta, eng._disk_series(theta, eng.values_at_teichmuller(a))),
+        theta_table = disk_series(eng, theta, eng.values_at_teichmuller(a))
+        tables = {"theta": (theta, {name: IntSeries.from_padics(p, series)
+                                    for name, series in theta_table.items()}),
                   "integer": (apn, eng.disk_table(a))}
         for kind, (center, table) in tables.items():
             for k in (1, 2, 3):
