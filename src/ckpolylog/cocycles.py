@@ -7,6 +7,11 @@ nontrivially, and the entry is the product of the single-letter entries.
 All words here use the lexical composition convention: deconcatenation
 splits read left to right, and f_{sigma tau} means sigma followed by tau.
 
+That structure theorem is coded once, in eval_universal: its images of
+log and Li_k are polynomials in the coordinates with f-word coefficients,
+and cocycle_apply evaluates a cocycle by substituting into them.
+brown_entry states single entries, as an independent check.
+
 Coordinate values may live in any commutative coefficient object with
 +, *, and truthiness (exact rationals, p-adics, expression fractions,
 polynomials), so the same code serves the geometric step and the
@@ -171,11 +176,16 @@ class EvaluationImage:
         return out
 
 
-def theta_sharp(n, genset):
+def eval_universal(n, genset):
     """The displayed algebra map: log and Li_k images in Phi-coordinates.
 
     log     |-> sum_tau f_tau Phi^tau_{e0}
     Li_k    |-> sum_{r+s=k} f_{g tau_1..tau_r} Phi^{tau_1}_{e0} ... Phi^{g}_{e1e0^{s-1}}
+
+    For |S| = 1 the coordinates specialize to w_0 = Phi^tau_{e0},
+    w_1 = Phi^tau_{e1}, w_i = Phi^{sigma_{2i-1}}_{e1 e0^{2i-2}} and the
+    Li_k image collapses to w_1 w_0^{k-1} f_tau^k / k! plus the
+    sigma-headed corrections.
     """
     if n < 1:
         raise ValueError("weight bound must be >= 1")
@@ -204,17 +214,6 @@ def theta_sharp(n, genset):
     return EvaluationImage(genset, n, images)
 
 
-def eval_universal(n, genset):
-    """The displayed images in the coordinates the elimination step consumes.
-
-    For |S| = 1 the coordinates specialize to w_0 = Phi^tau_{e0},
-    w_1 = Phi^tau_{e1}, w_i = Phi^{sigma_{2i-1}}_{e1 e0^{2i-2}} and the
-    Li_k image collapses to w_1 w_0^{k-1} f_tau^k / k! plus the
-    sigma-headed corrections.
-    """
-    return theta_sharp(n, genset)
-
-
 def w_coordinate_names(genset, n):
     """Map Phi-coordinate keys to the short w-names used when |S| = 1."""
     taus = [g.id for g in genset.generators if g.weight == 1]
@@ -240,41 +239,10 @@ def cocycle_apply(c, n):
     """log(c) and Li_k(c) for k <= n as ShuffleElements with coefficients from c.
 
     Implements Li_lambda(c) = sum_w phi^w_lambda(c) f_w over words of the
-    matching weight, using the structure theorem to skip vanishing entries.
+    matching weight by substituting c into the images of eval_universal:
+    by the structure theorem those are the only words with a nonzero entry.
     """
-    gs = c.genset
-    out = {}
-    taus = [g.id for g in gs.generators if g.weight == 1]
-    log_terms = {}
-    for t in taus:
-        v = c.get(t, LOG)
-        if v:
-            log_terms[(t,)] = v
-    out["log"] = ShuffleElement(gs, log_terms)
-    for k in range(1, n + 1):
-        terms = {}
-        for s in range(1, k + 1):
-            r = k - s
-            heads = [g.id for g in gs.generators if g.weight == s]
-            for head in heads:
-                hv = c.get(head, PolylogWord.li(s))
-                if not hv:
-                    continue
-                for tail in itertools.product(taus, repeat=r):
-                    val = hv
-                    dead = False
-                    for t in tail:
-                        tv = c.get(t, LOG)
-                        if not tv:
-                            dead = True
-                            break
-                        val = val * tv
-                    if dead or not val:
-                        continue
-                    # each word decomposes uniquely as head + weight-one tail
-                    terms[(head,) + tail] = val
-        out["li%d" % k] = ShuffleElement(gs, terms)
-    return out
+    return eval_universal(n, c.genset).substitute(c)
 
 
 def extract_coordinates(applied, genset):

@@ -444,47 +444,23 @@ def graded_kernel_dimension(prob, weight, max_li_degree=6):
 
 
 def _li_monomials(prob, max_weight, max_degree):
-    """Nonempty Li-monomials of weight <= max_weight, with their weights."""
+    """Nonempty Li-monomials of weight <= max_weight, with their weights.
+
+    A last slack variable of weight one takes up the weight left over.
+    """
     names = prob.li_names
-    wts = [li_weight(n) for n in names]
-    results = []
-
-    def rec(i, budget, deg, acc):
-        if i == len(names):
-            if acc:
-                results.append((tuple(acc), max_weight - budget))
-            return
-        rec(i + 1, budget, deg, acc)
-        k = 1
-        while deg + k <= max_degree and budget - k * wts[i] >= 0:
-            rec(i + 1, budget - k * wts[i], deg + k, acc + [(names[i], k)])
-            k += 1
-
-    rec(0, max_weight, 0, [])
-    return results
+    out = []
+    for *e, slack in words.monomials([li_weight(n) for n in names] + [1], max_weight):
+        if 0 < sum(e) <= max_degree:
+            out.append((tuple((n, k) for n, k in zip(names, e) if k), max_weight - slack))
+    return out
 
 
 def _f_monomials(prob, weight):
-    if weight < 0:
-        return []
     lw = prob.lyndon
-    wts = [prob.genset.word_weight(w) for w in lw]
-    results = []
-
-    def rec(i, budget, acc):
-        if budget == 0:
-            results.append(tuple(acc))
-            return
-        if i == len(lw):
-            return
-        rec(i + 1, budget, acc)
-        k = 1
-        while budget - k * wts[i] >= 0:
-            rec(i + 1, budget - k * wts[i], acc + [(f_var_name(lw[i]), k)])
-            k += 1
-
-    rec(0, weight, [])
-    return results
+    names = [f_var_name(w) for w in lw]
+    return [tuple((n, k) for n, k in zip(names, e) if k)
+            for e in words.monomials([prob.genset.word_weight(w) for w in lw], weight)]
 
 
 def _nullspace(mat, ncols):

@@ -242,22 +242,11 @@ class PeriodTable:
                 if z not in atoms:
                     atoms.append(z)
         atoms = sorted(set(atoms))
-        monos = []
-
-        def rec(i, budget, acc):
-            if budget == 0:
-                monos.append(tuple(acc))
-                return
-            if i == len(atoms):
-                return
-            rec(i + 1, budget, acc)
-            if atoms[i].weight <= budget:
-                rec(i, budget - atoms[i].weight, acc + [atoms[i]])
-
-        rec(0, m, [])
         span = []
-        for mono in monos:
-            expr = sy.Expression({tuple(sorted(mono)): Fraction(1)})
+        for e in wd.monomials([a.weight for a in atoms], m):
+            # atoms are sorted, so each product's atoms come out sorted
+            mono = tuple(a for a, k in zip(atoms, e) for _ in range(k))
+            expr = sy.Expression({mono: Fraction(1)})
             span.append((expr, self.expression_to_words(expr)))
         return span
 
@@ -351,7 +340,7 @@ def build_table_z_sixth(resolver=None, max_weight=4):
     return t
 
 
-def basis_certificate_deg3(table=None):
+def basis_certificate_deg3():
     """The 8x8 matrix of Delta'_{1,2} coordinates certifying the weight-3 basis
     over Z[1/6], together with its determinant (which must be 9).
 
@@ -436,7 +425,7 @@ def f_sigma_tau_expression(S, table):
     return rows[0][-1]
 
 
-def specialization_assignment(S, table=None, policy=None):
+def specialization_assignment(S, table=None):
     """Period expressions for the Galois coordinates of the |S|=1 ideal.
 
     Returns {Lyndon word tuple: Expression} covering f_tau, f_sigma and

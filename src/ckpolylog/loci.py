@@ -122,7 +122,7 @@ def weight4_function(p, S=(3,), policy=None, table=None):
     from .elimination import specialize_coefficients, structured_shortcut_generators
     policy = policy or PrecisionPolicy()
     prob, gens = structured_shortcut_generators(set(S))
-    assignment = galois.specialization_assignment(S, table=table, policy=policy)
+    assignment = galois.specialization_assignment(S, table=table)
     spec = specialize_coefficients(gens[1], assignment)
     return assemble_coleman(spec, p, policy, label="wt4[S=%s]" % ",".join(map(str, S)),
                             weight=4)
@@ -364,15 +364,25 @@ def find_zeros(F, policy=None, within=None):
     return Locus(p, policy, zeros, [F.label] if F.label else [], bounds)
 
 
+def _same_point(x, y, policy):
+    """x and y agree to the equality threshold and on every digit both claim."""
+    return padic_agree(x, y, policy) and (x - y).is_zeroish()
+
+
 def intersect_loci(l1, l2, policy=None):
-    """Common points, merged by the p-adic equality rule."""
+    """Common points: a root of each function, merged by _same_point.
+
+    A merged zero is certified when both roots are: each function has a
+    Hensel root there and the two roots agree on every digit both claim.
+    That does not prove the two roots equal.
+    """
     if l1.p != l2.p:
         raise ValueError("loci at different primes")
     policy = policy or l1.policy
     zeros = []
     for z1 in l1.zeros:
         for z2 in l2.zeros:
-            if padic_agree(z1.z, z2.z, policy):
+            if _same_point(z1.z, z2.z, policy):
                 zeros.append(Zero(z1.disk, z1.t, z1.z,
                                   z1.certified and z2.certified,
                                   min(z1.multiplicity_bound, z2.multiplicity_bound),
@@ -425,10 +435,11 @@ def s3_images(z):
 def s3_symmetrize(locus, policy=None):
     """Intersection of the locus with its six Moebius translates.
 
-    A point survives iff its entire orbit stays inside the locus; orbit
-    images that leave the good disks are compared against every locus
-    point before being discarded (they can never match, since locus
-    points are units with unit 1-z).
+    A point survives iff its entire orbit stays inside the locus, each
+    image matching a locus point by _same_point; orbit images that leave
+    the good disks are compared against every locus point before being
+    discarded (they can never match, since locus points are units with
+    unit 1-z).
     """
     policy = policy or locus.policy
     pts = [z.z for z in locus.zeros]
@@ -436,7 +447,7 @@ def s3_symmetrize(locus, policy=None):
     for zr in locus.zeros:
         ok = True
         for img in s3_images(zr.z):
-            if not any(padic_agree(img, q, policy) for q in pts):
+            if not any(_same_point(img, q, policy) for q in pts):
                 ok = False
                 break
         if ok:

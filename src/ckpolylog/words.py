@@ -3,13 +3,15 @@
 Words in a graded alphabet, the shuffle product, the deconcatenation
 coproduct and its reduced/bidegree variants, plus the Lyndon-word
 polynomial decomposition used to present the algebra as a free
-commutative polynomial ring.  A cut (u, v) determines its word uv, so
-the coproducts are read off the cuts term by term, with no two terms
-to add.  The package's two exact cores live here: LinearCombination
-(with add_term), the one implementation of sparse exact combinations
-behind ShuffleElement, TensorElement, symbols.Expression,
-symbols.TensorExpr and elimination.Poly; and the exact row reduction
-(row_reduce, solve_columns), the one linear-algebra core.
+commutative polynomial ring, and monomials, the one enumerator of
+monomials of a given weight in weighted variables.  A cut (u, v)
+determines its word uv, so the coproducts are read off the cuts term by
+term, with no two terms to add.  The package's two exact cores live
+here: LinearCombination (with add_term), the one implementation of
+sparse exact combinations behind ShuffleElement, TensorElement,
+symbols.Expression, symbols.TensorExpr and elimination.Poly; and the
+exact row reduction (row_reduce, solve_columns), the one linear-algebra
+core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -92,24 +94,28 @@ class GeneratorSet:
 
     def lyndon_monomials(self, n):
         """Multisets of Lyndon words of total weight n (sorted tuples)."""
-        lw = [w for w in self.lyndon_words(n)]
-        results = []
+        lw = self.lyndon_words(n)
+        return sorted(tuple(sorted(w for w, k in zip(lw, e) for _ in range(k)))
+                      for e in monomials([self.word_weight(w) for w in lw], n))
 
-        def rec(start, remaining, acc):
-            if remaining == 0:
-                results.append(tuple(sorted(acc)))
-                return
-            for i in range(start, len(lw)):
-                w = lw[i]
-                wt = self.word_weight(w)
-                if wt <= remaining:
-                    acc.append(w)
-                    rec(i, remaining - wt, acc)
-                    acc.pop()
 
-        rec(0, n, [])
-        results.sort()
-        return results
+def monomials(weights, total):
+    """Exponent vectors e >= 0 with sum(e[i] * weights[i]) == total.
+
+    The weights are positive.  The vectors come in lexicographic order,
+    fewest copies of the first variable first.  This is the one enumerator
+    of weighted monomials: Lyndon monomials here, the period products in
+    galois, the Li- and f-monomials in elimination.
+    """
+    if total == 0:
+        yield (0,) * len(weights)
+        return
+    if not weights:
+        return
+    w, rest = weights[0], weights[1:]
+    for k in range(total // w + 1):
+        for tail in monomials(rest, total - k * w):
+            yield (k,) + tail
 
 
 @lru_cache(maxsize=None)

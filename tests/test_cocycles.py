@@ -6,7 +6,7 @@ import ckpolylog.galois as G
 import ckpolylog.words as wd
 from ckpolylog.cocycles import (
     LOG, CocycleCoordinates, PolylogWord, brown_entry, cocycle_apply,
-    eval_universal, extract_coordinates, kappa_coordinates, theta_sharp,
+    eval_universal, extract_coordinates, kappa_coordinates,
     w_coordinate_names,
 )
 
@@ -41,7 +41,7 @@ def test_brown_entry_product_formula():
 
 
 def test_theta_sharp_displayed_images():
-    img = theta_sharp(4, GS1)
+    img = eval_universal(4, GS1)
     names = w_coordinate_names(GS1, 4)
     tau_e0 = ("tau_3", LOG)
     tau_e1 = ("tau_3", E1)
@@ -169,12 +169,16 @@ def test_psi_round_trip(genset, count, rng):
 
 @pytest.mark.parametrize("genset,count", [(GS1, 3), (GS2, 5)])
 def test_theta_sharp_substitution_matches_cocycle_apply(genset, count, rng):
-    # two independently coded routes to the same evaluation
-    img = theta_sharp(4, genset)
+    # cocycle_apply substitutes into the eval_universal images; the reference
+    # sums brown_entry(w, lambda, c) f_w over every word of lambda's weight
+    lams = {"log": LOG, **{"li%d" % k: LI(k) for k in range(1, 5)}}
     for _ in range(6):
         vals = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(count)]
         c = rational_coords(genset, 4, vals)
-        assert img.substitute(c) == cocycle_apply(c, 4)
+        want = {tgt: wd.ShuffleElement(genset, {w: brown_entry(w, lam, c)
+                                                for w in genset.words_of_weight(lam.weight)})
+                for tgt, lam in lams.items()}
+        assert cocycle_apply(c, 4) == want
 
 
 def test_vanishing_pattern_in_images():

@@ -407,3 +407,67 @@ def test_restricted_root_search_is_the_full_search_in_those_classes(policy):
                                         residues=residues)
             assert [(t.digits(), ok) for t, ok in got] == \
                 [(t.digits(), ok) for t, ok in full if t.lift() % p in residues]
+
+
+def locus_story(locus, M):
+    """What a locus certificate claims to M digits: zeros and Newton bounds."""
+    zeros = sorted((z.disk, z.z.val, tuple(z.z.digits(M)), z.certified)
+                   for z in locus.zeros)
+    return zeros, dict(locus.newton_bounds)
+
+
+def resampling_mismatch(p, S, M, g, extra=12):
+    """Compare locus_for at (M, g) with locus_for at (M + extra, g).
+
+    Both must name the same disks and zeros, with the same digits up to M
+    and the same Newton bounds, before and after S3-symmetrizing.  Returns
+    None when they do, else a one-line description of the first difference.
+    """
+    low, high = PrecisionPolicy(M, g), PrecisionPolicy(M + extra, g)
+    l_low, l_high = L.locus_for(p, S, 4, low), L.locus_for(p, S, 4, high)
+    for sym in (False, True):
+        a = L.s3_symmetrize(l_low, low) if sym else l_low
+        b = L.s3_symmetrize(l_high, high) if sym else l_high
+        if locus_story(a, M) != locus_story(b, M):
+            return "S=%s p=%d (M, g)=(%d, %d)%s: %r != %r" % (
+                S, p, M, g, " symmetrized" if sym else "",
+                locus_story(a, M), locus_story(b, M))
+    return None
+
+
+@pytest.mark.parametrize("S, p, M, g", [((2,), 31, 6, 3), ((2,), 31, 5, 2),
+                                        ((3,), 13, 8, 3), ((2,), 7, 12, 5)])
+def test_locus_certificate_survives_resampling(S, p, M, g):
+    """A certified common zero is still there, with the same digits, at
+    M + 12: two roots that differ in a digit they both claim are not merged.
+    tests/check_locus_resampling.py runs the whole grid."""
+    assert resampling_mismatch(p, S, M, g) is None
+
+
+def test_intersection_keeps_roots_apart_that_disagree_on_claimed_digits():
+    # at p = 31, M = 6 the weight-2 and weight-4 roots on disks 7 and 9 agree
+    # to M - g = 3 digits but differ in the fourth, which both claim
+    policy = PrecisionPolicy(6, 3)
+    locus = L.locus_for(31, (2,), 4, policy)
+    assert rational_points(locus) == ["-1", "1/2", "2"]
+    assert locus.all_certified()
+    for z in locus.zeros:
+        assert z.z.abs_precision() >= policy.M
+
+
+def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
+    # the orbit of 2 is {2, 1/2, -1}; a point 31^4 away from -1 agrees with it
+    # to M - g = 3 digits but not on the digits both claim, so 2 drops out
+    p, policy = 31, PrecisionPolicy(6, 3)
+
+    def locus(*points):
+        zeros = []
+        for q in points:
+            z = PadicNumber.from_rational(p, q, 16)
+            zeros.append(L.Zero(z.lift() % p, None, z, True, 1))
+        return L.Locus(p, policy, zeros, ["f"])
+
+    kept = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1)), policy)
+    assert sorted(z.disk for z in kept.zeros) == [2, 16, 30]
+    near = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1) + p ** 4), policy)
+    assert near.zeros == []

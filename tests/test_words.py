@@ -236,6 +236,16 @@ def test_grading_additivity(rng):
         assert weights <= expect
 
 
+@pytest.mark.parametrize("weights", [(), (1,), (2,), (1, 1), (3, 1, 2), (1, 2, 3, 5),
+                                     [2, 2, 1, 4]])
+def test_monomials_match_brute_force_in_lex_order(weights):
+    for total in range(9):
+        ranges = [range(total // w + 1) for w in weights]
+        want = [e for e in itertools.product(*ranges)
+                if sum(k * w for k, w in zip(e, weights)) == total]
+        assert list(wd.monomials(weights, total)) == want
+
+
 def test_lyndon_decomposition_round_trip():
     # every word's Lyndon polynomial expands back to the word
     for n in range(1, 6):
