@@ -92,10 +92,6 @@ def complex_P3(x):
     return li3_re(x) - li2_re(x) * lax - la1x * lax ** 2 / 3.0
 
 
-def p3_inversion_residual(x):
-    return abs(complex_P3(x) - complex_P3(1.0 / x))
-
-
 def kummer_spence_check(x=-1.0, y=1.0 / 3.0):
     """|nine-term Kummer-Spence combination - 2 zeta(3)| at (x, y)."""
     args2 = [x, y, x * (1 - y) / (x - 1), y * (1 - x) / (y - 1),

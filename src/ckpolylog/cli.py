@@ -45,7 +45,7 @@ from types import SimpleNamespace
 
 from . import archimedean, elimination, galois, loci
 from . import words as wd
-from .padic import PrecisionPolicy, is_prime, rational_reconstruct
+from .padic import PrecisionPolicy, is_prime, log_floor
 from .polylog import get_engine, padic_L3_check
 
 
@@ -100,7 +100,7 @@ def cmd_ideal(args):
         "certified": args.n <= 4 and len(S) == 1 and not failures,
         "generators": [g.to_json() for g in gens],
     }
-    if gens and len(S) == 1 and S[0] in (2, 3) and not args.abstract_only:
+    if gens and S in galois.TABLED_S and not args.abstract_only:
         assignment = galois.specialization_assignment(S)
         rows = []
         for g in gens:
@@ -139,7 +139,7 @@ def _suite_appendix(args, policy):
     res = padic_L3_check(args.p, policy)
     for name, val in sorted(res.items()):
         rows.append({"check": "padic:%s" % name, "residualValuation": val,
-                     "passed": val >= policy.M - policy.g})
+                     "passed": val >= policy.equality_threshold})
     z3 = archimedean.zeta3()
     complex_checks = [
         ("complex:KummerSpence(-1,1/3)", archimedean.kummer_spence_check()),
@@ -189,20 +189,13 @@ def _suite_identities(args, policy):
     ]
     for name, v in combos:
         rows.append({"check": name, "residualValuation": v.val_lower_bound(),
-                     "passed": v.val_lower_bound() >= policy.M - policy.g})
-    ratio = (eng.polylog(3, Fraction(9)) - 12 * eng.polylog(3, Fraction(3))) \
-        / eng.zeta_nonzero(3)
-    q = rational_reconstruct(ratio.truncate_abs(policy.M - policy.g + RECOGNITION_DIGITS),
-                             *RECOGNITION_BOUNDS)
+                     "passed": v.val_lower_bound() >= policy.equality_threshold})
+    q = galois.recognize_zeta_ratio(
+        eng, eng.polylog(3, Fraction(9)) - 12 * eng.polylog(3, Fraction(3)), 3)
     rows.append({"check": "(Li3(9)-12Li3(3))/zeta(3) = -26/3",
                  "passed": q == Fraction(-26, 3), "recognized": str(q)})
     return rows
 
-
-# the identities suite recognizes -26/3 from RECOGNITION_DIGITS digits
-# above M - g, with numerator and denominator bounds RECOGNITION_BOUNDS
-RECOGNITION_DIGITS = 4
-RECOGNITION_BOUNDS = (10 ** 4, 10 ** 3)
 
 SUITES = {
     "appendix": _suite_appendix,
@@ -308,18 +301,16 @@ def _out_unwritable(path):
 def _verify_unsupported(args):
     """Why the chosen verify suites cannot certify at this precision, or None."""
     suite = args.suite or args.suite_flag
-    digits = args.prec - args.guard
+    digits = _policy(args).equality_threshold
     if suite in ("identities", "appendix", "all") and digits <= 3:
         # zeta_p(3) has valuation 3 (more only at an irregular pair (p, p-3));
         # these suites divide by it, so it must not vanish to M - g digits
         return ("verify %s needs --prec >= %d at --guard %d: it divides by "
                 "zeta_p(3), which has valuation 3" % (suite, args.guard + 4, args.guard))
     if suite in ("identities", "all"):
-        num, den = RECOGNITION_BOUNDS
-        need = 1
-        while args.p ** need <= 2 * num * den:
-            need += 1
-        need -= RECOGNITION_DIGITS
+        # galois.recognize_zeta_ratio needs p^(M - g + RECOGNITION_DIGITS) > 2 num den
+        num, den = galois.RECOGNITION_BOUNDS
+        need = log_floor(2 * num * den, args.p) + 1 - galois.RECOGNITION_DIGITS
         if digits < need:
             return ("verify %s needs --prec >= %d at --p %d --guard %d to recognize -26/3"
                     % (suite, args.guard + need, args.p, args.guard))

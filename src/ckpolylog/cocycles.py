@@ -74,13 +74,10 @@ class CocycleCoordinates:
     Phi^sigma_{e1 e0^{2i-2}}.
     """
 
-    def __init__(self, genset, values=None, zero=Fraction(0)):
+    def __init__(self, genset, zero=Fraction(0)):
         self.genset = genset
         self.zero = zero
         self.values = {}
-        if values:
-            for (gen_id, lam), v in values.items():
-                self.set(gen_id, lam, v)
 
     def set(self, gen_id, lam, value):
         wt = self.genset.weight_of(gen_id)
@@ -243,24 +240,3 @@ def cocycle_apply(c, n):
     by the structure theorem those are the only words with a nonzero entry.
     """
     return eval_universal(n, c.genset).substitute(c)
-
-
-def extract_coordinates(applied, genset):
-    """Invert cocycle_apply on its image: read coordinates off the f-word data.
-
-    Recovers Phi^tau_{e0} from the log component and Phi^g_{e1e0^{s-1}}
-    from the pure single-generator words of each Li_k component; the
-    round trip is the data-level expression of the isomorphism Psi.
-    """
-    coords = {}
-    log_el = applied["log"]
-    for g in genset.generators:
-        if g.weight == 1:
-            coords[(g.id, LOG)] = log_el.coefficient((g.id,))
-    maxk = max(int(t[2:]) for t in applied if t.startswith("li"))
-    for k in range(1, maxk + 1):
-        el = applied["li%d" % k]
-        for g in genset.generators:
-            if g.weight == k:
-                coords[(g.id, PolylogWord.li(k))] = el.coefficient((g.id,))
-    return coords

@@ -226,11 +226,11 @@ def f_var_name(lyndon_word):
 class SubstitutionProblem:
     """The graph ideal of the universal evaluation image, ready to eliminate."""
 
-    def __init__(self, n, S, genset=None):
+    def __init__(self, n, S):
         from .galois import standard_genset
         self.n = n
         self.S = tuple(sorted(S))
-        self.genset = genset or standard_genset(self.S, n)
+        self.genset = standard_genset(self.S, n)
         image = cocycles.eval_universal(n, self.genset)
         try:
             wnames = cocycles.w_coordinate_names(self.genset, n)
@@ -342,17 +342,6 @@ class IdealElement:
                 rest[i] = 0
             cur = out.setdefault(key, Poly.zero(ring))
             out[key] = cur + Poly(ring, {tuple(rest): c})
-        return out
-
-    def canonical_form(self):
-        """Ring-independent representation for cross-problem comparisons."""
-        out = {}
-        for key, coeff in self.li_coefficients().items():
-            fterms = []
-            for e, c in coeff.terms.items():
-                mono = tuple((v, k) for v, k in zip(self.problem.ring, e) if k)
-                fterms.append((mono, c))
-            out[key] = tuple(sorted(fterms))
         return out
 
     def to_json(self):

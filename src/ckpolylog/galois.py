@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import symbols as sy
 from . import words as wd
-from .padic import valuation
+from .padic import rational_reconstruct, valuation
 from .words import ShuffleElement, TensorElement
 
 
@@ -268,21 +268,30 @@ class PeriodTable:
 
 # -- numeric resolution of zeta coefficients -----------------------------------
 
+# a zeta-coefficient is recognized from RECOGNITION_DIGITS digits above M - g,
+# within numerator and denominator bounds RECOGNITION_BOUNDS
+RECOGNITION_DIGITS = 4
+RECOGNITION_BOUNDS = (10 ** 4, 10 ** 3)
+RECOGNITION_PRIMES = (5, 7)
 
-def numeric_primitive_resolver(primes=(5, 7), policy=None,
-                               num_bound=10 ** 4, den_bound=10 ** 3):
-    """Recognize the zeta-coefficient of a symbol at two primes and compare."""
+
+def recognize_zeta_ratio(eng, num, n):
+    """The rational num / zeta_p(n) within RECOGNITION_BOUNDS, or None."""
+    ratio = num / eng.zeta_nonzero(n)
+    digits = eng.policy.equality_threshold + RECOGNITION_DIGITS
+    return rational_reconstruct(ratio.truncate_abs(digits), *RECOGNITION_BOUNDS)
+
+
+def numeric_primitive_resolver():
+    """Recognize the zeta-coefficient of a symbol at each of RECOGNITION_PRIMES; compare."""
 
     def resolve(symbol, dec_expression):
-        from .padic import rational_reconstruct
         from .polylog import get_engine
         found = {}
-        for p in primes:
-            eng = get_engine(p, policy)
-            zeta = eng.zeta_nonzero(symbol.weight)
+        for p in RECOGNITION_PRIMES:
+            eng = get_engine(p)
             num = eng.period(sy.Expression.sym(symbol)) - eng.period(dec_expression)
-            ratio = (num / zeta).truncate_abs(eng.policy.M - eng.policy.g + 4)
-            q = rational_reconstruct(ratio, num_bound, den_bound)
+            q = recognize_zeta_ratio(eng, num, symbol.weight)
             if q is None:
                 raise ArithmeticError(
                     "could not recognize the zeta coefficient of %r at p=%d" % (symbol, p))
@@ -293,7 +302,7 @@ def numeric_primitive_resolver(primes=(5, 7), policy=None,
                 "inconsistent recognition for %r: %r" % (symbol, found))
         q = vals.pop()
         return q, ("numerically recognized, cross-checked at p=%s"
-                   % ",".join(str(p) for p in primes))
+                   % ",".join(str(p) for p in RECOGNITION_PRIMES))
 
     return resolve
 
@@ -301,30 +310,27 @@ def numeric_primitive_resolver(primes=(5, 7), policy=None,
 # -- assembled tables ------------------------------------------------------------
 
 
-def build_table_z_half(resolver=None, max_weight=4):
+def build_table_z_half():
     """Period table over Z[1/2]: the Li_k(1/2) column up to weight 4."""
-    t = PeriodTable({2}, max_weight=max_weight,
-                    resolver=resolver if resolver is not None else numeric_primitive_resolver())
-    half = Fraction(1, 2)
+    t = PeriodTable({2}, resolver=numeric_primitive_resolver())
     t.ensure(sy.Symbol("log", 1, Fraction(2)))
     t.ensure(sy.Symbol("zeta", 3, Fraction(0)))
-    for k in range(2, max_weight + 1):
-        t.ensure(sy.Symbol("li", k, half))
+    for k in range(2, 5):
+        t.ensure(sy.Symbol("li", k, Fraction(1, 2)))
     return t
 
 
 P3_CHOICE = (Fraction(-2), Fraction(3))  # arguments whose Li_3 spans P_3(Z[1/6])
 
 
-def build_table_z_sixth(resolver=None, max_weight=4):
+def build_table_z_sixth():
     """Period table over Z' = Z[1/6] feeding the Z[1/3] pipeline.
 
     P_3(Z') is pinned to span{Li_3(-2), Li_3(3)} (their zeta-coefficients
     vanish by this basis choice, which is what defines sigma_3 here);
     Li_3(9) then carries the one genuinely unknown coefficient.
     """
-    t = PeriodTable({2, 3}, max_weight=max_weight,
-                    resolver=resolver if resolver is not None else numeric_primitive_resolver())
+    t = PeriodTable({2, 3}, resolver=numeric_primitive_resolver())
     t.ensure(sy.Symbol("log", 1, Fraction(2)))
     t.ensure(sy.Symbol("log", 1, Fraction(3)))
     t.ensure(sy.Symbol("zeta", 3, Fraction(0)))
@@ -334,9 +340,8 @@ def build_table_z_sixth(resolver=None, max_weight=4):
         t.ensure_choice(sy.Symbol("li", 3, z), 0,
                         "P_3 basis choice (defines sigma_3)")
     t.ensure(sy.Symbol("li", 3, Fraction(9)))
-    if max_weight >= 4:
-        t.ensure(sy.Symbol("li", 4, Fraction(3)))
-        t.ensure(sy.Symbol("li", 4, Fraction(9)))
+    t.ensure(sy.Symbol("li", 4, Fraction(3)))
+    t.ensure(sy.Symbol("li", 4, Fraction(9)))
     return t
 
 
@@ -386,30 +391,31 @@ def _tensor_coords(t12, left_basis, right_basis):
     return {k: v for k, v in out.items() if v}
 
 
-# the bases whose f_{sigma tau} period expression is tabled below
-TABLED_S = ((2,), (3,))
+# ell -> (name of the builder of the table feeding Z[1/ell], looked up at call
+# time; the points z of the Li_4(z) rows fixing f_{sigma tau}; the other tail letter)
+TABLED = {2: ("build_table_z_half", (Fraction(1, 2),), 2),
+          3: ("build_table_z_sixth", (Fraction(3), Fraction(9)), 2)}
+TABLED_S = tuple((ell,) for ell in TABLED)  # the bases whose f_{sigma tau} is tabled
 
 
 def f_sigma_tau_expression(S, table):
     """The period expression of the coordinate f_{sigma tau} over Z[1/ell].
 
     Solves the linear system expressing Li_4 at the tabled points through
-    the unknown pure-period coordinates (the sigma-headed word sigma*tau and the
-    weight-one-tail word), exactly as in half-weight 4.
+    the unknown pure-period coordinates (the sigma-headed word sigma*tau and,
+    given a second point, the weight-one-tail word), exactly as in
+    half-weight 4.
     """
     S = tuple(sorted(S))
-    if S == (2,):
-        pts = [Fraction(1, 2)]
-        tau, other_tau = 2, 2
-    elif S == (3,):
-        pts = [Fraction(3), Fraction(9)]
-        tau, other_tau = 3, 2
-    else:
-        raise ValueError("f_sigma_tau is tabled for S={2} and S={3} only")
+    if S not in TABLED_S:
+        raise ValueError("f_sigma_tau is tabled for %s only"
+                         % " and ".join("S={%d}" % ell for ell in TABLED))
+    (ell,) = S
+    _, pts, other = TABLED[ell]
     gs = table.genset
-    target_word = (sigma_id(3), tau_id(tau))
-    tail_word = (tau_id(other_tau),) + (tau_id(tau),) * 3
-    unknowns = [target_word] if S == (2,) else [target_word, tail_word]
+    target_word = (sigma_id(3), tau_id(ell))
+    tail_word = (tau_id(other),) + (tau_id(ell),) * 3
+    unknowns = [target_word, tail_word][:len(pts)]
     rows = []
     for z in pts:
         form = table.full_form(sy.Symbol("li", 4, z))
@@ -429,12 +435,12 @@ def specialization_assignment(S, table=None):
     """Period expressions for the Galois coordinates of the |S|=1 ideal.
 
     Returns {Lyndon word tuple: Expression} covering f_tau, f_sigma and
-    f_{sigma tau} for Z = Spec Z[1/ell], ell in {2, 3}.
+    f_{sigma tau} for Z = Spec Z[1/ell], ell in TABLED.
     """
     (ell,) = tuple(S)
     if table is None:
-        table = build_table_z_half() if ell == 2 else build_table_z_sixth()
-    fst = f_sigma_tau_expression((ell,), table)
+        table = globals()[TABLED[ell][0]]()
+    fst = f_sigma_tau_expression(S, table)
     return {
         (tau_id(ell),): sy.log_u(ell),
         (sigma_id(3),): sy.zeta_u(3),

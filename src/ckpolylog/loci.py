@@ -51,23 +51,6 @@ class ColemanFunction:
     def engine(self):
         return get_engine(self.p, self.policy)
 
-    def evaluate(self, z):
-        """Value at a point of X(Z_p) (z and 1-z units)."""
-        eng = self.engine
-        vals = {}
-        acc = PadicNumber.exact_zero(self.p)
-        for mono, c in self.coeffs.items():
-            term = c
-            for name, k in mono:
-                if name not in vals:
-                    if name == "log":
-                        vals[name] = eng.log(z)
-                    else:
-                        vals[name] = eng.polylog(int(name[2:]), z)
-                term = term * vals[name] ** k
-            acc = acc + term
-        return acc
-
     def local_series(self, a):
         """Power series on the disk of a in t, z = a + p t, as one IntSeries."""
         eng = self.engine
@@ -117,7 +100,7 @@ def weight2_function(p, policy=None):
     return ColemanFunction(p, policy, coeffs, weight=2, label="wt2")
 
 
-def weight4_function(p, S=(3,), policy=None, table=None):
+def weight4_function(p, S, policy=None, table=None):
     """The half-weight 4 function for Z = Spec Z[1/ell] with period coefficients."""
     from .elimination import specialize_coefficients, structured_shortcut_generators
     policy = policy or PrecisionPolicy()
@@ -137,11 +120,11 @@ class Zero:
         self.multiplicity_bound = multiplicity_bound
         self.rational_guess = rational_guess
 
-    def to_json(self, digit_count=None):
+    def to_json(self, digit_count):
         return {
             "disk": self.disk,
             "valuation": self.z.val if not self.z.is_zeroish() else None,
-            "digits": self.z.digits(digit_count) if digit_count else self.z.digits(),
+            "digits": self.z.digits(digit_count),
             "rationalGuess": None if self.rational_guess is None
             else "%d/%d" % (self.rational_guess.numerator, self.rational_guess.denominator),
             "certified": self.certified,
@@ -234,11 +217,9 @@ def _series_shift(series, r, p, workprec):
     return IntSeries(p, coeffs, s, precs=out)
 
 
-def _newton_refine(series, deriv, t0, p, workprec, rounds=None):
+def _newton_refine(series, deriv, t0, workprec):
     t = t0
-    if rounds is None:
-        rounds = max(6, workprec.bit_length() + 2)
-    for _ in range(rounds):
+    for _ in range(max(6, workprec.bit_length() + 2)):
         ft = _series_eval(series, t)
         dt = _series_eval(deriv, t)
         if not ft:
@@ -297,7 +278,7 @@ def _roots_in_unit_disk(series, p, policy, depth, residues=None):
         v = _series_eval(stripped, rv)
         d = _series_eval(deriv, rv)
         if d.unit != 0 and v.val_lower_bound() > 2 * d.valuation():
-            t = _newton_refine(stripped, deriv, rv, p, workprec)
+            t = _newton_refine(stripped, deriv, rv, workprec)
             found.append((t, True))
             continue
         if depth <= 0:
@@ -391,10 +372,8 @@ def intersect_loci(l1, l2, policy=None):
     merged = {}
     for z in zeros:
         merged.setdefault((z.disk, tuple(z.z.digits(policy.M))), z)
-    out = Locus(l1.p, policy, list(merged.values()),
-                sorted(set(l1.functions) | set(l2.functions)))
-    out.newton_bounds = dict(l1.newton_bounds)
-    return out
+    return Locus(l1.p, policy, list(merged.values()),
+                 sorted(set(l1.functions) | set(l2.functions)), dict(l1.newton_bounds))
 
 
 # half-weights of the Chabauty-Kim functions this module builds; a bound n
@@ -452,9 +431,8 @@ def s3_symmetrize(locus, policy=None):
                 break
         if ok:
             keep.append(zr)
-    out = Locus(locus.p, policy, keep, list(locus.functions) + ["s3"])
-    out.newton_bounds = dict(locus.newton_bounds)
-    return out
+    return Locus(locus.p, policy, keep, list(locus.functions) + ["s3"],
+                 dict(locus.newton_bounds))
 
 
 # -- the counterexample cocycle ------------------------------------------------
@@ -470,7 +448,7 @@ class CounterexampleReport:
 
     def passed(self, policy):
         return (all(self.symbolic.values())
-                and all(v >= policy.M - policy.g for v in self.numeric.values()))
+                and all(v >= policy.equality_threshold for v in self.numeric.values()))
 
     def to_json(self, policy):
         return {

@@ -123,7 +123,7 @@ class IntSeries:
     Coefficient n is the integer coeffs[n] modulo p^(A_n - scale), A_n its
     absolute precision.  The Frobenius-twisted series claim one precision
     prec for every coefficient (precs is None).  Residue-disk series carry
-    precs, one claim per coefficient, EXACT for an exact zero; their
+    precs, one claim per coefficient (prec is None), EXACT for an exact zero; their
     arithmetic claims each coefficient as PadicNumber would, with no object
     per operation.  Every coefficient has valuation >= scale.
     """
@@ -132,8 +132,7 @@ class IntSeries:
 
     def __init__(self, p, coeffs, scale, prec=None, precs=None):
         self.p, self.coeffs, self.scale = p, coeffs, scale
-        self.prec = min(precs, default=EXACT) if prec is None else prec
-        self.precs = precs
+        self.prec, self.precs = prec, precs
         self._vals = self._minval = self._reduced = None
 
     @classmethod

@@ -281,10 +281,6 @@ class ExprFraction:
         other = _as_fraction(other)
         return ExprFraction(self.num * other.den, self.den * other.num)
 
-    def equals(self, other):
-        other = _as_fraction(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
-
     def equals_expression(self, expr):
         return (self.num - expr * self.den).is_zero()
 

@@ -18,12 +18,17 @@ accumulated term by term and the dense Delta' solve are the references
 for the cut-by-cut coproducts and the first-cut Delta' solve in words,
 and the cobar square with one inner Delta' per outer cut and a full
 Fraction difference is the reference for the memoized one.
+Last come helpers that only the tests call: Coleman function values at a
+point, a ring-independent form of ideal elements, ExprFraction equality,
+the inverse of cocycle_apply on its image, and the P_3 inversion residual.
 """
 
 import math
 from fractions import Fraction as F
 
 import ckpolylog.words as wd
+from ckpolylog.archimedean import complex_P3
+from ckpolylog.cocycles import LOG, PolylogWord
 from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
 
@@ -330,3 +335,68 @@ def cobar_square_by_terms(a):
                      wd.reduced_coproduct(ShuffleElement.word(gs, r, c)).terms.items())
     return {k: d for k in left.keys() | right.keys()
             if (d := left.get(k, 0) - right.get(k, 0))}
+
+
+# -- helpers only the tests call ------------------------------------------------
+
+
+def coleman_evaluate(F, z):
+    """Value of a ColemanFunction at a point of X(Z_p) (z and 1-z units)."""
+    eng = F.engine
+    vals = {}
+    acc = PadicNumber.exact_zero(F.p)
+    for mono, c in F.coeffs.items():
+        term = c
+        for name, k in mono:
+            if name not in vals:
+                if name == "log":
+                    vals[name] = eng.log(z)
+                else:
+                    vals[name] = eng.polylog(int(name[2:]), z)
+            term = term * vals[name] ** k
+        acc = acc + term
+    return acc
+
+
+def canonical_form(g):
+    """Ring-independent representation of an IdealElement, for comparisons
+    across substitution problems."""
+    out = {}
+    for key, coeff in g.li_coefficients().items():
+        fterms = []
+        for e, c in coeff.terms.items():
+            mono = tuple((v, k) for v, k in zip(g.problem.ring, e) if k)
+            fterms.append((mono, c))
+        out[key] = tuple(sorted(fterms))
+    return out
+
+
+def expr_fraction_equals(a, b):
+    """a == b for ExprFractions, by cross-multiplying."""
+    return (a.num * b.den - b.num * a.den).is_zero()
+
+
+def extract_coordinates(applied, genset):
+    """Invert cocycle_apply on its image: read coordinates off the f-word data.
+
+    Recovers Phi^tau_{e0} from the log component and Phi^g_{e1e0^{s-1}}
+    from the pure single-generator words of each Li_k component; the
+    round trip is the data-level expression of the isomorphism Psi.
+    """
+    coords = {}
+    log_el = applied["log"]
+    for g in genset.generators:
+        if g.weight == 1:
+            coords[(g.id, LOG)] = log_el.coefficient((g.id,))
+    maxk = max(int(t[2:]) for t in applied if t.startswith("li"))
+    for k in range(1, maxk + 1):
+        el = applied["li%d" % k]
+        for g in genset.generators:
+            if g.weight == k:
+                coords[(g.id, PolylogWord.li(k))] = el.coefficient((g.id,))
+    return coords
+
+
+def p3_inversion_residual(x):
+    """|P_3(x) - P_3(1/x)|, zero by the inversion symmetry of P_3."""
+    return abs(complex_P3(x) - complex_P3(1.0 / x))

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from ckpolylog.archimedean import (
-    complex_P3, kummer_spence_check, li2_re, li3_re, p3_inversion_residual,
-    zeta3,
+    complex_P3, kummer_spence_check, li2_re, li3_re, zeta3,
 )
+from oracles import p3_inversion_residual
 
 PI = math.pi
 LN2 = math.log(2)

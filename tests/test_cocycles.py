@@ -6,9 +6,9 @@ import ckpolylog.galois as G
 import ckpolylog.words as wd
 from ckpolylog.cocycles import (
     LOG, CocycleCoordinates, PolylogWord, brown_entry, cocycle_apply,
-    eval_universal, extract_coordinates, kappa_coordinates,
-    w_coordinate_names,
+    eval_universal, kappa_coordinates, w_coordinate_names,
 )
+from oracles import extract_coordinates
 
 GS1 = G.standard_genset({3}, 4)       # tau_3, sigma_3
 GS2 = G.standard_genset({2, 3}, 4)    # tau_2, tau_3, sigma_3

@@ -6,6 +6,7 @@ import ckpolylog.elimination as E
 import ckpolylog.galois as G
 import ckpolylog.symbols as sy
 from ckpolylog.elimination import Poly
+from oracles import canonical_form
 
 
 def test_weight1_no_relations():
@@ -16,7 +17,7 @@ def test_weight2_generator():
     gens = E.ck_ideal_generators(2, {3})
     assert len(gens) == 1
     prob, short = E.structured_shortcut_generators({3})
-    assert gens[0].canonical_form() == short[0].canonical_form()
+    assert canonical_form(gens[0]) == canonical_form(short[0])
     assert gens[0].weight == 2
 
 
@@ -29,14 +30,14 @@ def test_weight3_nothing_new():
 def test_weight4_exactly_the_two_generators():
     gens = E.ck_ideal_generators(4, {3})
     prob, short = E.structured_shortcut_generators({3})
-    assert [g.canonical_form() for g in gens] == [s.canonical_form() for s in short]
+    assert [canonical_form(g) for g in gens] == [canonical_form(s) for s in short]
     assert [g.weight for g in gens] == [2, 8]
 
 
 def test_weight4_other_base_prime():
     gens = E.ck_ideal_generators(4, {2})
     prob, short = E.structured_shortcut_generators({2})
-    assert [g.canonical_form() for g in gens] == [s.canonical_form() for s in short]
+    assert [canonical_form(g) for g in gens] == [canonical_form(s) for s in short]
 
 
 def test_verify_vanishing_examples():

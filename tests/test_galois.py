@@ -175,3 +175,62 @@ def test_period_expression_round_trip(table_z_sixth, eng5):
     expr = table_z_sixth.period_expression_of(el)
     direct = eng5.period(sy.Expression.sym(sym_li(3, 9)))
     assert (eng5.period(expr) - direct).val_lower_bound() >= 20
+
+
+# -- the one zeta-ratio recognition ---------------------------------------------
+
+
+def _li3_nine_minus_12_li3_three(eng):
+    return eng.polylog(3, F(9)) - 12 * eng.polylog(3, F(3))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_recognize_minus_26_thirds_at_the_default_policy(p):
+    from ckpolylog.polylog import get_engine
+    eng = get_engine(p)
+    assert G.recognize_zeta_ratio(eng, _li3_nine_minus_12_li3_three(eng), 3) == F(-26, 3)
+
+
+def _least_verify_prec(p, guard=3):
+    from ckpolylog import cli
+    for M in range(guard + 1, 40):
+        args = cli.parse_args(["verify", "identities", "--p", str(p),
+                               "--prec", str(M), "--guard", str(guard)])
+        if cli._unsupported(args) is None:
+            return M
+    raise AssertionError("no --prec accepted at p=%d" % p)
+
+
+def test_resolver_and_verify_threshold_share_digits_and_bounds(monkeypatch):
+    from ckpolylog.padic import PrecisionPolicy
+    from ckpolylog.polylog import get_engine
+    num, den = G.RECOGNITION_BOUNDS
+    calls = []
+
+    def spy(x, *bounds):
+        calls.append((x.p, x.abs_precision(), bounds))
+        return real(x, *bounds)
+
+    real = G.rational_reconstruct
+    monkeypatch.setattr(G, "rational_reconstruct", spy)
+    G.build_table_z_sixth()
+    # the resolver recognizes Li_3(9)'s coefficient at each recognition prime
+    threshold = PrecisionPolicy().equality_threshold
+    assert calls == [(p, threshold + G.RECOGNITION_DIGITS, (num, den))
+                     for p in G.RECOGNITION_PRIMES]
+    for p in (5, 7, 13):
+        # verify accepts the least --prec whose recognition digits suffice for
+        # the bounds, unless the zeta_p(3) division needs more
+        M = _least_verify_prec(p)
+        digits = M - 3 + G.RECOGNITION_DIGITS
+        assert p ** digits > 2 * num * den
+        assert p ** (digits - 1) <= 2 * num * den or M == 3 + 4
+        eng = get_engine(p, PrecisionPolicy(M, 3))
+        assert G.recognize_zeta_ratio(eng, _li3_nine_minus_12_li3_three(eng), 3) == F(-26, 3)
+    # both sides read the one constant
+    least = _least_verify_prec(5)
+    monkeypatch.setattr(G, "RECOGNITION_DIGITS", G.RECOGNITION_DIGITS + 1)
+    assert _least_verify_prec(5) == least - 1
+    calls.clear()
+    G.build_table_z_sixth()
+    assert [c[1] for c in calls] == [threshold + G.RECOGNITION_DIGITS] * 2

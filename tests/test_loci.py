@@ -27,7 +27,7 @@ def wt2_locus_7(policy):
 def test_assemble_weight2(policy):
     f = L.weight2_function(5, policy)
     assert f.coeffs[(("li2", 1),)].lift() % 5 != 0
-    v = f.evaluate(F(2))
+    v = oracles.coleman_evaluate(f, F(2))
     assert v.val_lower_bound() >= policy.M
 
 
@@ -45,7 +45,7 @@ def test_weight2_zero_set_p7(wt2_locus_7):
 def test_root_soundness(wt2_locus_5, policy):
     f = L.weight2_function(5, policy)
     for z in wt2_locus_5.zeros:
-        assert f.evaluate(z.z).val_lower_bound() >= policy.M
+        assert oracles.coleman_evaluate(f, z.z).val_lower_bound() >= policy.M
 
 
 def test_root_completeness_net_scan(policy, wt2_locus_5):
@@ -59,7 +59,7 @@ def test_root_completeness_net_scan(policy, wt2_locus_5):
                 z = PadicNumber.from_rational(p, a + p * t0 + p * p * t1,
                                               policy.workprec())
                 near = any((z - r).val_lower_bound() >= 3 for r in roots)
-                val = f.evaluate(z).val_lower_bound()
+                val = oracles.coleman_evaluate(f, z).val_lower_bound()
                 if not near:
                     assert val < policy.M, (a, t0, t1, val)
 
@@ -99,9 +99,9 @@ def test_weight4_filter_values(p, policy, table_z_sixth):
     f4 = L.weight4_function(p, S=(3,), policy=policy, table=table_z_sixth)
     content = min(c.valuation() for c in f4.coeffs.values())
     for z in (F(2), F(1, 2)):
-        v = f4.evaluate(z)
+        v = oracles.coleman_evaluate(f4, z)
         assert v.val_lower_bound() - content <= policy.M - 6
-    v = f4.evaluate(F(-1))
+    v = oracles.coleman_evaluate(f4, F(-1))
     assert v.val_lower_bound() - content >= policy.M - policy.g
 
 
@@ -194,7 +194,7 @@ def test_weight4_over_z_half_vanishes_on_integral_points(p, policy, table_z_half
     f4 = L.weight4_function(p, S=(2,), policy=policy, table=table_z_half)
     content = min(c.valuation() for c in f4.coeffs.values())
     for z in (F(2), F(1, 2), F(-1)):
-        assert f4.evaluate(z).val_lower_bound() - content >= policy.M
+        assert oracles.coleman_evaluate(f4, z).val_lower_bound() - content >= policy.M
     locus = L.locus_for(p, (2,), 4, policy, table=table_z_half)
     assert rational_points(locus) == ["-1", "1/2", "2"]
     assert locus.all_certified()
@@ -203,7 +203,7 @@ def test_weight4_over_z_half_vanishes_on_integral_points(p, policy, table_z_half
 def test_assemble_zero_element_gives_zero_function(policy):
     f = L.assemble_coleman({}, 5, policy, label="zero")
     assert f.coeffs == {}
-    assert f.evaluate(F(2)).is_exact_zero()
+    assert oracles.coleman_evaluate(f, F(2)).is_exact_zero()
 
 
 def test_assemble_bad_disk_coefficient_propagates(policy):
