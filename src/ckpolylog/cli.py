@@ -46,7 +46,7 @@ from types import SimpleNamespace
 from . import archimedean, elimination, galois, loci
 from . import words as wd
 from .padic import PrecisionPolicy, is_prime, log_floor
-from .polylog import get_engine, padic_L3_check
+from .polylog import get_engine, padic_L3_check, unsupported_prime
 
 
 class UsageError(ValueError):
@@ -254,8 +254,9 @@ def parse_args(argv):
     if command not in FLAGS:
         raise UsageError("argument command: invalid choice: %r (choose from %s)"
                          % (command, ", ".join(map(repr, FLAGS))))
-    args = SimpleNamespace(command=command, S=(3,), p=5, n=4, prec=12, guard=3, out=None,
-                           abstract_only=False, symmetrize=False, suite=None,
+    default = PrecisionPolicy()
+    args = SimpleNamespace(command=command, S=(3,), p=5, n=4, prec=default.M, guard=default.g,
+                           out=None, abstract_only=False, symmetrize=False, suite=None,
                            suite_flag=None)
     options = dict(OPTIONS)
     if command == "verify":
@@ -325,16 +326,16 @@ def _unsupported(args):
         return reason
     if args.command == "ideal":
         return "ideal needs --n >= 1" if args.n < 1 else None
-    if args.p in (2, 3):
-        return "numerics need p > 3"
+    if reason := unsupported_prime(args.p):
+        return reason
     if args.p in args.S:
         return "working prime must avoid S"
     if args.command == "locus":
         if args.n < 2:
             return "locus needs --n >= 2: no Chabauty-Kim function has weight below 2"
         if args.n >= 4 and args.S not in galois.TABLED_S:
-            return ("locus --n >= 4 needs --S 2 or --S 3: the weight-4 function's "
-                    "periods are tabled for those only")
+            return ("locus --n >= 4 needs %s: the weight-4 function's periods are "
+                    "tabled for those only" % " or ".join("--S %d" % ell for ell in galois.TABLED))
         if len(args.S) > 1:
             return ("locus needs a single prime in --S: its Chabauty-Kim "
                     "functions are built for Z[1/l] only")

@@ -14,6 +14,10 @@ substitution; we compute it three ways:
 
 Polynomials are words.LinearCombination subclasses keyed by dense
 exponent tuples, with Fraction coefficients and lex order.
+
+Buchberger's guard is the module constants: a basis element above degree
+MAX_DEGREE, or more than MAX_STEPS reduction steps in one groebner or
+ideal_member call, raises EliminationGuard.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from . import cocycles, words
 
 class EliminationGuard(RuntimeError):
     """Degree or step budget exceeded during Buchberger's algorithm."""
+
+
+MAX_DEGREE = 12
+MAX_STEPS = 10 ** 6
 
 
 class Poly(words.LinearCombination):
@@ -127,11 +135,14 @@ def _exp_lcm(ea, eb):
     return tuple(max(a, b) for a, b in zip(ea, eb))
 
 
-def reduce_poly(f, basis, guard=None):
-    """Full multivariate division of f by the basis (lex order)."""
+def reduce_poly(f, basis, steps):
+    """Full multivariate division of f by the basis (lex order).
+
+    steps numbers the reduction steps of one computation (an itertools.count
+    its calls share); past MAX_STEPS it raises EliminationGuard.
+    """
     rem = Poly(f.ring)
     work = f
-    steps = 0
     while work.terms:
         e, c = work.leading()
         hit = None
@@ -147,32 +158,14 @@ def reduce_poly(f, basis, guard=None):
         g, ge, gc = hit
         factor = Poly(f.ring, {_exp_sub(e, ge): c / gc})
         work = work - factor * g
-        steps += 1
-        if guard is not None:
-            guard.count(steps_inc=1)
+        if next(steps) > MAX_STEPS:
+            raise EliminationGuard("reduction step budget %d exceeded" % MAX_STEPS)
     return rem
 
 
-class _Guard:
-    def __init__(self, max_degree=12, max_steps=10 ** 6):
-        self.max_degree = max_degree
-        self.max_steps = max_steps
-        self.steps = 0
-
-    def count(self, steps_inc=0):
-        self.steps += steps_inc
-        if self.steps > self.max_steps:
-            raise EliminationGuard("reduction step budget %d exceeded" % self.max_steps)
-
-    def check_degree(self, poly):
-        if poly.total_degree() > self.max_degree:
-            raise EliminationGuard(
-                "degree %d exceeds guard %d" % (poly.total_degree(), self.max_degree))
-
-
-def groebner(gens, max_degree=12, max_steps=10 ** 6):
+def groebner(gens):
     """Buchberger with the lcm criterion; returns the reduced lex basis."""
-    guard = _Guard(max_degree, max_steps)
+    steps = itertools.count(1)
     basis = [g for g in gens if g.terms]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
@@ -186,16 +179,18 @@ def groebner(gens, max_degree=12, max_steps=10 ** 6):
         si = Poly(fi.ring, {_exp_sub(l, ei): Fraction(1) / ci})
         sj = Poly(fj.ring, {_exp_sub(l, ej): Fraction(1) / cj})
         s = si * fi - sj * fj
-        s = reduce_poly(s, basis, guard)
+        s = reduce_poly(s, basis, steps)
         if s.terms:
-            guard.check_degree(s)
+            if s.total_degree() > MAX_DEGREE:
+                raise EliminationGuard(
+                    "degree %d exceeds guard %d" % (s.total_degree(), MAX_DEGREE))
             basis.append(s)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     # inter-reduce to the unique reduced basis
     reduced = []
     for i, g in enumerate(basis):
         others = [h for j, h in enumerate(basis) if j != i and h.terms]
-        r = reduce_poly(g, others, guard)
+        r = reduce_poly(g, others, steps)
         if r.terms:
             reduced.append(r.scale(Fraction(1) / r.leading()[1]))
     # drop duplicates, sort for determinism
@@ -205,9 +200,8 @@ def groebner(gens, max_degree=12, max_steps=10 ** 6):
     return sorted(uniq.values(), key=lambda g: sorted(g.terms.items(), reverse=True))
 
 
-def ideal_member(f, basis_gens, max_degree=14, max_steps=10 ** 6):
-    gb = groebner(basis_gens, max_degree, max_steps)
-    return not reduce_poly(f, gb, _Guard(max_degree, max_steps)).terms
+def ideal_member(f, basis_gens):
+    return not reduce_poly(f, groebner(basis_gens), itertools.count(1)).terms
 
 
 # -- the substitution ring ---------------------------------------------------
@@ -355,20 +349,20 @@ class IdealElement:
         return {"weight": self.weight, "terms": rows}
 
 
-def ck_ideal_generators(n, S, max_degree=12, max_steps=10 ** 6):
+def ck_ideal_generators(n, S):
     """Minimal graded generators of the elimination kernel, normalized.
 
     Certified for n <= 4 and |S| = 1 by the cross-checks in the test
     suite; larger inputs run the same machinery best-effort.
     """
     prob = SubstitutionProblem(n, S)
-    gb = groebner(prob.graph_ideal(), max_degree, max_steps)
+    gb = groebner(prob.graph_ideal())
     phi_idx = [prob.ring.index(v) for v in prob.phi_names]
     eliminated = [g for g in gb if not g.uses_vars(phi_idx)]
     eliminated.sort(key=lambda g: (prob.weight(g) or 10 ** 9, sorted(g.terms)))
     kept = []
     for g in eliminated:
-        if kept and ideal_member(g, kept, max_degree, max_steps):
+        if kept and ideal_member(g, kept):
             continue
         kept.append(g)
     out = [IdealElement(prob, g).normalized() for g in kept]

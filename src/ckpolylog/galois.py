@@ -39,29 +39,6 @@ def sigma_id(k):
     return "sigma_%d" % k
 
 
-def kummer_degree_one(z, S, genset=None):
-    """log(z) in the f-basis: sum over ell in S of ord_ell(z) f_{tau_ell}.
-
-    Torsion dies (log(-1) = 0); a prime outside S in the support of z is
-    an error naming the offender.
-    """
-    z = Fraction(z)
-    if z == 0:
-        raise ValueError("log of zero")
-    genset = genset or standard_genset(S, 1)
-    el = ShuffleElement.zero(genset)
-    rest = abs(z)
-    for ell in sorted(S):
-        v, rest = valuation(rest, ell)
-        if v:
-            el = el + ShuffleElement.word(genset, (tau_id(ell),), Fraction(v))
-    if rest != 1:
-        bad = sy._factor(rest.numerator * rest.denominator)
-        raise ValueError("%s is not an S-unit for S=%s: prime %d interferes"
-                         % (z, sorted(S), min(bad)))
-    return el
-
-
 def _is_s_unit(q, S):
     rest = Fraction(q)
     for ell in S:
@@ -175,16 +152,6 @@ class PeriodTable:
         if self.resolver is not None:
             prim, provenance = self.resolver(symbol, self.period_expression_of(dec))
         return TableEntry(dec, prim, provenance)
-
-    def expand_in_basis(self, symbol):
-        """Spec-facing wrapper: (word form, primitive coefficient or None)."""
-        if isinstance(symbol, sy.Expression):
-            mono = list(symbol.terms)
-            if len(mono) != 1 or len(mono[0]) != 1 or symbol.terms[mono[0]] != 1:
-                raise ValueError("expand_in_basis wants a single symbol")
-            symbol = mono[0][0]
-        e = self.entry(symbol)
-        return e.word_form, e.prim
 
     # -- expressions <-> words ---------------------------------------------------
 

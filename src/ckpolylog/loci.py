@@ -23,6 +23,10 @@ which from 2 up needs the same disk and the same t mod p, and the
 restricted search returns the full one's roots in those classes in the
 same order, so the intersection is unchanged.  Every disk still gets its
 local series, Newton bound and flatness check.
+
+A locus holds at one PrecisionPolicy (M, g): the function builders take
+it, find_zeros reads it off the ColemanFunction, s3_symmetrize off the
+Locus, and intersect_loci rejects two loci at different policies.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from fractions import Fraction
 
 from . import cocycles, galois
 from . import symbols as sy
-from .padic import PadicNumber, PrecisionPolicy, padic_agree, rational_reconstruct, valuation
-from .polylog import (EXACT, IntSeries, get_engine, _power_tables, _series_eval,
-                      _series_multiply, _top)
+from .padic import PadicNumber, padic_agree, rational_reconstruct, valuation
+from .polylog import (EXACT, IntSeries, get_engine, unsupported_prime, _power_tables,
+                      _series_eval, _series_multiply, _top)
 
 
 class ColemanFunction:
@@ -77,13 +81,12 @@ class ColemanFunction:
                 "terms": rows}
 
 
-def assemble_coleman(specialized, p, policy=None, label="", weight=None):
+def assemble_coleman(specialized, p, policy, label="", weight=None):
     """Evaluate the period coefficients of a specialized ideal element.
 
     specialized maps Li-monomials to motivic Expressions (the output of
     specialize_coefficients); bad-disk coefficients propagate as errors.
     """
-    policy = policy or PrecisionPolicy()
     eng = get_engine(p, policy)
     coeffs = {}
     for mono, expr in specialized.items():
@@ -91,19 +94,17 @@ def assemble_coleman(specialized, p, policy=None, label="", weight=None):
     return ColemanFunction(p, policy, coeffs, weight=weight, label=label)
 
 
-def weight2_function(p, policy=None):
+def weight2_function(p, policy):
     """Li_2 - (1/2) log Li_1, the half-weight 2 locus cutter for any Z[1/ell]."""
-    policy = policy or PrecisionPolicy()
     half = PadicNumber.from_rational(p, Fraction(-1, 2), policy.workprec())
     one = PadicNumber.from_rational(p, 1, policy.workprec())
     coeffs = {(("li2", 1),): one, (("li1", 1), ("log", 1)): half}
     return ColemanFunction(p, policy, coeffs, weight=2, label="wt2")
 
 
-def weight4_function(p, S, policy=None, table=None):
+def weight4_function(p, S, policy, table=None):
     """The half-weight 4 function for Z = Spec Z[1/ell] with period coefficients."""
     from .elimination import specialize_coefficients, structured_shortcut_generators
-    policy = policy or PrecisionPolicy()
     prob, gens = structured_shortcut_generators(set(S))
     assignment = galois.specialization_assignment(S, table=table)
     spec = specialize_coefficients(gens[1], assignment)
@@ -139,9 +140,6 @@ class Locus:
         self.p, self.policy = p, policy
         self.zeros, self.functions = zeros, functions
         self.newton_bounds = {} if newton_bounds is None else newton_bounds
-
-    def points(self):
-        return [z.z for z in self.zeros]
 
     def all_certified(self):
         return all(z.certified for z in self.zeros)
@@ -245,7 +243,7 @@ def _residues(series):
     return [u // p ** -s % p for u in series.coeffs]
 
 
-def _roots_in_unit_disk(series, p, policy, depth, residues=None):
+def _roots_in_unit_disk(series, policy, depth, residues=None):
     """Exhaustive digit search for roots t in Z_p; returns (t, certified) pairs.
 
     Each level strips the p-power content so that the residue test
@@ -255,7 +253,7 @@ def _roots_in_unit_disk(series, p, policy, depth, residues=None):
     sought: the result is the full search's roots in those classes, in the
     same order.
     """
-    workprec = policy.workprec()
+    p, workprec = series.p, policy.workprec()
     candidates = range(p) if residues is None else residues
     stripped, _ = _strip_content(series)
     if stripped is None:
@@ -285,12 +283,12 @@ def _roots_in_unit_disk(series, p, policy, depth, residues=None):
             found.append((rv, False))
             continue
         shifted = _series_shift(stripped, r, p, workprec)
-        for (s, ok) in _roots_in_unit_disk(shifted, p, policy, depth - 1):
+        for (s, ok) in _roots_in_unit_disk(shifted, policy, depth - 1):
             found.append((rv + p * s, ok))
     return found
 
 
-def _residue_classes(locus, policy):
+def _residue_classes(locus):
     """disk -> ascending residues t mod p of the locus's points on it, or None.
 
     A zero z = a + p t can agree with a locus point only if val(z - z') >=
@@ -298,7 +296,7 @@ def _residue_classes(locus, policy):
     point known to fewer than two digits agrees with nothing.)  Below 2
     every class can agree: None.
     """
-    if policy.equality_threshold < 2:
+    if locus.policy.equality_threshold < 2:
         return None
     p = locus.p
     classes = {}
@@ -307,16 +305,15 @@ def _residue_classes(locus, policy):
     return {a: sorted(rs) for a, rs in classes.items()}
 
 
-def find_zeros(F, policy=None, within=None):
-    """All zeros of F on X(Z_p), disk by disk, with certificates.
+def find_zeros(F, within=None):
+    """All zeros of F on X(Z_p), disk by disk, with certificates at F.policy.
 
     Given a locus within, roots are isolated only in the residue classes
     of its points, which leaves intersect_loci(within, result) unchanged.
     """
-    policy = policy or F.policy
-    p = F.p
+    p, policy = F.p, F.policy
     threshold = policy.workprec() - policy.g
-    classes = None if within is None else _residue_classes(within, policy)
+    classes = None if within is None else _residue_classes(within)
     zeros = []
     bounds = {}
     for a in range(2, p):
@@ -330,7 +327,7 @@ def find_zeros(F, policy=None, within=None):
         residues = None if classes is None else classes.get(a, [])
         if bound == 0 or residues == []:
             continue
-        roots = _roots_in_unit_disk(series, p, policy, depth=policy.M, residues=residues)
+        roots = _roots_in_unit_disk(series, policy, depth=policy.M, residues=residues)
         for t, certified in roots:
             z = a + p * t
             guess = None
@@ -350,16 +347,16 @@ def _same_point(x, y, policy):
     return padic_agree(x, y, policy) and (x - y).is_zeroish()
 
 
-def intersect_loci(l1, l2, policy=None):
+def intersect_loci(l1, l2):
     """Common points: a root of each function, merged by _same_point.
 
     A merged zero is certified when both roots are: each function has a
     Hensel root there and the two roots agree on every digit both claim.
     That does not prove the two roots equal.
     """
-    if l1.p != l2.p:
-        raise ValueError("loci at different primes")
-    policy = policy or l1.policy
+    if (l1.p, l1.policy) != (l2.p, l2.policy):
+        raise ValueError("loci at different primes or policies")
+    policy = l1.policy
     zeros = []
     for z1 in l1.zeros:
         for z2 in l2.zeros:
@@ -386,20 +383,19 @@ def used_weights(n):
     return [w for w in FUNCTION_WEIGHTS if w <= n]
 
 
-def locus_for(p, S, n, policy=None, symmetrize=False, table=None):
+def locus_for(p, S, n, policy, symmetrize=False, table=None):
     """The full pipeline: functions for the weight bound, zeros, intersection."""
-    policy = policy or PrecisionPolicy()
     build = {2: lambda: weight2_function(p, policy),
              4: lambda: weight4_function(p, S=tuple(sorted(S)), policy=policy,
                                          table=table)}
     fns = [build[w]() for w in used_weights(n)]
     if not fns:
         raise ValueError("no Chabauty-Kim functions below weight 2")
-    locus = find_zeros(fns[0], policy)
+    locus = find_zeros(fns[0])
     for f in fns[1:]:
-        locus = intersect_loci(locus, find_zeros(f, policy, within=locus), policy)
+        locus = intersect_loci(locus, find_zeros(f, within=locus))
     if symmetrize:
-        locus = s3_symmetrize(locus, policy)
+        locus = s3_symmetrize(locus)
     return locus
 
 
@@ -411,16 +407,16 @@ def s3_images(z):
     return (z, one - z, one / z, one / (one - z), z / (z - one), (z - one) / z)
 
 
-def s3_symmetrize(locus, policy=None):
+def s3_symmetrize(locus):
     """Intersection of the locus with its six Moebius translates.
 
     A point survives iff its entire orbit stays inside the locus, each
     image matching a locus point by _same_point; orbit images that leave
     the good disks are compared against every locus point before being
     discarded (they can never match, since locus points are units with
-    unit 1-z).
+    unit 1-z).  Points match at the locus's own policy.
     """
-    policy = policy or locus.policy
+    policy = locus.policy
     pts = [z.z for z in locus.zeros]
     keep = []
     for zr in locus.zeros:
@@ -460,7 +456,7 @@ class CounterexampleReport:
         }
 
 
-def counterexample_cocycle(ell, n, p, policy=None):
+def counterexample_cocycle(ell, n, p, policy):
     """Verify that -1 lies in the weight-n polylogarithmic locus over Z[1/ell].
 
     Builds the field-valued cocycle with w_0 = 0, w_1 = Li_1(-1)/log(ell),
@@ -468,9 +464,8 @@ def counterexample_cocycle(ell, n, p, policy=None):
     has zero log and even Li components and Li_k(-1) odd components, then
     numerically that the p-adic realization agrees with the image of -1.
     """
-    policy = policy or PrecisionPolicy()
-    if p == ell or p <= 3:
-        raise ValueError("need p > 3 different from ell")
+    if (reason := unsupported_prime(p)) or p == ell:
+        raise ValueError(reason or "need p different from ell")
     genset = galois.standard_genset({ell}, n)
     zero = sy.ExprFraction.zero()
     coords = cocycles.CocycleCoordinates(genset, zero=zero)

@@ -369,14 +369,21 @@ def _twisted_kernel(p, degree, weights, digits):
     return series
 
 
+def unsupported_prime(p):
+    """Why the numerics cannot run at p, or None: they need a prime p >= 5."""
+    if p < 5:
+        return "numerics need p > 3"
+    if not is_prime(p):
+        return "%d is not prime" % p
+    return None
+
+
 class PolylogEngine:
     """All p-adic polylogarithm numerics for one prime and one policy."""
 
     def __init__(self, p, policy=None, max_weight=4):
-        if p in (2, 3):
-            raise ValueError("numerics are restricted to p >= 5")
-        if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
+        if reason := unsupported_prime(p):
+            raise ValueError(reason)
         self.p = p
         self.policy = policy or PrecisionPolicy()
         self.max_weight = max_weight
@@ -682,7 +689,7 @@ class PolylogEngine:
                 + self.polylog(1, z) * lg * lg / 2)
 
 
-def padic_L3_check(p, policy=None):
+def padic_L3_check(p, policy):
     """Residual valuations for the p-adic Kummer-Spence instance.
 
     Returns a dict of valuation lower bounds for

@@ -20,16 +20,19 @@ and the cobar square with one inner Delta' per outer cut and a full
 Fraction difference is the reference for the memoized one.
 Last come helpers that only the tests call: Coleman function values at a
 point, a ring-independent form of ideal elements, ExprFraction equality,
-the inverse of cocycle_apply on its image, and the P_3 inversion residual.
+the inverse of cocycle_apply on its image, the P_3 inversion residual,
+log(z) in the f-basis, and a period table's expansion of one symbol.
 """
 
 import math
 from fractions import Fraction as F
 
+import ckpolylog.symbols as sy
 import ckpolylog.words as wd
 from ckpolylog.archimedean import complex_P3
 from ckpolylog.cocycles import LOG, PolylogWord
-from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller
+from ckpolylog.galois import standard_genset, tau_id
+from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller, valuation
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
 
 
@@ -400,3 +403,37 @@ def extract_coordinates(applied, genset):
 def p3_inversion_residual(x):
     """|P_3(x) - P_3(1/x)|, zero by the inversion symmetry of P_3."""
     return abs(complex_P3(x) - complex_P3(1.0 / x))
+
+
+def kummer_degree_one(z, S, genset=None):
+    """log(z) in the f-basis: sum over ell in S of ord_ell(z) f_{tau_ell}.
+
+    Torsion dies (log(-1) = 0); a prime outside S in the support of z is
+    an error naming the offender.
+    """
+    z = F(z)
+    if z == 0:
+        raise ValueError("log of zero")
+    genset = genset or standard_genset(S, 1)
+    el = ShuffleElement.zero(genset)
+    rest = abs(z)
+    for ell in sorted(S):
+        v, rest = valuation(rest, ell)
+        if v:
+            el = el + ShuffleElement.word(genset, (tau_id(ell),), F(v))
+    if rest != 1:
+        bad = sy._factor(rest.numerator * rest.denominator)
+        raise ValueError("%s is not an S-unit for S=%s: prime %d interferes"
+                         % (z, sorted(S), min(bad)))
+    return el
+
+
+def expand_in_basis(table, symbol):
+    """(word form, primitive coefficient or None) of one symbol in a period table."""
+    if isinstance(symbol, sy.Expression):
+        mono = list(symbol.terms)
+        if len(mono) != 1 or len(mono[0]) != 1 or symbol.terms[mono[0]] != 1:
+            raise ValueError("expand_in_basis wants a single symbol")
+        symbol = mono[0][0]
+    e = table.entry(symbol)
+    return e.word_form, e.prim

@@ -95,7 +95,7 @@ def test_criterion_5_weight2_locus(policy):
     t0 = time.time()
     ok = True
     for p in (5, 7):
-        locus = L.find_zeros(L.weight2_function(p, policy), policy)
+        locus = L.find_zeros(L.weight2_function(p, policy))
         guesses = sorted(str(z.rational_guess) for z in locus.zeros)
         ok = ok and guesses == ["-1", "1/2", "2"] and locus.all_certified()
     report(5, ok, "certified weight-2 zeros {2, 1/2, -1} at p = 5 and 7",
@@ -127,7 +127,7 @@ def test_criterion_7_symmetrized_locus(policy, table_z_sixth):
     for p in (5, 7):
         locus = L.locus_for(p, (3,), 4, policy, table=table_z_sixth)
         ok = ok and [str(z.rational_guess) for z in locus.zeros] == ["-1"]
-        sym = L.s3_symmetrize(locus, policy)
+        sym = L.s3_symmetrize(locus)
         ok = ok and sym.zeros == []
     report(7, ok, "X(Z_p)_{PL,4} = {-1} and S_3-symmetrization empty, p = 5, 7",
            time.time() - t0, 62)

@@ -233,11 +233,31 @@ def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
     # recognizing -26/3 needs 5^(M - g + 4) > 2 * 10^4 * 10^3
     (("verify", "identities", "--p", "5", "--prec", "7"),
      "verify identities needs --prec >= 10 at --p 5 --guard 3"),
+    (("locus", "--p", "3"), "numerics need p > 3"),
+    (("locus", "--S", "5", "--p", "5"), "working prime must avoid S"),
 ])
 def test_cli_rejects_unsupported_input(argv, message):
     # ideal --S 2,3 runs the elimination until its degree guard fires (~1.5 s)
     stderr = _assert_rejected(argv, message, timeout=60)
     assert stderr.count("\n") == 1
+
+
+def test_untabled_base_message_names_every_tabled_base(monkeypatch):
+    import ckpolylog.cli as cli
+    import ckpolylog.galois as galois
+    monkeypatch.setattr(galois, "TABLED", {**galois.TABLED, 11: galois.TABLED[3]})
+    reason = cli._unsupported(cli.parse_args(["locus", "--S", "7", "--p", "5"]))
+    assert reason.startswith("locus --n >= 4 needs --S 2 or --S 3 or --S 11: ")
+
+
+def test_readme_exit_2_list_names_the_tabled_bases():
+    import ckpolylog.galois as galois
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = " ".join(fh.read().split())
+    bases = " or ".join("`{%d}`" % ell for ell in galois.TABLED)
+    assert "`locus --n >= 4` with `S` other than %s" % bases in text
 
 
 @pytest.mark.parametrize("argv", [("locus", "--S", "3", "--p", "5"), ("ideal", "--S", "3")])

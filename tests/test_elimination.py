@@ -159,9 +159,10 @@ def test_specialize_missing_coordinate_errors():
         E.specialize_coefficients(short[1], {("tau_3",): sy.log_u(3)})
 
 
-def test_weight5_best_effort_no_new_relation():
+def test_weight5_best_effort_no_new_relation(monkeypatch):
     # the new coordinate w_3 matches the new function Li_5: nothing new
-    gens = E.ck_ideal_generators(5, {3}, max_degree=14)
+    monkeypatch.setattr(E, "MAX_DEGREE", 14)
+    gens = E.ck_ideal_generators(5, {3})
     assert [g.weight for g in gens] == [2, 8]
     for g in gens:
         assert E.verify_vanishing(g)
@@ -173,9 +174,10 @@ def test_two_prime_base_runs_best_effort():
     assert E.ck_ideal_generators(2, {2, 3}) == []
 
 
-def test_guard_trips_on_tiny_budget():
+def test_guard_trips_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(E, "MAX_STEPS", 3)
     with pytest.raises(E.EliminationGuard):
-        E.ck_ideal_generators(4, {3}, max_steps=3)
+        E.ck_ideal_generators(4, {3})
 
 
 def test_ideal_element_json():

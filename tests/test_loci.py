@@ -16,12 +16,12 @@ def rational_points(locus):
 
 @pytest.fixture(scope="module")
 def wt2_locus_5(policy):
-    return L.find_zeros(L.weight2_function(5, policy), policy)
+    return L.find_zeros(L.weight2_function(5, policy))
 
 
 @pytest.fixture(scope="module")
 def wt2_locus_7(policy):
-    return L.find_zeros(L.weight2_function(7, policy), policy)
+    return L.find_zeros(L.weight2_function(7, policy))
 
 
 def test_assemble_weight2(policy):
@@ -72,7 +72,7 @@ def test_li1_zero_set_is_teichmuller_oracle(policy):
     f = L.ColemanFunction(p, policy, {(("li1", 1),):
                                       PadicNumber.from_rational(p, 1, policy.workprec())},
                           weight=1, label="li1")
-    locus = L.find_zeros(f, policy)
+    locus = L.find_zeros(f)
     expected = []
     for a in (2, 3, 4):
         theta = eng.teichmuller_point(a)
@@ -87,7 +87,7 @@ def test_find_zeros_rejects_flat_function(policy):
     zero = PadicNumber.zero_to(5, policy.workprec())
     f = L.ColemanFunction(5, policy, {(("li2", 1),): zero}, label="flat")
     with pytest.raises(ArithmeticError):
-        L.find_zeros(f, policy)
+        L.find_zeros(f)
 
 
 def test_newton_bound_counts(wt2_locus_5):
@@ -119,12 +119,20 @@ def test_intersection_set_logic(wt2_locus_5, policy):
         L.Zero(4, minus_one, minus_one, True, 1, F(-1)),
         L.Zero(2, junk, junk, False, 2, None),
     ], ["other"])
-    both = L.intersect_loci(wt2_locus_5, other, policy)
+    both = L.intersect_loci(wt2_locus_5, other)
     assert rational_points(both) == ["-1"]
     assert both.zeros[0].certified
     # L cap L = L
-    self_cap = L.intersect_loci(wt2_locus_5, wt2_locus_5, policy)
+    self_cap = L.intersect_loci(wt2_locus_5, wt2_locus_5)
     assert rational_points(self_cap) == rational_points(wt2_locus_5)
+
+
+def test_intersection_rejects_loci_at_different_policies(wt2_locus_5, policy):
+    other = L.Locus(5, PrecisionPolicy(policy.M + 1, policy.g), [], ["other"])
+    with pytest.raises(ValueError, match="different primes or policies"):
+        L.intersect_loci(wt2_locus_5, other)
+    with pytest.raises(ValueError, match="different primes or policies"):
+        L.intersect_loci(other, wt2_locus_5)
 
 
 def test_containment_functoriality(policy, wt2_locus_5, table_z_sixth):
@@ -138,18 +146,18 @@ def test_containment_functoriality(policy, wt2_locus_5, table_z_sixth):
 def test_s3_symmetrize_minus_one_empties(policy, wt2_locus_5):
     minus_one_only = L.Locus(5, policy, [z for z in wt2_locus_5.zeros
                                          if z.rational_guess == F(-1)], ["wt"])
-    out = L.s3_symmetrize(minus_one_only, policy)
+    out = L.s3_symmetrize(minus_one_only)
     assert out.zeros == []
 
 
 def test_s3_symmetrize_empty_and_stable(policy, wt2_locus_5):
     empty = L.Locus(5, policy, [], ["none"])
-    assert L.s3_symmetrize(empty, policy).zeros == []
+    assert L.s3_symmetrize(empty).zeros == []
     # {2, 1/2, -1} is a full S_3 orbit, hence stable
-    sym = L.s3_symmetrize(wt2_locus_5, policy)
+    sym = L.s3_symmetrize(wt2_locus_5)
     assert rational_points(sym) == rational_points(wt2_locus_5)
     # idempotence and containment in the original
-    again = L.s3_symmetrize(sym, policy)
+    again = L.s3_symmetrize(sym)
     assert rational_points(again) == rational_points(sym)
     assert {str(z.rational_guess) for z in sym.zeros} <= {
         str(z.rational_guess) for z in wt2_locus_5.zeros}
@@ -167,7 +175,7 @@ def test_s3_images_orbit_of_two(policy):
 
 def test_locus_json_deterministic(policy, wt2_locus_5):
     a = json.dumps(wt2_locus_5.to_json(), sort_keys=True)
-    again = L.find_zeros(L.weight2_function(5, policy), policy)
+    again = L.find_zeros(L.weight2_function(5, policy))
     b = json.dumps(again.to_json(), sort_keys=True)
     assert a == b
     data = wt2_locus_5.to_json()
@@ -220,7 +228,7 @@ def test_double_roots_reported_uncertified_not_dropped(policy):
     p = 5
     one = PadicNumber.from_rational(p, 1, policy.workprec())
     f = L.ColemanFunction(p, policy, {(("li1", 2),): one}, weight=2, label="li1sq")
-    locus = L.find_zeros(f, policy)
+    locus = L.find_zeros(f)
     assert locus.newton_bounds == {2: 2, 3: 2, 4: 2}
     assert not locus.all_certified()
     eng = get_engine(p, policy)
@@ -349,26 +357,26 @@ def test_locus_for_equals_intersection_of_full_searches(p, S, policy, table_z_ha
     table = table_z_half if S == (2,) else table_z_sixth
     f2 = L.weight2_function(p, policy)
     f4 = L.weight4_function(p, S=S, policy=policy, table=table)
-    l2 = L.find_zeros(f2, policy)
-    full = L.intersect_loci(l2, L.find_zeros(f4, policy), policy)
+    l2 = L.find_zeros(f2)
+    full = L.intersect_loci(l2, L.find_zeros(f4))
     for symmetrize in (False, True):
-        want = L.s3_symmetrize(full, policy) if symmetrize else full
+        want = L.s3_symmetrize(full) if symmetrize else full
         got = L.locus_for(p, S, 4, policy, symmetrize=symmetrize, table=table)
         assert got.to_json() == want.to_json(), symmetrize
-    within = L.find_zeros(f4, policy, within=l2)
-    assert within.newton_bounds == L.find_zeros(f4, policy).newton_bounds
+    within = L.find_zeros(f4, within=l2)
+    assert within.newton_bounds == L.find_zeros(f4).newton_bounds
     if p == 13:
         # the restriction is what saves the work: fewer weight-4 zeros isolated
-        assert len(within.zeros) < len(L.find_zeros(f4, policy).zeros)
+        assert len(within.zeros) < len(L.find_zeros(f4).zeros)
 
 
 def test_locus_for_restricts_the_second_search_only(policy, table_z_sixth, monkeypatch):
     seen = []
     real = L.find_zeros
 
-    def spy(f, policy=None, within=None):
+    def spy(f, within=None):
         seen.append(within)
-        return real(f, policy, within=within)
+        return real(f, within=within)
 
     monkeypatch.setattr(L, "find_zeros", spy)
     L.locus_for(5, (3,), 4, policy, table=table_z_sixth)
@@ -381,7 +389,7 @@ def test_locus_for_at_equality_threshold_one(p):
     # class of a disk with a locus point is searched
     policy = PrecisionPolicy(4, 3)
     f2, f4 = L.weight2_function(p, policy), L.weight4_function(p, S=(3,), policy=policy)
-    full = L.intersect_loci(L.find_zeros(f2, policy), L.find_zeros(f4, policy), policy)
+    full = L.intersect_loci(L.find_zeros(f2), L.find_zeros(f4))
     assert L.locus_for(p, (3,), 4, policy).to_json() == full.to_json()
 
 
@@ -390,9 +398,9 @@ def test_restricted_root_search_is_the_full_search_in_those_classes(policy):
     f4 = L.weight4_function(p, S=(3,), policy=policy)
     for a in range(2, p):
         series = f4.local_series(a)
-        full = L._roots_in_unit_disk(series, p, policy, depth=policy.M)
+        full = L._roots_in_unit_disk(series, policy, depth=policy.M)
         for residues in ([], [0], [1, 5, 12], list(range(p))):
-            got = L._roots_in_unit_disk(series, p, policy, depth=policy.M,
+            got = L._roots_in_unit_disk(series, policy, depth=policy.M,
                                         residues=residues)
             want = [(t, ok) for t, ok in full if t.lift() % p in residues]
             assert [(t.digits(), t.val, ok) for t, ok in got] == \
@@ -401,9 +409,9 @@ def test_restricted_root_search_is_the_full_search_in_those_classes(policy):
     flat = IntSeries.from_padics(p, [PadicNumber.zero_to(p, 9)] * 4)
     coarse = IntSeries.from_padics(p, [PadicNumber.from_rational(p, c, 3) for c in (1, 2, 1)])
     for series in (flat, coarse):
-        full = L._roots_in_unit_disk(series, p, policy, depth=policy.M)
+        full = L._roots_in_unit_disk(series, policy, depth=policy.M)
         for residues in ([], [0], [1, 5, 12]):
-            got = L._roots_in_unit_disk(series, p, policy, depth=policy.M,
+            got = L._roots_in_unit_disk(series, policy, depth=policy.M,
                                         residues=residues)
             assert [(t.digits(), ok) for t, ok in got] == \
                 [(t.digits(), ok) for t, ok in full if t.lift() % p in residues]
@@ -426,8 +434,8 @@ def resampling_mismatch(p, S, M, g, extra=12):
     low, high = PrecisionPolicy(M, g), PrecisionPolicy(M + extra, g)
     l_low, l_high = L.locus_for(p, S, 4, low), L.locus_for(p, S, 4, high)
     for sym in (False, True):
-        a = L.s3_symmetrize(l_low, low) if sym else l_low
-        b = L.s3_symmetrize(l_high, high) if sym else l_high
+        a = L.s3_symmetrize(l_low) if sym else l_low
+        b = L.s3_symmetrize(l_high) if sym else l_high
         if locus_story(a, M) != locus_story(b, M):
             return "S=%s p=%d (M, g)=(%d, %d)%s: %r != %r" % (
                 S, p, M, g, " symmetrized" if sym else "",
@@ -467,7 +475,7 @@ def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
             zeros.append(L.Zero(z.lift() % p, None, z, True, 1))
         return L.Locus(p, policy, zeros, ["f"])
 
-    kept = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1)), policy)
+    kept = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1)))
     assert sorted(z.disk for z in kept.zeros) == [2, 16, 30]
-    near = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1) + p ** 4), policy)
+    near = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1) + p ** 4))
     assert near.zeros == []
