@@ -207,11 +207,7 @@ SUITES = {
 
 def cmd_verify(args):
     policy = _policy(args)
-    suite = args.suite or args.suite_flag
-    if suite is None:
-        print("verify needs a suite (positional or --suite)", file=sys.stderr)
-        return 2
-    names = list(SUITES) if suite == "all" else [suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     payload = {"command": "verify", "suites": {}, "p": args.p,
                "policy": {"M": policy.M, "g": policy.g}}
     for name in names:
@@ -256,11 +252,10 @@ def parse_args(argv):
                          % (command, ", ".join(map(repr, FLAGS))))
     default = PrecisionPolicy()
     args = SimpleNamespace(command=command, S=(3,), p=5, n=4, prec=default.M, guard=default.g,
-                           out=None, abstract_only=False, symmetrize=False, suite=None,
-                           suite_flag=None)
+                           out=None, abstract_only=False, symmetrize=False, suite=None)
     options = dict(OPTIONS)
     if command == "verify":
-        options["--suite"] = ("suite_flag", _parse_suite)
+        options["--suite"] = ("suite", _parse_suite)
     i = 0
     while i < len(rest):
         token = rest[i]
@@ -280,6 +275,9 @@ def parse_args(argv):
             name, dest, parse, value = "suite", "suite", _parse_suite, token
         else:
             raise UsageError("unrecognized arguments: %s" % token)
+        if dest == "suite" and args.suite is not None:
+            raise UsageError("argument %s: the suite is named twice: %r and %r"
+                             % (name, args.suite, value))
         try:
             setattr(args, dest, parse(value))
         except UsageError as exc:
@@ -301,20 +299,19 @@ def _out_unwritable(path):
 
 def _verify_unsupported(args):
     """Why the chosen verify suites cannot certify at this precision, or None."""
-    suite = args.suite or args.suite_flag
     digits = _policy(args).equality_threshold
-    if suite in ("identities", "appendix", "all") and digits <= 3:
+    if args.suite in ("identities", "appendix", "all") and digits <= 3:
         # zeta_p(3) has valuation 3 (more only at an irregular pair (p, p-3));
         # these suites divide by it, so it must not vanish to M - g digits
         return ("verify %s needs --prec >= %d at --guard %d: it divides by "
-                "zeta_p(3), which has valuation 3" % (suite, args.guard + 4, args.guard))
-    if suite in ("identities", "all"):
+                "zeta_p(3), which has valuation 3" % (args.suite, args.guard + 4, args.guard))
+    if args.suite in ("identities", "all"):
         # galois.recognize_zeta_ratio needs p^(M - g + RECOGNITION_DIGITS) > 2 num den
         num, den = galois.RECOGNITION_BOUNDS
         need = log_floor(2 * num * den, args.p) + 1 - galois.RECOGNITION_DIGITS
         if digits < need:
             return ("verify %s needs --prec >= %d at --p %d --guard %d to recognize -26/3"
-                    % (suite, args.guard + need, args.p, args.guard))
+                    % (args.suite, args.guard + need, args.p, args.guard))
     return None
 
 
@@ -326,6 +323,8 @@ def _unsupported(args):
         return reason
     if args.command == "ideal":
         return "ideal needs --n >= 1" if args.n < 1 else None
+    if args.command == "verify" and args.suite is None:
+        return "verify needs a suite (positional or --suite)"
     if reason := unsupported_prime(args.p):
         return reason
     if args.p in args.S:
@@ -339,9 +338,11 @@ def _unsupported(args):
         if len(args.S) > 1:
             return ("locus needs a single prime in --S: its Chabauty-Kim "
                     "functions are built for Z[1/l] only")
-    if (args.command == "verify" and len(args.S) != 1
-            and (args.suite or args.suite_flag) in ("counterexample", "all")):
-        return "verify counterexample needs a single prime in --S"
+    if args.command == "verify" and args.suite in ("counterexample", "all"):
+        if len(args.S) != 1:
+            return "verify counterexample needs a single prime in --S"
+        if args.n < 1:
+            return "verify counterexample needs --n >= 1"
     if args.command == "verify":
         return _verify_unsupported(args)
     return None

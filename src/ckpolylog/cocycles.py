@@ -10,7 +10,6 @@ splits read left to right, and f_{sigma tau} means sigma followed by tau.
 That structure theorem is coded once, in eval_universal: its images of
 log and Li_k are polynomials in the coordinates with f-word coefficients,
 and cocycle_apply evaluates a cocycle by substituting into them.
-brown_entry states single entries, as an independent check.
 
 Coordinate values may live in any commutative coefficient object with
 +, *, and truthiness (exact rationals, p-adics, expression fractions,
@@ -95,38 +94,6 @@ class CocycleCoordinates:
             raise KeyError("missing cocycle coordinate (%s, %r)" % (gen_id, lam))
 
 
-def brown_entry(word, lam, c):
-    """Matrix entry phi^word_lambda(c) via the structure theorem.
-
-    Nonzero cases: word = g tau_1...tau_r against e1 e0^{n-1} with all tail
-    letters of weight one, and pure weight-one words against e0^i (the
-    bookkeeping dual of log-powers).  Everything else vanishes.
-    """
-    gs = c.genset
-    wt = gs.word_weight(word)
-    if wt != lam.weight:
-        raise ValueError("word/lambda weight mismatch: %d vs %d" % (wt, lam.weight))
-    if lam.kind == "e0":
-        val = None
-        for g in word:
-            if gs.weight_of(g) != 1:
-                return c.zero
-            x = c.get(g, LOG)
-            val = x if val is None else val * x
-        return val if val is not None else c.zero
-    # lam = e1 e0^{k-1}
-    if not word:
-        return c.zero
-    head, tail = word[0], word[1:]
-    if any(gs.weight_of(g) != 1 for g in tail):
-        return c.zero
-    s = gs.weight_of(head)
-    val = c.get(head, PolylogWord.li(s))
-    for g in tail:
-        val = val * c.get(g, LOG)
-    return val
-
-
 class EvaluationImage:
     """Images of log and Li_1..Li_n as polynomials in Phi with f-word coefficients.
 
@@ -134,13 +101,9 @@ class EvaluationImage:
     -> ShuffleElement}.
     """
 
-    def __init__(self, genset, n, images):
+    def __init__(self, genset, images):
         self.genset = genset
-        self.n = n
         self.images = images
-
-    def targets(self):
-        return ["log"] + ["li%d" % k for k in range(1, self.n + 1)]
 
     def substitute(self, coords):
         """Plug a CocycleCoordinates into each image; returns target -> ShuffleElement."""
@@ -158,18 +121,6 @@ class EvaluationImage:
                     acc = acc + ShuffleElement(self.genset,
                                                {w: cf * val for w, cf in fel.terms.items()})
             out[tgt] = acc
-        return out
-
-    def to_json(self):
-        out = {}
-        for tgt in self.targets():
-            rows = []
-            for mono, fel in sorted(self.images[tgt].items()):
-                rows.append({
-                    "phi": [coordinate_name(g, lam) for (g, lam) in mono],
-                    "coeff": fel.to_json(),
-                })
-            out[tgt] = rows
         return out
 
 
@@ -208,7 +159,7 @@ def eval_universal(n, genset):
                     else:
                         poly[mono] = fel
         images["li%d" % k] = poly
-    return EvaluationImage(genset, n, images)
+    return EvaluationImage(genset, images)
 
 
 def w_coordinate_names(genset, n):

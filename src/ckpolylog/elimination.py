@@ -61,9 +61,9 @@ class Poly(words.LinearCombination):
         return cls(ring, {(0,) * len(ring): c})
 
     @classmethod
-    def var(cls, ring, name, power=1):
+    def var(cls, ring, name):
         e = [0] * len(ring)
-        e[ring.index(name)] = power
+        e[ring.index(name)] = 1
         return cls(ring, {tuple(e): Fraction(1)})
 
     @staticmethod

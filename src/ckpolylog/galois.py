@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import symbols as sy
 from . import words as wd
-from .padic import rational_reconstruct, valuation
+from .padic import PrecisionPolicy, rational_reconstruct, valuation
 from .words import ShuffleElement, TensorElement
 
 
@@ -256,7 +256,7 @@ def numeric_primitive_resolver():
         from .polylog import get_engine
         found = {}
         for p in RECOGNITION_PRIMES:
-            eng = get_engine(p)
+            eng = get_engine(p, PrecisionPolicy())
             num = eng.period(sy.Expression.sym(symbol)) - eng.period(dec_expression)
             q = recognize_zeta_ratio(eng, num, symbol.weight)
             if q is None:
@@ -398,16 +398,21 @@ def f_sigma_tau_expression(S, table):
     return rows[0][-1]
 
 
-def specialization_assignment(S, table=None):
+# ell -> its period table, built once per process; the builder is looked up by
+# name, so a wrapper installed on it is the one that runs
+_TABLES = {}
+
+
+def specialization_assignment(S):
     """Period expressions for the Galois coordinates of the |S|=1 ideal.
 
     Returns {Lyndon word tuple: Expression} covering f_tau, f_sigma and
     f_{sigma tau} for Z = Spec Z[1/ell], ell in TABLED.
     """
     (ell,) = tuple(S)
-    if table is None:
-        table = globals()[TABLED[ell][0]]()
-    fst = f_sigma_tau_expression(S, table)
+    if ell not in _TABLES:
+        _TABLES[ell] = globals()[TABLED[ell][0]]()
+    fst = f_sigma_tau_expression(S, _TABLES[ell])
     return {
         (tau_id(ell),): sy.log_u(ell),
         (sigma_id(3),): sy.zeta_u(3),

@@ -44,11 +44,10 @@ from .polylog import (EXACT, IntSeries, get_engine, unsupported_prime, _power_ta
 class ColemanFunction:
     """Polynomial in {log, li1..lin} with PadicNumber coefficients."""
 
-    def __init__(self, p, policy, coeffs, weight=None, label=""):
+    def __init__(self, p, policy, coeffs, label=""):
         self.p = p
         self.policy = policy
         self.coeffs = dict(coeffs)
-        self.weight = weight
         self.label = label
 
     @property
@@ -71,17 +70,8 @@ class ColemanFunction:
             out = out + term
         return out
 
-    def to_json(self):
-        rows = []
-        for mono, c in sorted(self.coeffs.items()):
-            rows.append({"monomial": ["%s^%d" % (n, k) if k > 1 else n
-                                      for n, k in mono],
-                         "value": c.to_json()})
-        return {"p": self.p, "label": self.label, "weight": self.weight,
-                "terms": rows}
 
-
-def assemble_coleman(specialized, p, policy, label="", weight=None):
+def assemble_coleman(specialized, p, policy, label=""):
     """Evaluate the period coefficients of a specialized ideal element.
 
     specialized maps Li-monomials to motivic Expressions (the output of
@@ -91,7 +81,7 @@ def assemble_coleman(specialized, p, policy, label="", weight=None):
     coeffs = {}
     for mono, expr in specialized.items():
         coeffs[tuple(mono)] = eng.period(expr)
-    return ColemanFunction(p, policy, coeffs, weight=weight, label=label)
+    return ColemanFunction(p, policy, coeffs, label=label)
 
 
 def weight2_function(p, policy):
@@ -99,24 +89,23 @@ def weight2_function(p, policy):
     half = PadicNumber.from_rational(p, Fraction(-1, 2), policy.workprec())
     one = PadicNumber.from_rational(p, 1, policy.workprec())
     coeffs = {(("li2", 1),): one, (("li1", 1), ("log", 1)): half}
-    return ColemanFunction(p, policy, coeffs, weight=2, label="wt2")
+    return ColemanFunction(p, policy, coeffs, label="wt2")
 
 
-def weight4_function(p, S, policy, table=None):
+def weight4_function(p, S, policy):
     """The half-weight 4 function for Z = Spec Z[1/ell] with period coefficients."""
     from .elimination import specialize_coefficients, structured_shortcut_generators
     prob, gens = structured_shortcut_generators(set(S))
-    assignment = galois.specialization_assignment(S, table=table)
+    assignment = galois.specialization_assignment(S)
     spec = specialize_coefficients(gens[1], assignment)
-    return assemble_coleman(spec, p, policy, label="wt4[S=%s]" % ",".join(map(str, S)),
-                            weight=4)
+    return assemble_coleman(spec, p, policy, label="wt4[S=%s]" % ",".join(map(str, S)))
 
 
 class Zero:
     """A zero z = disk + p t of a Coleman function, with its certificate."""
 
-    def __init__(self, disk, t, z, certified, multiplicity_bound, rational_guess=None):
-        self.disk, self.t, self.z = disk, t, z
+    def __init__(self, disk, z, certified, multiplicity_bound, rational_guess=None):
+        self.disk, self.z = disk, z
         self.certified = certified
         self.multiplicity_bound = multiplicity_bound
         self.rational_guess = rational_guess
@@ -337,7 +326,7 @@ def find_zeros(F, within=None):
                     1000, 1000)
             except ValueError:
                 pass
-            zeros.append(Zero(a, t, z, certified,
+            zeros.append(Zero(a, z, certified,
                               1 if certified else bound, guess))
     return Locus(p, policy, zeros, [F.label] if F.label else [], bounds)
 
@@ -361,7 +350,7 @@ def intersect_loci(l1, l2):
     for z1 in l1.zeros:
         for z2 in l2.zeros:
             if _same_point(z1.z, z2.z, policy):
-                zeros.append(Zero(z1.disk, z1.t, z1.z,
+                zeros.append(Zero(z1.disk, z1.z,
                                   z1.certified and z2.certified,
                                   min(z1.multiplicity_bound, z2.multiplicity_bound),
                                   z1.rational_guess or z2.rational_guess))
@@ -383,11 +372,10 @@ def used_weights(n):
     return [w for w in FUNCTION_WEIGHTS if w <= n]
 
 
-def locus_for(p, S, n, policy, symmetrize=False, table=None):
+def locus_for(p, S, n, policy, symmetrize=False):
     """The full pipeline: functions for the weight bound, zeros, intersection."""
     build = {2: lambda: weight2_function(p, policy),
-             4: lambda: weight4_function(p, S=tuple(sorted(S)), policy=policy,
-                                         table=table)}
+             4: lambda: weight4_function(p, S=tuple(sorted(S)), policy=policy)}
     fns = [build[w]() for w in used_weights(n)]
     if not fns:
         raise ValueError("no Chabauty-Kim functions below weight 2")

@@ -281,14 +281,6 @@ class PadicNumber:
             return NotImplemented
         return (self.p, self.val, self.unit, self.rel) == (other.p, other.val, other.unit, other.rel)
 
-    def shift(self, k):
-        """Multiply by p^k exactly (no precision loss)."""
-        if self.is_exact_zero():
-            return self
-        if self.unit == 0:
-            return PadicNumber.zero_to(self.p, self.val + k)
-        return PadicNumber(self.p, self.val + k, self.unit, self.rel)
-
     def truncate_abs(self, abs_prec):
         if self.unit == 0:
             if self.val is None or self.val >= abs_prec:
@@ -310,13 +302,6 @@ class PadicNumber:
         s = " + ".join("%d*%d^%d" % (d, self.p, self.val + i)
                        for i, d in enumerate(ds) if d)
         return "%s + O(%d^%d)" % (s or "0", self.p, self.abs_precision())
-
-    def to_json(self):
-        if self.unit == 0:
-            return {"p": self.p, "zero": True,
-                    "prec": None if self.val is None else self.val}
-        return {"p": self.p, "val": self.val, "digits": self.digits(),
-                "prec": self.abs_precision()}
 
 
 def padic_agree(x, y, policy):

@@ -86,8 +86,8 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .padic import (PadicNumber, PrecisionPolicy, PrecisionError, is_prime, iwasawa_log,
-                    log_floor, teichmuller, valuation)
+from .padic import (PadicNumber, PrecisionError, is_prime, iwasawa_log, log_floor,
+                    teichmuller, valuation)
 from .symbols import Expression
 
 
@@ -381,11 +381,11 @@ def unsupported_prime(p):
 class PolylogEngine:
     """All p-adic polylogarithm numerics for one prime and one policy."""
 
-    def __init__(self, p, policy=None, max_weight=4):
+    def __init__(self, p, policy, max_weight=4):
         if reason := unsupported_prime(p):
             raise ValueError(reason)
         self.p = p
-        self.policy = policy or PrecisionPolicy()
+        self.policy = policy
         self.max_weight = max_weight
         self.workprec = self.policy.workprec()
         # absolute precision every global twisted series keeps (see the
@@ -714,8 +714,7 @@ def padic_L3_check(p, policy):
 _ENGINES = {}
 
 
-def get_engine(p, policy=None, max_weight=4):
-    policy = policy or PrecisionPolicy()
+def get_engine(p, policy, max_weight=4):
     key = (p, policy.M, policy.g, max_weight)
     if key not in _ENGINES:
         _ENGINES[key] = PolylogEngine(p, policy, max_weight)

@@ -98,16 +98,6 @@ class Expression(LinearCombination):
             out = out * self
         return out
 
-    def symbols(self):
-        return {s for m in self.terms for s in m}
-
-    def weights(self):
-        return sorted({sum(s.weight for s in m) for m in self.terms})
-
-    def graded_part(self, n):
-        return self._new({m: c for m, c in self.terms.items()
-                          if sum(s.weight for s in m) == n})
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: (len(mc[0]), repr(mc[0])))
 

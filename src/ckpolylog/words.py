@@ -1,11 +1,11 @@
 """Free graded shuffle Hopf algebras over exact rationals.
 
-Words in a graded alphabet, the shuffle product, the deconcatenation
-coproduct and its reduced/bidegree variants, plus the Lyndon-word
+Words in a graded alphabet, the shuffle product, the reduced
+deconcatenation coproduct and its cobar square, plus the Lyndon-word
 polynomial decomposition used to present the algebra as a free
 commutative polynomial ring, and monomials, the one enumerator of
 monomials of a given weight in weighted variables.  A cut (u, v)
-determines its word uv, so the coproducts are read off the cuts term by
+determines its word uv, so the coproduct is read off the cuts term by
 term, with no two terms to add.  The package's two exact cores live
 here: LinearCombination (with add_term), the one implementation of
 sparse exact combinations behind ShuffleElement, TensorElement,
@@ -313,12 +313,6 @@ class TensorElement(LinearCombination):
                 if c:
                     self.terms[(tuple(k[0]), tuple(k[1]))] = c
 
-    def bidegree_part(self, i, j):
-        gs = self.genset
-        return self._new({
-            (l, r): c for (l, r), c in self.terms.items()
-            if gs.word_weight(l) == i and gs.word_weight(r) == j})
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -344,15 +338,6 @@ def shuffle_product(a, b):
     return a._new(terms)
 
 
-def deconcat_coproduct(a):
-    """Deconcatenation: every way of cutting each word in two.
-
-    A cut (u, v) determines its word uv, so no two terms meet.
-    """
-    return TensorElement(a.genset, {(w[:i], w[i:]): c for w, c in a.terms.items()
-                                    for i in range(len(w) + 1)})
-
-
 def reduced_coproduct(a):
     """Delta'(x) = Delta(x) - x (x) 1 - 1 (x) x + eps(x) 1 (x) 1: the proper cuts.
 
@@ -360,20 +345,6 @@ def reduced_coproduct(a):
     """
     return TensorElement(a.genset, {(w[:i], w[i:]): c for w, c in a.terms.items()
                                     for i in range(1, len(w))})
-
-
-def project_bidegree(t, i, j):
-    """Keep the terms with left weight i and right weight j."""
-    if i < 0 or j < 0:
-        raise ValueError("bidegrees must be nonnegative")
-    return t.bidegree_part(i, j)
-
-
-def graded_dimension(genset, n):
-    """Number of words of half-weight n."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    return len(genset.words_of_weight(n))
 
 
 def cobar_square(a):

@@ -17,7 +17,9 @@ PadicNumbers is the reference for the integer one.  The coproducts
 accumulated term by term and the dense Delta' solve are the references
 for the cut-by-cut coproducts and the first-cut Delta' solve in words,
 and the cobar square with one inner Delta' per outer cut and a full
-Fraction difference is the reference for the memoized one.
+Fraction difference is the reference for the memoized one.  Single
+matrix entries by the structure theorem (brown_entry) are the reference
+for cocycle_apply's substitution into the eval_universal images.
 Last come helpers that only the tests call: Coleman function values at a
 point, a ring-independent form of ideal elements, ExprFraction equality,
 the inverse of cocycle_apply on its image, the P_3 inversion residual,
@@ -338,6 +340,38 @@ def cobar_square_by_terms(a):
                      wd.reduced_coproduct(ShuffleElement.word(gs, r, c)).terms.items())
     return {k: d for k in left.keys() | right.keys()
             if (d := left.get(k, 0) - right.get(k, 0))}
+
+
+def brown_entry(word, lam, c):
+    """Matrix entry phi^word_lambda(c) via the structure theorem.
+
+    Nonzero cases: word = g tau_1...tau_r against e1 e0^{n-1} with all tail
+    letters of weight one, and pure weight-one words against e0^i (the
+    bookkeeping dual of log-powers).  Everything else vanishes.
+    """
+    gs = c.genset
+    wt = gs.word_weight(word)
+    if wt != lam.weight:
+        raise ValueError("word/lambda weight mismatch: %d vs %d" % (wt, lam.weight))
+    if lam.kind == "e0":
+        val = None
+        for g in word:
+            if gs.weight_of(g) != 1:
+                return c.zero
+            x = c.get(g, LOG)
+            val = x if val is None else val * x
+        return val if val is not None else c.zero
+    # lam = e1 e0^{k-1}
+    if not word:
+        return c.zero
+    head, tail = word[0], word[1:]
+    if any(gs.weight_of(g) != 1 for g in tail):
+        return c.zero
+    s = gs.weight_of(head)
+    val = c.get(head, PolylogWord.li(s))
+    for g in tail:
+        val = val * c.get(g, LOG)
+    return val
 
 
 # -- helpers only the tests call ------------------------------------------------

@@ -102,12 +102,12 @@ def test_criterion_5_weight2_locus(policy):
            time.time() - t0, 120)
 
 
-def test_criterion_6_weight4_filter(policy, table_z_sixth):
+def test_criterion_6_weight4_filter(policy):
     t0 = time.time()
     ok = True
     detail = []
     for p in (5, 7):
-        f4 = L.weight4_function(p, S=(3,), policy=policy, table=table_z_sixth)
+        f4 = L.weight4_function(p, S=(3,), policy=policy)
         # the weight-4 period coefficients share a p-power content (val zeta_p(3) = 3);
         # thresholds apply to content-normalized valuations (see ledger)
         content = min(c.valuation() for c in f4.coeffs.values())
@@ -121,11 +121,11 @@ def test_criterion_6_weight4_filter(policy, table_z_sixth):
     report(6, ok, "; ".join(detail), time.time() - t0, 60)
 
 
-def test_criterion_7_symmetrized_locus(policy, table_z_sixth):
+def test_criterion_7_symmetrized_locus(policy):
     t0 = time.time()
     ok = True
     for p in (5, 7):
-        locus = L.locus_for(p, (3,), 4, policy, table=table_z_sixth)
+        locus = L.locus_for(p, (3,), 4, policy)
         ok = ok and [str(z.rational_guess) for z in locus.zeros] == ["-1"]
         sym = L.s3_symmetrize(locus)
         ok = ok and sym.zeros == []

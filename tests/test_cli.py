@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,10 @@ def _assert_rejected(argv, message, timeout):
     (("verify", "hopf", "identities"), "unrecognized arguments: identities"),
     (("verify", "nope"), "argument suite: invalid choice: 'nope'"),
     (("verify", "--suite", "nope"), "argument --suite: invalid choice: 'nope'"),
+    # the suite is named once, either way
+    (("verify", "hopf", "--suite", "identities"),
+     "argument --suite: the suite is named twice: 'hopf' and 'identities'"),
+    (("verify", "--suite", "hopf", "identities"), "unrecognized arguments: identities"),
 ])
 def test_cli_argument_errors_are_one_line(argv, message, capsys):
     code = main(list(argv))
@@ -182,6 +187,21 @@ def test_cli_help_prints_the_module_docstring(flag, capsys):
     assert main(["locus", flag]) == 0
     captured = capsys.readouterr()
     assert captured.out == cli.__doc__ and captured.err == ""
+
+
+def test_cli_docstring_states_the_parsed_defaults():
+    # -h prints the docstring, so each "(default X)" in it must be what
+    # parse_args gives when the option is left out
+    import ckpolylog.cli as cli
+    documented = dict(re.findall(r"^  (--\w+) .*\(default (\S+)\)$", cli.__doc__, re.M))
+    for command in cli.FLAGS:
+        args = cli.parse_args([command])
+        for option, (attr, parse) in cli.OPTIONS.items():
+            default = getattr(args, attr)
+            if default is None:
+                assert option not in documented, (command, option)
+            else:
+                assert parse(documented[option]) == default, (command, option)
 
 
 def test_cli_option_spellings_and_defaults(capsys):
@@ -235,6 +255,11 @@ def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
      "verify identities needs --prec >= 10 at --p 5 --guard 3"),
     (("locus", "--p", "3"), "numerics need p > 3"),
     (("locus", "--S", "5", "--p", "5"), "working prime must avoid S"),
+    (("verify", "counterexample", "--p", "5", "--n", "0"), "verify counterexample needs --n >= 1"),
+    (("verify", "all", "--p", "5", "--n", "0"), "verify counterexample needs --n >= 1"),
+    (("verify", "counterexample", "--p", "5", "--n", "-2"),
+     "verify counterexample needs --n >= 1"),
+    (("verify", "--p", "5"), "verify needs a suite (positional or --suite)"),
 ])
 def test_cli_rejects_unsupported_input(argv, message):
     # ideal --S 2,3 runs the elimination until its degree guard fires (~1.5 s)

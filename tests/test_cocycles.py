@@ -5,10 +5,10 @@ import pytest
 import ckpolylog.galois as G
 import ckpolylog.words as wd
 from ckpolylog.cocycles import (
-    LOG, CocycleCoordinates, PolylogWord, brown_entry, cocycle_apply,
+    LOG, CocycleCoordinates, PolylogWord, cocycle_apply,
     eval_universal, kappa_coordinates, w_coordinate_names,
 )
-from oracles import extract_coordinates
+from oracles import brown_entry, extract_coordinates
 
 GS1 = G.standard_genset({3}, 4)       # tau_3, sigma_3
 GS2 = G.standard_genset({2, 3}, 4)    # tau_2, tau_3, sigma_3
@@ -198,10 +198,3 @@ def test_coordinate_slot_validation():
     c.set("tau_3", LOG, F(1))
     with pytest.raises(KeyError):
         c.get("sigma_3", LI(3))
-
-
-def test_evaluation_image_json_shape():
-    img = eval_universal(2, GS1)
-    data = img.to_json()
-    assert set(data) == {"log", "li1", "li2"}
-    assert data["log"][0]["phi"] == ["Phi[tau_3;e0]"]

@@ -136,7 +136,7 @@ def test_specialize_weight2_unchanged():
 
 def test_specialize_weight4_verbatim(table_z_sixth):
     prob, short = E.structured_shortcut_generators({3})
-    assignment = G.specialization_assignment((3,), table=table_z_sixth)
+    assignment = G.specialization_assignment((3,))
     spec = E.specialize_coefficients(short[1], assignment)
     fst = G.f_sigma_tau_expression((3,), table_z_sixth)
     z3l3 = sy.zeta_u(3) * sy.log_u(3)
@@ -147,7 +147,7 @@ def test_specialize_weight4_verbatim(table_z_sixth):
 
 def test_specialize_weight4_z_half(table_z_half):
     prob, short = E.structured_shortcut_generators({2})
-    assignment = G.specialization_assignment((2,), table=table_z_half)
+    assignment = G.specialization_assignment((2,))
     spec = E.specialize_coefficients(short[1], assignment)
     fst = G.f_sigma_tau_expression((2,), table_z_half)
     assert spec[(("log", 1), ("li3", 1))] == fst.scale(-24)

@@ -187,8 +187,9 @@ def _li3_nine_minus_12_li3_three(eng):
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_recognize_minus_26_thirds_at_the_default_policy(p):
+    from ckpolylog.padic import PrecisionPolicy
     from ckpolylog.polylog import get_engine
-    eng = get_engine(p)
+    eng = get_engine(p, PrecisionPolicy())
     assert G.recognize_zeta_ratio(eng, _li3_nine_minus_12_li3_three(eng), 3) == F(-26, 3)
 
 

@@ -71,7 +71,7 @@ def test_li1_zero_set_is_teichmuller_oracle(policy):
     one = PadicNumber.from_rational(p, 1, policy.workprec())
     f = L.ColemanFunction(p, policy, {(("li1", 1),):
                                       PadicNumber.from_rational(p, 1, policy.workprec())},
-                          weight=1, label="li1")
+                          label="li1")
     locus = L.find_zeros(f)
     expected = []
     for a in (2, 3, 4):
@@ -95,8 +95,8 @@ def test_newton_bound_counts(wt2_locus_5):
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_weight4_filter_values(p, policy, table_z_sixth):
-    f4 = L.weight4_function(p, S=(3,), policy=policy, table=table_z_sixth)
+def test_weight4_filter_values(p, policy):
+    f4 = L.weight4_function(p, S=(3,), policy=policy)
     content = min(c.valuation() for c in f4.coeffs.values())
     for z in (F(2), F(1, 2)):
         v = oracles.coleman_evaluate(f4, z)
@@ -106,8 +106,8 @@ def test_weight4_filter_values(p, policy, table_z_sixth):
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_locus_weight4_is_minus_one(p, policy, table_z_sixth):
-    locus = L.locus_for(p, (3,), 4, policy, table=table_z_sixth)
+def test_locus_weight4_is_minus_one(p, policy):
+    locus = L.locus_for(p, (3,), 4, policy)
     assert rational_points(locus) == ["-1"]
     assert locus.all_certified()
 
@@ -116,8 +116,8 @@ def test_intersection_set_logic(wt2_locus_5, policy):
     junk = PadicNumber.from_rational(5, 123456, policy.workprec())
     minus_one = PadicNumber.from_rational(5, -1, policy.workprec())
     other = L.Locus(5, policy, [
-        L.Zero(4, minus_one, minus_one, True, 1, F(-1)),
-        L.Zero(2, junk, junk, False, 2, None),
+        L.Zero(4, minus_one, True, 1, F(-1)),
+        L.Zero(2, junk, False, 2, None),
     ], ["other"])
     both = L.intersect_loci(wt2_locus_5, other)
     assert rational_points(both) == ["-1"]
@@ -135,9 +135,9 @@ def test_intersection_rejects_loci_at_different_policies(wt2_locus_5, policy):
         L.intersect_loci(other, wt2_locus_5)
 
 
-def test_containment_functoriality(policy, wt2_locus_5, table_z_sixth):
+def test_containment_functoriality(policy, wt2_locus_5):
     # more functions, smaller locus
-    full = L.locus_for(5, (3,), 4, policy, table=table_z_sixth)
+    full = L.locus_for(5, (3,), 4, policy)
     pts2 = {str(z.rational_guess) for z in wt2_locus_5.zeros}
     pts4 = {str(z.rational_guess) for z in full.zeros}
     assert pts4 <= pts2
@@ -195,15 +195,15 @@ def test_counterexample_cocycle_report(policy):
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_weight4_over_z_half_vanishes_on_integral_points(p, policy, table_z_half):
+def test_weight4_over_z_half_vanishes_on_integral_points(p, policy):
     """Over Z[1/2] the unit equation has solutions {2, 1/2, -1}; the
     weight-4 function must vanish at all of them and the full locus must
     recover exactly that set."""
-    f4 = L.weight4_function(p, S=(2,), policy=policy, table=table_z_half)
+    f4 = L.weight4_function(p, S=(2,), policy=policy)
     content = min(c.valuation() for c in f4.coeffs.values())
     for z in (F(2), F(1, 2), F(-1)):
         assert oracles.coleman_evaluate(f4, z).val_lower_bound() - content >= policy.M
-    locus = L.locus_for(p, (2,), 4, policy, table=table_z_half)
+    locus = L.locus_for(p, (2,), 4, policy)
     assert rational_points(locus) == ["-1", "1/2", "2"]
     assert locus.all_certified()
 
@@ -227,7 +227,7 @@ def test_double_roots_reported_uncertified_not_dropped(policy):
     # surface as uncertified candidates with the Newton-polygon bound 2
     p = 5
     one = PadicNumber.from_rational(p, 1, policy.workprec())
-    f = L.ColemanFunction(p, policy, {(("li1", 2),): one}, weight=2, label="li1sq")
+    f = L.ColemanFunction(p, policy, {(("li1", 2),): one}, label="li1sq")
     locus = L.find_zeros(f)
     assert locus.newton_bounds == {2: 2, 3: 2, 4: 2}
     assert not locus.all_certified()
@@ -239,10 +239,10 @@ def test_double_roots_reported_uncertified_not_dropped(policy):
     assert all(z.multiplicity_bound == 2 for z in locus.zeros)
 
 
-def test_weight4_coefficients_are_periods(policy, table_z_sixth, eng5):
+def test_weight4_coefficients_are_periods(policy, eng5):
     # the Li4-coefficient of the assembled function is 24 zeta(3) log(3)
     import ckpolylog.symbols as sym
-    f4 = L.weight4_function(5, S=(3,), policy=policy, table=table_z_sixth)
+    f4 = L.weight4_function(5, S=(3,), policy=policy)
     want = eng5.period(sym.zeta_u(3) * sym.log_u(3)) * 24
     got = f4.coeffs[(("li4", 1),)]
     assert (got - want).val_lower_bound() >= policy.M
@@ -281,7 +281,7 @@ ORACLE_DISKS = {31: (2, 16, 3, 30)}
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])
-def test_disk_series_against_padic_oracle(p, policy, table_z_sixth):
+def test_disk_series_against_padic_oracle(p, policy):
     """Disk tables, Coleman local series (and their Horner values) and
     root-search shifts on integer vectors against the same series built as
     PadicNumber lists.  The engine builds each table about a and takes its
@@ -289,7 +289,7 @@ def test_disk_series_against_padic_oracle(p, policy, table_z_sixth):
     theta_a and Horner-evaluates it at a."""
     eng = get_engine(p, policy)
     fns = [L.weight2_function(p, policy),
-           L.weight4_function(p, S=(3,), policy=policy, table=table_z_sixth)]
+           L.weight4_function(p, S=(3,), policy=policy)]
     t = PadicNumber.from_rational(p, F(2 + p, 3), policy.workprec() - 5)
     for a in ORACLE_DISKS.get(p, range(2, p)):
         ref = oracles.disk_table(eng, a)
@@ -350,18 +350,16 @@ def test_series_kernels_on_mixed_claims_against_padic_oracle():
 
 
 @pytest.mark.parametrize("p, S", [(5, (3,)), (7, (3,)), (13, (3,)), (5, (2,)), (19, (2,))])
-def test_locus_for_equals_intersection_of_full_searches(p, S, policy, table_z_half,
-                                                        table_z_sixth):
+def test_locus_for_equals_intersection_of_full_searches(p, S, policy):
     """locus_for isolates the weight-4 roots only in the residue classes of
     the weight-2 locus; the certificate equals the one from two full searches."""
-    table = table_z_half if S == (2,) else table_z_sixth
     f2 = L.weight2_function(p, policy)
-    f4 = L.weight4_function(p, S=S, policy=policy, table=table)
+    f4 = L.weight4_function(p, S=S, policy=policy)
     l2 = L.find_zeros(f2)
     full = L.intersect_loci(l2, L.find_zeros(f4))
     for symmetrize in (False, True):
         want = L.s3_symmetrize(full) if symmetrize else full
-        got = L.locus_for(p, S, 4, policy, symmetrize=symmetrize, table=table)
+        got = L.locus_for(p, S, 4, policy, symmetrize=symmetrize)
         assert got.to_json() == want.to_json(), symmetrize
     within = L.find_zeros(f4, within=l2)
     assert within.newton_bounds == L.find_zeros(f4).newton_bounds
@@ -370,7 +368,7 @@ def test_locus_for_equals_intersection_of_full_searches(p, S, policy, table_z_ha
         assert len(within.zeros) < len(L.find_zeros(f4).zeros)
 
 
-def test_locus_for_restricts_the_second_search_only(policy, table_z_sixth, monkeypatch):
+def test_locus_for_restricts_the_second_search_only(policy, monkeypatch):
     seen = []
     real = L.find_zeros
 
@@ -379,7 +377,7 @@ def test_locus_for_restricts_the_second_search_only(policy, table_z_sixth, monke
         return real(f, within=within)
 
     monkeypatch.setattr(L, "find_zeros", spy)
-    L.locus_for(5, (3,), 4, policy, table=table_z_sixth)
+    L.locus_for(5, (3,), 4, policy)
     assert seen[0] is None and isinstance(seen[1], L.Locus)
 
 
@@ -472,7 +470,7 @@ def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
         zeros = []
         for q in points:
             z = PadicNumber.from_rational(p, q, 16)
-            zeros.append(L.Zero(z.lift() % p, None, z, True, 1))
+            zeros.append(L.Zero(z.lift() % p, z, True, 1))
         return L.Locus(p, policy, zeros, ["f"])
 
     kept = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1)))

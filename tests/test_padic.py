@@ -53,8 +53,6 @@ def test_tracked_zero_propagation():
 
 def test_shift_and_truncate():
     x = PadicNumber.from_rational(5, 7, 10)
-    assert x.shift(-2).valuation() == -2
-    assert x.shift(3).shift(-3) == x
     t = x.truncate_abs(4)
     assert t.abs_precision() == 4
 
@@ -193,11 +191,3 @@ def test_policy_equality_hash_repr():
     assert pol != (12, 3)
     assert len({pol, PrecisionPolicy(12, 3), PrecisionPolicy(20, 3)}) == 2
     assert repr(PrecisionPolicy(20, 5)) == "PrecisionPolicy(M=20, g=5)"
-
-
-def test_json_rendering():
-    x = PadicNumber.from_rational(5, F(-26, 3), 6)
-    data = x.to_json()
-    assert data["p"] == 5 and data["val"] == 0 and len(data["digits"]) == 6
-    z = PadicNumber.zero_to(5, 9)
-    assert z.to_json() == {"p": 5, "zero": True, "prec": 9}

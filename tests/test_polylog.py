@@ -14,11 +14,11 @@ from oracles import (washington_lp, generalized_bernoulli, bernoulli_list, disk_
 
 def test_engine_rejects_small_or_composite_primes():
     with pytest.raises(ValueError):
-        PolylogEngine(3)
+        PolylogEngine(3, PrecisionPolicy())
     with pytest.raises(ValueError):
-        PolylogEngine(2)
+        PolylogEngine(2, PrecisionPolicy())
     with pytest.raises(ValueError):
-        PolylogEngine(9)
+        PolylogEngine(9, PrecisionPolicy())
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -401,9 +401,9 @@ def test_local_degree_drops_only_digits_past_workprec(p, M, K):
 def test_local_degree_at_the_default_policy():
     # default policy, weight 4: N = workprec + 4 at every prime
     for p in (5, 7, 13, 31, 101):
-        eng = PolylogEngine(p)
+        eng = PolylogEngine(p, PrecisionPolicy())
         assert eng.local_degree == eng.workprec + 4 == 27
-    assert PolylogEngine(5, max_weight=6).local_degree == 29
+    assert PolylogEngine(5, PrecisionPolicy(), max_weight=6).local_degree == 29
 
 
 def test_period_map_is_ring_homomorphism(eng5, policy, rng):

@@ -1,13 +1,17 @@
 """Every top-level function and class in src/ckpolylog is named elsewhere in src/.
 
 A definition that nothing else in the package names is either dead code or
-test-only code, which belongs in tests/oracles.py.  The exceptions are
-listed below, each with its reason; an entry that is gone, or that src/
-now names, must leave the list.
+test-only code, which belongs in tests/oracles.py.  Only code names a
+definition, read off the syntax tree: a name, an attribute, an imported
+name, or a string literal that spells it (galois.TABLED names its builders
+so).  A word in a docstring or a comment does not, and neither does a use
+inside the definition itself.  The exceptions are listed below, each with
+its reason; an entry that is gone, or that src/ now names, must leave the
+list.
 """
 
 import ast
-import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,21 +26,34 @@ ALLOWED = {
                               "one period-table builder (ROADMAP item 6)",
     "graded_kernel_dimension": "to become the production ideal route (ROADMAP item 4)",
     "kappa_coordinates": "to prove the rational points of a locus (ROADMAP item 3)",
-    "deconcat_coproduct": "the words API that tests/test_words.py checks",
-    "project_bidegree": "the words API that tests/test_words.py checks",
-    "graded_dimension": "the words API that tests/test_words.py checks",
 }
 
 
+def _references(tree):
+    """How often the code of tree names each identifier."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names[node.value] += 1
+    return names
+
+
 def _unnamed():
-    """(module, name) of each top-level definition that src/ names only once."""
-    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    """(module, name) of each top-level definition that no other code in src/ names."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
     out = []
-    for module, text in texts.items():
-        for node in ast.parse(text).body:
+    for module, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                word = re.compile(r"\b%s\b" % node.name)
-                if sum(len(word.findall(t)) for t in texts.values()) == 1:
+                if total[node.name] == _references(node)[node.name]:
                     out.append((module, node.name))
     return out
 

@@ -89,12 +89,6 @@ def test_goncharov_coassociativity_table_symbols():
         assert all(v == 0 for v in acc.values())
 
 
-def test_expression_arithmetic_weights():
-    e = li_u(4, F(3)) + log_u(2) * log_u(3) * log_u(3)
-    assert e.weights() == [3, 4]
-    assert e.graded_part(4).terms == {(Symbol("li", 4, F(3)),): F(1)}
-
-
 def test_expr_fraction_cancellation():
     z3 = zeta_u(3)
     li3 = li_u(3, F(-1))

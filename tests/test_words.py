@@ -7,8 +7,7 @@ from ckpolylog.elimination import Poly, _nullspace
 from ckpolylog.symbols import Expression, ExprFraction, Symbol, TensorExpr, log_u
 from ckpolylog.words import (
     GeneratorSet, ShuffleElement, TensorElement, cobar_square,
-    deconcat_coproduct, element_as_lyndon_poly, graded_dimension,
-    project_bidegree, reduced_coproduct, row_reduce, shuffle_product,
+    element_as_lyndon_poly, reduced_coproduct, row_reduce, shuffle_product,
     solve_columns, solve_delta_prime, word_as_lyndon_poly,
 )
 import ckpolylog.words as wd
@@ -47,28 +46,8 @@ def test_shuffle_requires_same_genset():
         shuffle_product(w(GS, "tau_2"), w(GS1, "tau"))
 
 
-def test_deconcat_all_splits():
-    st = w(GS, "sigma_3", "tau_3")
-    t = deconcat_coproduct(st)
-    assert t.terms == {
-        ((), ("sigma_3", "tau_3")): F(1),
-        (("sigma_3",), ("tau_3",)): F(1),
-        (("sigma_3", "tau_3"), ()): F(1),
-    }
-
-
-def test_deconcat_single_letter_primitive():
-    t = deconcat_coproduct(w(GS, "tau_3"))
-    assert t.terms == {((), ("tau_3",)): F(1), (("tau_3",), ()): F(1)}
-    assert reduced_coproduct(w(GS, "tau_3")).is_zero()
-
-
-def test_deconcat_empty_word():
-    t = deconcat_coproduct(ShuffleElement.one(GS))
-    assert t.terms == {((), ()): F(1)}
-
-
 def test_reduced_coproduct_examples():
+    assert reduced_coproduct(w(GS, "tau_3")).is_zero()
     assert reduced_coproduct(w(GS, "sigma_3", "tau_3")).terms == {
         (("sigma_3",), ("tau_3",)): F(1)}
     ttt = reduced_coproduct(w(GS1, "tau", "tau", "tau"))
@@ -89,53 +68,23 @@ def test_coproducts_on_combinations_match_accumulation(rng):
         for _ in range(20):
             a = random_combination(gs, rng)
             a = a + ShuffleElement.one(gs).scale(F(rng.randint(-3, 3)))
-            assert deconcat_coproduct(a) == deconcat_by_accumulation(a)
             assert reduced_coproduct(a) == reduced_by_accumulation(a)
-
-
-def test_project_bidegree():
-    t = reduced_coproduct(w(GS, "sigma_3", "tau_3"))
-    assert project_bidegree(t, 3, 1).terms == {(("sigma_3",), ("tau_3",)): F(1)}
-    assert project_bidegree(t, 1, 3).is_zero()
-    # Delta'_{i,j} vanishes whenever i or j is zero
-    for a in [w(GS, "tau_2"), w(GS, "sigma_3", "tau_3"), w(GS, "tau_2", "tau_3")]:
-        red = reduced_coproduct(a)
-        n = GS.word_weight(list(a.terms)[0])
-        assert project_bidegree(red, 0, n).is_zero()
-        assert project_bidegree(red, n, 0).is_zero()
-
-
-def brute_force_word_count(gens, n):
-    # enumerate words over the alphabet whose letter weights sum to n
-    total = 0
-    for length in range(n + 1):
-        for combo in itertools.product(gens, repeat=length):
-            if sum(weight for _, weight in combo) == n:
-                total += 1
-    return total
-
-
-def test_graded_dimension_examples():
-    gens = [("tau_2", 1), ("tau_3", 1), ("sigma_3", 3)]
-    assert graded_dimension(GS, 1) == 2
-    assert graded_dimension(GS, 0) == 1
-    # independent brute-force enumeration fixes the weight-3 count
-    assert brute_force_word_count(gens, 3) == 9
-    assert graded_dimension(GS, 3) == 9
 
 
 def test_coassociativity_up_to_weight_8():
     for n in range(1, 9):
         for word in GS1.words_of_weight(n):
             el = ShuffleElement.word(GS1, word)
-            full = deconcat_coproduct(el)
+            full = deconcat_by_accumulation(el)
             left = {}
             right = {}
             for (l, r), c in full.terms.items():
-                for (x, y), d in deconcat_coproduct(ShuffleElement.word(GS1, l)).terms.items():
+                for (x, y), d in deconcat_by_accumulation(
+                        ShuffleElement.word(GS1, l)).terms.items():
                     k = (x, y, r)
                     left[k] = left.get(k, 0) + c * d
-                for (x, y), d in deconcat_coproduct(ShuffleElement.word(GS1, r)).terms.items():
+                for (x, y), d in deconcat_by_accumulation(
+                        ShuffleElement.word(GS1, r)).terms.items():
                     k = (l, x, y)
                     right[k] = right.get(k, 0) + c * d
             left = {k: v for k, v in left.items() if v}
@@ -220,8 +169,8 @@ def test_bialgebra_compatibility_random(rng):
     for _ in range(12):
         a = random_element(rng, GS, 3)
         b = random_element(rng, GS, 3)
-        lhs = deconcat_coproduct(shuffle_product(a, b))
-        rhs = tensor_mul(deconcat_coproduct(a), deconcat_coproduct(b))
+        lhs = deconcat_by_accumulation(shuffle_product(a, b))
+        rhs = tensor_mul(deconcat_by_accumulation(a), deconcat_by_accumulation(b))
         assert lhs == rhs
 
 
