@@ -28,11 +28,12 @@ exit status is 0 iff every certificate in the run is certified/passes;
 1 when a certificate is computed but not certified (an ideal above
 --n 4 or over more than one prime, an uncertified zero, a failed check);
 and 2, with a one-line message on stderr, for rejected or unsupported
-input such as a malformed command line, a non-prime --S entry or --p,
---n below the first Chabauty-Kim weight, a locus over more than one
-prime, a verify suite below the --prec it needs, an --out path that
-cannot be written, or an ideal computation that outgrows the elimination
-guard.
+input such as a malformed command line, a non-prime or repeated --S
+entry, a non-prime --p, --n below the first Chabauty-Kim weight, a locus
+over more than one prime, --S or --n given to a verify suite that does
+not read them (only counterexample and all do), a verify suite below the
+--prec it needs, an --out path that cannot be written, or an ideal
+computation that outgrows the elimination guard.
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ def _parse_prime(text):
 
 
 def _parse_S(text):
-    return tuple(sorted(_parse_prime(x) for x in str(text).split(",")))
+    S = tuple(sorted(_parse_prime(x) for x in str(text).split(",")))
+    if len(set(S)) < len(S):
+        raise UsageError("%s repeats a prime" % text)
+    return S
 
 
 def _emit(payload, out_path):
@@ -252,7 +256,8 @@ def parse_args(argv):
                          % (command, ", ".join(map(repr, FLAGS))))
     default = PrecisionPolicy()
     args = SimpleNamespace(command=command, S=(3,), p=5, n=4, prec=default.M, guard=default.g,
-                           out=None, abstract_only=False, symmetrize=False, suite=None)
+                           out=None, abstract_only=False, symmetrize=False, suite=None,
+                           given=set())
     options = dict(OPTIONS)
     if command == "verify":
         options["--suite"] = ("suite", _parse_suite)
@@ -282,6 +287,7 @@ def parse_args(argv):
             setattr(args, dest, parse(value))
         except UsageError as exc:
             raise UsageError("argument %s: %s" % (name, exc)) from None
+        args.given.add(name)
     return args
 
 
@@ -323,8 +329,13 @@ def _unsupported(args):
         return reason
     if args.command == "ideal":
         return "ideal needs --n >= 1" if args.n < 1 else None
-    if args.command == "verify" and args.suite is None:
-        return "verify needs a suite (positional or --suite)"
+    if args.command == "verify":
+        if args.suite is None:
+            return "verify needs a suite (positional or --suite)"
+        ignored = " and ".join(opt for opt in ("--S", "--n") if opt in args.given)
+        if ignored and args.suite not in ("counterexample", "all"):
+            return ("verify %s takes no %s: only counterexample and all read --S and --n"
+                    % (args.suite, ignored))
     if reason := unsupported_prime(args.p):
         return reason
     if args.p in args.S:

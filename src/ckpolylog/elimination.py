@@ -317,9 +317,6 @@ class IdealElement:
     def normalized(self):
         return IdealElement(self.problem, self.poly.content_normalize())
 
-    def __eq__(self, other):
-        return isinstance(other, IdealElement) and self.poly == other.poly
-
     def __repr__(self):
         return repr(self.poly)
 

@@ -145,8 +145,6 @@ class PeriodTable:
         dec, _ = wd.solve_delta_prime(self.genset, n, target)
         if n % 2 == 0 or n == 1:
             return TableEntry(dec, Fraction(0), "coproduct (no primitives)")
-        if not self.has_sigma(n):
-            return TableEntry(dec, Fraction(0), "coproduct (no sigma under bound)")
         prim = None
         provenance = "coproduct; zeta coefficient pending"
         if self.resolver is not None:

@@ -596,7 +596,7 @@ class PolylogEngine:
         return iwasawa_log(z)
 
     def polylog(self, k, z):
-        """Li_k(z) for z in Z_p off the disks of 0 and 1, or val(z) != 0."""
+        """Li_k(z) for a unit z of Z_p off the disk of 1, and Li_k(0) = 0."""
         if not 1 <= k <= self.max_weight:
             raise ValueError("weight %d outside the built range 1..%d"
                              % (k, self.max_weight))
@@ -605,11 +605,8 @@ class PolylogEngine:
             if z.is_exact_zero():
                 return PadicNumber.exact_zero(self.p)
             raise BadDiskError("argument is zero to working precision")
-        v = z.valuation()
-        if v >= 1:
-            return self._polylog_small(k, z)
-        if v < 0:
-            return self._polylog_inverted(k, z)
+        if z.val != 0:
+            raise BadDiskError("val(z) = %d: z is not on a unit disk" % z.val)
         a = z.unit % self.p
         if a == 1:
             raise BadDiskError("disk of 1 (z = %r) is outside the domain" % z)
@@ -618,25 +615,6 @@ class PolylogEngine:
         table = self.disk_table(a)
         t = (z - a) / self.p
         return _series_eval(table["li%d" % k], t)
-
-    def _polylog_small(self, k, z):
-        # convergent region: Li_k(z) = sum z^m / m^k
-        W = self.workprec
-        acc = PadicNumber.exact_zero(self.p)
-        power = z
-        m = 1
-        while m * z.valuation() <= W + k * (log_floor(m, self.p) + 1) + 1:
-            acc = acc + power / Fraction(m) ** k
-            m += 1
-            power = power * z
-        return acc.truncate_abs(W)
-
-    def _polylog_inverted(self, k, z):
-        # Li_k(z) = (-1)^{k+1} Li_k(1/z) - log(z)^k / k!
-        inner = self.polylog(k, 1 / z)
-        if k % 2 == 0:
-            inner = -inner
-        return inner - iwasawa_log(z) ** k / math.factorial(k)
 
     def zeta(self, k):
         """zeta_p(k): zero in even weight, Li_k(-1)/(2^{1-k} - 1) in odd weight."""

@@ -267,10 +267,6 @@ class ExprFraction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_fraction(other)
-        return ExprFraction(self.num * other.den, self.den * other.num)
-
     def equals_expression(self, expr):
         return (self.num - expr * self.den).is_zero()
 

@@ -258,10 +258,6 @@ class ShuffleElement(LinearCombination):
     def one(cls, genset):
         return cls(genset, {(): Fraction(1)})
 
-    def __mul__(self, other):
-        """Shuffle product."""
-        return shuffle_product(self, other)
-
     def shuffle_pow(self, n):
         out = ShuffleElement.one(self.genset)
         for _ in range(n):

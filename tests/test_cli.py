@@ -88,8 +88,10 @@ def test_locus_determinism_byte_identical(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("identities", "appendix", "counterexample", "hopf"):
-        code, data = run_cli(capsys, "verify", suite, "--S", "3", "--p", "5")
+    # only counterexample reads --S
+    for suite, S in (("identities", ()), ("appendix", ()), ("counterexample", ("--S", "3")),
+                     ("hopf", ())):
+        code, data = run_cli(capsys, "verify", suite, *S, "--p", "5")
         assert code == 0, suite
         assert suite in data["suites"]
 
@@ -115,7 +117,7 @@ def test_verify_hopf_fails_when_a_cut_is_dropped(capsys, monkeypatch):
 
 def test_cli_rejects_bad_primes(capsys):
     assert main(["locus", "--S", "3", "--p", "3"]) == 2
-    assert main(["verify", "identities", "--S", "5", "--p", "5"]) == 2
+    assert main(["verify", "counterexample", "--S", "5", "--p", "5"]) == 2
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -144,7 +146,8 @@ def _assert_rejected(argv, message, timeout):
     return proc.stderr
 
 
-@pytest.mark.parametrize("argv, message", [
+# argv -> the one line it must print; tests/test_reachability.py runs these too
+ARGUMENT_ERRORS = [
     ((), "the following arguments are required: command"),
     (("solve",), "argument command: invalid choice: 'solve'"),
     (("--p", "5", "locus"), "argument command: invalid choice: '--p'"),
@@ -166,7 +169,12 @@ def _assert_rejected(argv, message, timeout):
     (("verify", "hopf", "--suite", "identities"),
      "argument --suite: the suite is named twice: 'hopf' and 'identities'"),
     (("verify", "--suite", "hopf", "identities"), "unrecognized arguments: identities"),
-])
+    (("ideal", "--S", "3,3"), "argument --S: 3,3 repeats a prime"),
+    (("locus", "--S", "3,3", "--p", "5"), "argument --S: 3,3 repeats a prime"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ARGUMENT_ERRORS)
 def test_cli_argument_errors_are_one_line(argv, message, capsys):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -229,7 +237,8 @@ def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
     assert proc.stdout.strip() == "[0, 0] []"
 
 
-@pytest.mark.parametrize("argv, message", [
+# argv -> the one line it must print; tests/test_reachability.py runs these too
+UNSUPPORTED_INPUT = [
     (("locus", "--S", "5", "--p", "7"), "locus --n >= 4 needs --S 2 or --S 3"),
     (("locus", "--S", "2,3"), "locus --n >= 4 needs --S 2 or --S 3"),
     (("locus", "--n", "1"), "locus needs --n >= 2"),
@@ -260,7 +269,14 @@ def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
     (("verify", "counterexample", "--p", "5", "--n", "-2"),
      "verify counterexample needs --n >= 1"),
     (("verify", "--p", "5"), "verify needs a suite (positional or --suite)"),
-])
+    # only counterexample (alone or in all) reads --S and --n
+    (("verify", "hopf", "--p", "5", "--n", "0"), "verify hopf takes no --n: only counterexample"),
+    (("verify", "identities", "--p", "5", "--S", "7"), "verify identities takes no --S: only"),
+    (("verify", "appendix", "--S", "3", "--n", "4"), "verify appendix takes no --S and --n: only"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNSUPPORTED_INPUT)
 def test_cli_rejects_unsupported_input(argv, message):
     # ideal --S 2,3 runs the elimination until its degree guard fires (~1.5 s)
     stderr = _assert_rejected(argv, message, timeout=60)

@@ -279,14 +279,13 @@ def test_even_polylogs_vanish_at_minus_one(p, policy):
         assert eng.polylog(k, F(-1)).val_lower_bound() >= policy.M - policy.g
 
 
-def test_inversion_branch_consistency(eng5, policy):
-    # log 5 = 0, so Li_k(1/5) = (-1)^{k+1} Li_k(5)
-    for k in (2, 3, 4):
-        lhs = eng5.polylog(k, F(1, 5))
-        rhs = eng5.polylog(k, F(5))
-        if k % 2 == 0:
-            rhs = -rhs
-        assert (lhs - rhs).val_lower_bound() >= policy.M
+def test_polylog_off_the_unit_disks_raises(eng5):
+    # an S'-point z has z and 1 - z S'-units, so at p not in S' it lies on a
+    # unit disk; p | z and p | 1/z are outside the domain
+    for k in (1, 2, 3, 4):
+        for z in (F(5), F(1, 5)):
+            with pytest.raises(BadDiskError):
+                eng5.polylog(k, z)
 
 
 def test_zeta_values(eng5, policy):

@@ -16,16 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from test_reachability import SEEDS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "ckpolylog"
 
 ALLOWED = {
     "cmd_ideal": "cli.main dispatches cmd_* by name",
     "cmd_locus": "cli.main dispatches cmd_* by name",
     "cmd_verify": "cli.main dispatches cmd_* by name",
-    "basis_certificate_deg3": "its determinant is to become the rank certificate of "
-                              "one period-table builder (ROADMAP item 6)",
-    "graded_kernel_dimension": "to become the production ideal route (ROADMAP item 4)",
-    "kappa_coordinates": "to prove the rational points of a locus (ROADMAP item 3)",
+    **{qualname.partition(".")[2]: SEEDS[qualname]
+       for qualname in ("galois.basis_certificate_deg3", "elimination.graded_kernel_dimension",
+                        "cocycles.kappa_coordinates")},
 }
 
 
