@@ -7,13 +7,22 @@ substitution; we compute it three ways:
 
   * lexicographic Groebner elimination of the graph ideal with the
     cocycle coordinates ordered first (the certified route),
-  * the structured shortcut that solves the Li_3 image for w_2 and
-    substitutes into the Li_4 image (cross-check),
+  * the structured shortcut that solves the Li_3 image for the sigma_3
+    coordinate Phi[sigma_3;li3] and substitutes into the Li_4 image
+    (cross-check),
   * brute-force graded linear algebra on coefficient vectors (used by
     the test suite to certify completeness degree by degree).
 
 Polynomials are words.LinearCombination subclasses keyed by dense
 exponent tuples, with Fraction coefficients and lex order.
+
+The ring's cocycle variables are the names of cocycles.coordinate_name,
+read off the image's monomials and sorted.  Earlier variables weigh more
+in lex, and "Phi[sigma_..." sorts before "Phi[tau_...", so the sigma
+coordinates rank highest and are eliminated first, the order the
+structured shortcut takes.  The generators do not depend on that order:
+the reduced basis of the elimination ideal is unique for the fixed order
+of the target and Galois variables.
 
 Buchberger's guard is the module constants: a basis element above degree
 MAX_DEGREE, or more than MAX_STEPS reduction steps in one groebner or
@@ -225,34 +234,23 @@ class SubstitutionProblem:
         self.n = n
         self.S = tuple(sorted(S))
         self.genset = standard_genset(self.S, n)
-        image = cocycles.eval_universal(n, self.genset)
-        try:
-            wnames = cocycles.w_coordinate_names(self.genset, n)
-        except ValueError:
-            wnames = None
-        self.phi_names = []
-        self._phi_map = {}
-        for tgt, poly in image.images.items():
-            for mono in poly:
-                for key in mono:
-                    if key not in self._phi_map:
-                        name = wnames[key] if wnames else cocycles.coordinate_name(*key)
-                        self._phi_map[key] = name
-        self.phi_names = sorted(set(self._phi_map.values()))
+        images = cocycles.eval_universal(n, self.genset)
+        self.phi_names = sorted({name for poly in images.values()
+                                 for mono in poly for name in mono})
         self.lyndon = self.genset.lyndon_words(n)
         self.f_names = [f_var_name(w) for w in self.lyndon]
         self.li_names = [LI_NAMES[k] for k in range(0, n + 1)]
         # lex order: cocycle coordinates > targets > Galois coordinates
         self.ring = tuple(self.phi_names + list(reversed(self.li_names)) + self.f_names)
         self.image_polys = {
-            tgt: self._image_to_poly(poly) for tgt, poly in image.images.items()}
+            tgt: self._image_to_poly(poly) for tgt, poly in images.items()}
 
     def _image_to_poly(self, poly):
         out = Poly.zero(self.ring)
         for mono, fel in poly.items():
             phi = Poly.const(self.ring, 1)
-            for key in mono:
-                phi = phi * Poly.var(self.ring, self._phi_map[key])
+            for name in mono:
+                phi = phi * Poly.var(self.ring, name)
             out = out + phi * self.shuffle_to_poly(fel)
         return out
 
@@ -374,8 +372,9 @@ def verify_vanishing(element):
 
 def structured_shortcut_generators(S):
     """The half-weight 2 and 4 elements built the way the displayed
-    computation does it: eliminate w_2 between the Li_3 and Li_4 images,
-    then clear the remaining coordinates by hand.  |S| = 1 only."""
+    computation does it: eliminate Phi[sigma_3;li3] between the Li_3 and
+    Li_4 images, then clear the remaining coordinates by hand.  |S| = 1
+    only."""
     if len(S) != 1:
         raise ValueError("shortcut requires |S| = 1")
     prob = SubstitutionProblem(4, S)
@@ -460,14 +459,11 @@ def _nullspace(mat, ncols):
 def specialize_coefficients(element, assignment):
     """Replace the Galois coordinates of an IdealElement by period expressions.
 
-    assignment maps f-variable names (or Lyndon-word tuples) to motivic
-    Expressions; raises naming any missing coordinate.  Returns
-    {Li-monomial: Expression}.
+    assignment maps Lyndon-word tuples to motivic Expressions; raises
+    naming any missing coordinate.  Returns {Li-monomial: Expression}.
     """
     from .symbols import Expression
-    named = {}
-    for k, v in assignment.items():
-        named[f_var_name(k) if isinstance(k, tuple) else k] = v
+    named = {f_var_name(k): v for k, v in assignment.items()}
     out = {}
     for key, coeff in element.li_coefficients().items():
         acc = Expression.zero()

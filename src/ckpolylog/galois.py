@@ -142,7 +142,7 @@ class PeriodTable:
                              % (n, z, list(self.S)))
         tens = sy.reduced_coproduct(sy.Expression.sym(sy.Symbol("li", n, z)))
         target = self.tensor_to_words(tens)
-        dec, _ = wd.solve_delta_prime(self.genset, n, target)
+        dec = wd.solve_delta_prime(self.genset, n, target)
         if n % 2 == 0 or n == 1:
             return TableEntry(dec, Fraction(0), "coproduct (no primitives)")
         prim = None

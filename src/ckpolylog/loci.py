@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import cocycles, galois
 from . import symbols as sy
-from .padic import PadicNumber, padic_agree, rational_reconstruct, valuation
+from .padic import PadicNumber, PrecisionError, padic_agree, rational_reconstruct, valuation
 from .polylog import (EXACT, IntSeries, get_engine, unsupported_prime, _power_tables,
                       _series_eval, _series_multiply, _top)
 
@@ -447,28 +447,26 @@ class CounterexampleReport:
 def counterexample_cocycle(ell, n, p, policy):
     """Verify that -1 lies in the weight-n polylogarithmic locus over Z[1/ell].
 
-    Builds the field-valued cocycle with w_0 = 0, w_1 = Li_1(-1)/log(ell),
-    w_i = Li_{2i-1}(-1)/zeta(2i-1); checks symbolically that its evaluation
+    Builds the field-valued cocycle with Phi^tau_{e0} = 0,
+    Phi^tau_{e1} = Li_1(-1)/log(ell) and Phi^sigma_k_{e1 e0^(k-1)} =
+    Li_k(-1)/zeta(k) for odd k >= 3; checks symbolically that its evaluation
     has zero log and even Li components and Li_k(-1) odd components, then
     numerically that the p-adic realization agrees with the image of -1.
     """
     if (reason := unsupported_prime(p)) or p == ell:
         raise ValueError(reason or "need p different from ell")
     genset = galois.standard_genset({ell}, n)
-    zero = sy.ExprFraction.zero()
-    coords = cocycles.CocycleCoordinates(genset, zero=zero)
     tau = galois.tau_id(ell)
     minus_one = Fraction(-1)
-    li1 = sy.ExprFraction(sy.li_u(1, minus_one), sy.log_u(ell))
-    coords.set(tau, cocycles.LOG, zero)
-    coords.set(tau, cocycles.PolylogWord.li(1), li1)
-    for i in range(2, n // 2 + 2):
-        k = 2 * i - 1
-        if k > n:
-            break
-        coords.set(galois.sigma_id(k), cocycles.PolylogWord.li(k),
-                   sy.ExprFraction(sy.li_u(k, minus_one), sy.zeta_u(k)))
-    applied = cocycles.cocycle_apply(coords, n)
+    coords = {
+        cocycles.coordinate_name(tau): sy.ExprFraction.zero(),
+        cocycles.coordinate_name(tau, 1): sy.ExprFraction(sy.li_u(1, minus_one),
+                                                          sy.log_u(ell)),
+    }
+    for k in range(3, n + 1, 2):
+        coords[cocycles.coordinate_name(galois.sigma_id(k), k)] = sy.ExprFraction(
+            sy.li_u(k, minus_one), sy.zeta_u(k))
+    applied = cocycles.cocycle_apply(coords, genset, n)
 
     symbolic = {}
     symbolic["log(alpha) = 0"] = applied["log"].is_zero()
@@ -491,10 +489,8 @@ def counterexample_cocycle(ell, n, p, policy):
         numeric["Li_%d(-1)" % k] = eng.polylog(k, minus_one).val_lower_bound()
     guard = True
     try:
-        for i in range(2, n // 2 + 2):
-            k = 2 * i - 1
-            if k <= n:
-                eng.zeta_nonzero(k)
-    except Exception:
+        for k in range(3, n + 1, 2):
+            eng.zeta_nonzero(k)
+    except PrecisionError:
         guard = False
     return CounterexampleReport(ell, n, p, symbolic, numeric, guard)

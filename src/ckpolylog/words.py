@@ -62,9 +62,6 @@ class GeneratorSet:
     def __repr__(self):
         return "GeneratorSet(%s)" % ", ".join("%s:%d" % (g.id, g.weight) for g in self.generators)
 
-    def weight_of(self, gen_id):
-        return self._weight[gen_id]
-
     def word_weight(self, word):
         return sum(self._weight[g] for g in word)
 
@@ -433,18 +430,18 @@ def element_as_lyndon_poly(el):
 def solve_delta_prime(genset, n, target):
     """Find x of pure weight n with Delta'(x) = target.
 
-    Returns (x, primitive_dims) where primitive directions (single-letter
-    words of weight n) are set to zero; raises ValueError when the system
-    is inconsistent.  The cut (w[:1], w[1:]) occurs in Delta'(f_w) alone,
-    so x_w is the target's coefficient there; the exact re-check of
-    Delta'(x) = target is the certificate.
+    The primitive directions (single-letter words of weight n) of x are
+    zero; raises ValueError when the system is inconsistent.  The cut
+    (w[:1], w[1:]) occurs in Delta'(f_w) alone, so x_w is the target's
+    coefficient there; the exact re-check of Delta'(x) = target is the
+    certificate.
     """
     words = genset.words_of_weight(n)
     x = ShuffleElement(genset, {w: target.terms.get((w[:1], w[1:]), 0)
                                 for w in words if len(w) > 1})
     if reduced_coproduct(x) != target:
         raise ValueError("inconsistent Delta' system at weight %d" % n)
-    return x, sum(1 for w in words if len(w) == 1)
+    return x
 
 
 # -- exact row reduction ----------------------------------------------------

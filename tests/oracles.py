@@ -32,7 +32,7 @@ from fractions import Fraction as F
 import ckpolylog.symbols as sy
 import ckpolylog.words as wd
 from ckpolylog.archimedean import complex_P3
-from ckpolylog.cocycles import LOG, PolylogWord
+from ckpolylog.cocycles import coordinate_name
 from ckpolylog.galois import standard_genset, tau_id
 from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller, valuation
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
@@ -342,36 +342,30 @@ def cobar_square_by_terms(a):
             if (d := left.get(k, 0) - right.get(k, 0))}
 
 
-def brown_entry(word, lam, c):
+def brown_entry(word, lam, values, genset):
     """Matrix entry phi^word_lambda(c) via the structure theorem.
 
-    Nonzero cases: word = g tau_1...tau_r against e1 e0^{n-1} with all tail
-    letters of weight one, and pure weight-one words against e0^i (the
-    bookkeeping dual of log-powers).  Everything else vanishes.
+    lam is ("e0", i) for e0^i or ("li", k) for e1 e0^{k-1}; values maps
+    the coordinate names of c to their values.  Nonzero cases: word =
+    g tau_1...tau_r against e1 e0^{n-1} with all tail letters of weight
+    one, and pure weight-one words against e0^i (the bookkeeping dual of
+    log-powers).  Everything else vanishes.
     """
-    gs = c.genset
-    wt = gs.word_weight(word)
-    if wt != lam.weight:
-        raise ValueError("word/lambda weight mismatch: %d vs %d" % (wt, lam.weight))
-    if lam.kind == "e0":
-        val = None
-        for g in word:
-            if gs.weight_of(g) != 1:
-                return c.zero
-            x = c.get(g, LOG)
-            val = x if val is None else val * x
-        return val if val is not None else c.zero
+    kind, k = lam
+    wt = genset.word_weight(word)
+    if wt != k:
+        raise ValueError("word/lambda weight mismatch: %d vs %d" % (wt, k))
+    weight = lambda g: genset.word_weight((g,))
+    if kind == "e0":
+        if any(weight(g) != 1 for g in word):
+            return F(0)
+        return math.prod(values[coordinate_name(g)] for g in word)
     # lam = e1 e0^{k-1}
-    if not word:
-        return c.zero
     head, tail = word[0], word[1:]
-    if any(gs.weight_of(g) != 1 for g in tail):
-        return c.zero
-    s = gs.weight_of(head)
-    val = c.get(head, PolylogWord.li(s))
-    for g in tail:
-        val = val * c.get(g, LOG)
-    return val
+    if any(weight(g) != 1 for g in tail):
+        return F(0)
+    return (values[coordinate_name(head, weight(head))]
+            * math.prod(values[coordinate_name(g)] for g in tail))
 
 
 # -- helpers only the tests call ------------------------------------------------
@@ -424,13 +418,13 @@ def extract_coordinates(applied, genset):
     log_el = applied["log"]
     for g in genset.generators:
         if g.weight == 1:
-            coords[(g.id, LOG)] = log_el.coefficient((g.id,))
+            coords[coordinate_name(g.id)] = log_el.coefficient((g.id,))
     maxk = max(int(t[2:]) for t in applied if t.startswith("li"))
     for k in range(1, maxk + 1):
         el = applied["li%d" % k]
         for g in genset.generators:
             if g.weight == k:
-                coords[(g.id, PolylogWord.li(k))] = el.coefficient((g.id,))
+                coords[coordinate_name(g.id, k)] = el.coefficient((g.id,))
     return coords
 
 

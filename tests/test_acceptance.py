@@ -201,7 +201,7 @@ def test_criterion_10_property_suites(policy, rng):
         for _ in range(5):
             vals = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(count)]
             c = rational_coords(genset, 4, vals)
-            ok = ok and extract_coordinates(cocycle_apply(c, 4), genset) == c.values
+            ok = ok and extract_coordinates(cocycle_apply(c, genset, 4), genset) == c
     # precision-soundness resampling
     hi = get_engine(5, PrecisionPolicy(policy.M + 5, policy.g))
     lo = get_engine(5, policy)

@@ -5,6 +5,7 @@ import pytest
 import ckpolylog.elimination as E
 import ckpolylog.galois as G
 import ckpolylog.symbols as sy
+from ckpolylog.cocycles import coordinate_name, eval_universal
 from ckpolylog.elimination import Poly
 from oracles import canonical_form
 
@@ -114,6 +115,17 @@ def _rank(mat):
     return r
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_ring_names_the_image_coordinates_sigma_first(ell):
+    prob = E.SubstitutionProblem(4, {ell})
+    images = eval_universal(4, prob.genset)
+    assert set(prob.phi_names) == {name for poly in images.values()
+                                   for mono in poly for name in mono}
+    sigma = coordinate_name("sigma_3", 3)
+    taus = [coordinate_name(G.tau_id(ell)), coordinate_name(G.tau_id(ell), 1)]
+    assert list(prob.ring[:3]) == [sigma] + taus
+
+
 def test_completeness_brute_force_kernel_certification():
     """The generated ideal matches the full elimination kernel, weight by weight."""
     prob = E.SubstitutionProblem(4, {3})
@@ -160,7 +172,8 @@ def test_specialize_missing_coordinate_errors():
 
 
 def test_weight5_best_effort_no_new_relation(monkeypatch):
-    # the new coordinate w_3 matches the new function Li_5: nothing new
+    # the new coordinate Phi[sigma_5;li5] matches the new function Li_5:
+    # nothing new
     monkeypatch.setattr(E, "MAX_DEGREE", 14)
     gens = E.ck_ideal_generators(5, {3})
     assert [g.weight for g in gens] == [2, 8]

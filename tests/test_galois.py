@@ -140,7 +140,7 @@ def test_product_rule_expansion(table_z_sixth):
     assert via_product == direct
     # and the Delta'-solve route recovers the same element
     target = table_z_sixth.tensor_to_words(sy.reduced_coproduct(prod_expr))
-    solved, _ = wd.solve_delta_prime(table_z_sixth.genset, 3, target)
+    solved = wd.solve_delta_prime(table_z_sixth.genset, 3, target)
     assert solved == via_product  # weight 3, sigma-coefficient zero on both
 
 

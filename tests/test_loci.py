@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import ckpolylog.loci as L
-from ckpolylog.padic import PadicNumber, PrecisionPolicy, padic_agree
+from ckpolylog.padic import PadicNumber, PrecisionError, PrecisionPolicy, padic_agree
 from ckpolylog.polylog import IntSeries, get_engine, _series_eval, _series_multiply
 
 import oracles
@@ -254,6 +254,23 @@ def test_counterexample_weight6(policy):
     assert rep.symbolic["Li6(alpha) = 0"]
     assert rep.symbolic["Li5(alpha) = Li5(-1)"]
     assert rep.numeric["Li_6(-1)"] >= policy.M - policy.g
+
+
+def test_counterexample_zeta_guard_catches_only_precision_errors(policy, monkeypatch):
+    engine = type(get_engine(5, policy))
+
+    def vanishing(self, k):
+        raise PrecisionError("zeta_5(%d) vanishes to working precision" % k)
+
+    monkeypatch.setattr(engine, "zeta_nonzero", vanishing)
+    assert not L.counterexample_cocycle(3, 4, 5, policy).zeta_guard
+
+    def broken(self, k):
+        raise ValueError("a bug, not a vanishing zeta value")
+
+    monkeypatch.setattr(engine, "zeta_nonzero", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        L.counterexample_cocycle(3, 4, 5, policy)
 
 
 def test_counterexample_requires_good_prime(policy):

@@ -59,9 +59,9 @@ VALUE_SEMANTICS = {
 
 ALLOWED = {**SEEDS, **VALUE_SEMANTICS}
 
-# each runs the elimination until its degree guard fires, for seconds, and
-# enters no def that the other commands leave out
-SLOW = {("ideal", "--S", "3", "--n", "6"), ("ideal", "--S", "2,3")}
+# runs the elimination until its degree guard fires, for 0.8-1.5 s in process
+# on a 2-CPU Xeon machine, and enters no def that the other commands leave out
+SLOW = {("ideal", "--S", "2,3")}
 
 
 def _command_lines(out):

@@ -217,12 +217,11 @@ def test_lyndon_coordinates_sigma_leading():
 
 def test_solve_delta_prime_and_primitive_count():
     target = reduced_coproduct(w(GS1, "tau", "tau", "tau", "tau"))
-    sol, prim = solve_delta_prime(GS1, 4, target)
+    sol = solve_delta_prime(GS1, 4, target)
     assert sol.terms == {("tau",) * 4: F(1)}
-    assert prim == 0
     target3 = reduced_coproduct(w(GS1, "tau", "tau", "tau"))
-    sol3, prim3 = solve_delta_prime(GS1, 3, target3)
-    assert prim3 == 1  # sigma direction
+    sol3 = solve_delta_prime(GS1, 3, target3)
+    assert sol3.terms == {("tau",) * 3: F(1)}  # the sigma direction stays zero
 
 
 def test_solve_delta_prime_matches_dense_solve(table_z_half, table_z_sixth, rng):
@@ -233,9 +232,8 @@ def test_solve_delta_prime_matches_dense_solve(table_z_half, table_z_sixth, rng)
             targets += [reduced_coproduct(random_combination(gs, rng, n, len(words)).graded_part(n))
                         for _ in range(3)]
             for target in targets:
-                x, prim = solve_delta_prime(gs, n, target)
+                x = solve_delta_prime(gs, n, target)
                 assert x == solve_delta_prime_dense(gs, n, target)
-                assert prim == sum(1 for wd in words if len(wd) == 1)
 
 
 def test_solve_delta_prime_rejects_inconsistent_targets():
