@@ -31,7 +31,8 @@ and 2, with a one-line message on stderr, for rejected or unsupported
 input such as a malformed command line, a non-prime or repeated --S
 entry, a non-prime --p, --n below the first Chabauty-Kim weight, a locus
 over more than one prime, --S or --n given to a verify suite that does
-not read them (only counterexample and all do), a verify suite below the
+not read them (only counterexample and all do), --p, --prec or --guard
+given to ideal (it computes exactly over Z[1/S]), a verify suite below the
 --prec it needs, an --out path that cannot be written, or an ideal
 computation that outgrows the elimination guard.
 """
@@ -321,8 +322,14 @@ def _verify_unsupported(args):
     return None
 
 
+def _given(args, *options):
+    return " and ".join(opt for opt in options if opt in args.given)
+
+
 def _unsupported(args):
     """One line saying why the run cannot go ahead as asked, or None."""
+    if args.command == "ideal" and (ignored := _given(args, "--p", "--prec", "--guard")):
+        return "ideal takes no %s: it computes exactly over Z[1/S]" % ignored
     if not args.prec > args.guard >= 0:
         return "need --prec > --guard >= 0"
     if args.out and (reason := _out_unwritable(args.out)):
@@ -332,7 +339,7 @@ def _unsupported(args):
     if args.command == "verify":
         if args.suite is None:
             return "verify needs a suite (positional or --suite)"
-        ignored = " and ".join(opt for opt in ("--S", "--n") if opt in args.given)
+        ignored = _given(args, "--S", "--n")
         if ignored and args.suite not in ("counterexample", "all"):
             return ("verify %s takes no %s: only counterexample and all read --S and --n"
                     % (args.suite, ignored))

@@ -6,9 +6,10 @@ and sigma_{2n+1} (dual to zeta(2n+1)).  Reduced coproducts reduce weight-n
 symbols to lower weight; the kernel of the reduced coproduct is spanned by
 zeta(n) in odd weight and vanishes in even weight, so each expansion
 leaves at most one rational coefficient undetermined.  That coefficient is
-recognized numerically through the p-adic period map at two primes and
-cached with provenance, the same way the half-weight-3 tables here were
-first produced.
+either fixed by a basis choice or recognized numerically through the p-adic
+period map at one prime, RECOGNITION_PRIME, and cached with provenance, the
+same way the half-weight-3 tables here were first produced.  The tests and
+`verify identities` recognize the same coefficients at other primes.
 """
 
 from __future__ import annotations
@@ -55,65 +56,39 @@ class TableEntry:
         self.provenance = provenance
 
 
-class UnresolvedPrimitive(RuntimeError):
-    pass
-
-
 class PeriodTable:
     """Expansion table for one open integer scheme Spec Z[1/S].
 
-    Entries map symbols to their f-basis forms; odd-weight entries may
-    carry an unresolved zeta-coefficient until supplied or resolved
-    numerically through `resolver(symbol, decomposable_expression)`.
+    Entries map symbols to their f-basis forms and are complete when created:
+    an odd-weight Li entry takes its zeta-coefficient from a basis choice
+    passed to `ensure`, or else from `numeric_primitive_resolver`.
     """
 
-    def __init__(self, S, max_weight=4, resolver=None):
+    def __init__(self, S, max_weight=4):
         self.S = tuple(sorted(S))
         self.max_weight = max_weight
         self.genset = standard_genset(self.S, max_weight)
-        self.resolver = resolver
         self.entries = {}
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _sigma_word(self, n):
-        return (sigma_id(n),)
 
     def has_sigma(self, n):
         return n % 2 == 1 and n >= 3 and n <= self.max_weight
 
-    def entry(self, symbol):
-        self.ensure(symbol)
-        return self.entries[symbol]
-
     def full_form(self, symbol):
-        """Complete f-basis form; raises while the zeta-coefficient is unknown."""
-        e = self.entry(symbol)
-        if e.prim is None:
-            raise UnresolvedPrimitive(
-                "primitive coefficient of %r is unresolved" % (symbol,))
+        """Complete f-basis form: the word form plus the zeta-coefficient's sigma word."""
+        e = self.ensure(symbol)
         out = e.word_form
         if e.prim:
-            out = out + ShuffleElement.word(self.genset, self._sigma_word(symbol.weight), e.prim)
+            out = out + ShuffleElement.word(self.genset, (sigma_id(symbol.weight),), e.prim)
         return out
-
-    def supply_primitive(self, symbol, value, provenance):
-        e = self.entry(symbol)
-        e.prim = Fraction(value)
-        e.provenance = provenance
-
-    def ensure_choice(self, symbol, value, provenance):
-        """Expand with the zeta-coefficient fixed by fiat (basis choices)."""
-        saved, self.resolver = self.resolver, None
-        try:
-            self.ensure(symbol)
-        finally:
-            self.resolver = saved
-        self.supply_primitive(symbol, value, provenance)
 
     # -- expansion -------------------------------------------------------------
 
-    def ensure(self, symbol):
+    def ensure(self, symbol, choice=None):
+        """The entry of symbol, created on first use.
+
+        choice, a (value, provenance) pair, fixes the zeta-coefficient of an
+        odd Li symbol by a basis choice instead of recognizing it.
+        """
         if symbol in self.entries:
             return self.entries[symbol]
         if symbol.kind == "log":
@@ -129,11 +104,11 @@ class PeriodTable:
             entry = TableEntry(ShuffleElement.zero(self.genset), Fraction(1),
                                "dual generator")
         else:
-            entry = self._expand_li(symbol)
+            entry = self._expand_li(symbol, choice)
         self.entries[symbol] = entry
         return entry
 
-    def _expand_li(self, symbol):
+    def _expand_li(self, symbol, choice):
         n, z = symbol.n, symbol.z
         if n > self.max_weight:
             raise ValueError("weight %d beyond table bound %d" % (n, self.max_weight))
@@ -145,11 +120,10 @@ class PeriodTable:
         dec = wd.solve_delta_prime(self.genset, n, target)
         if n % 2 == 0 or n == 1:
             return TableEntry(dec, Fraction(0), "coproduct (no primitives)")
-        prim = None
-        provenance = "coproduct; zeta coefficient pending"
-        if self.resolver is not None:
-            prim, provenance = self.resolver(symbol, self.period_expression_of(dec))
-        return TableEntry(dec, prim, provenance)
+        if choice is None:
+            # looked up per call, so a wrapper installed on the factory is the one that runs
+            choice = numeric_primitive_resolver()(symbol, self.period_expression_of(dec))
+        return TableEntry(dec, *choice)
 
     # -- expressions <-> words ---------------------------------------------------
 
@@ -194,19 +168,11 @@ class PeriodTable:
         return out
 
     def _spanning_products(self, m):
-        atoms = []
-        for s, e in self.entries.items():
-            if e.prim is not None and s.weight <= m:
-                atoms.append(s)
         # zeta atoms come for free from the generator duals
         for k in range(3, m + 1, 2):
             if self.has_sigma(k):
-                z = sy.Symbol("zeta", k, Fraction(0))
-                if z not in self.entries:
-                    self.ensure(z)
-                if z not in atoms:
-                    atoms.append(z)
-        atoms = sorted(set(atoms))
+                self.ensure(sy.Symbol("zeta", k, Fraction(0)))
+        atoms = sorted(s for s in self.entries if s.weight <= m)
         span = []
         for e in wd.monomials([a.weight for a in atoms], m):
             # atoms are sorted, so each product's atoms come out sorted
@@ -224,8 +190,7 @@ class PeriodTable:
                 "symbol": repr(s),
                 "Z": "Z[1/%s]" % ",".join(str(x) for x in self.S),
                 "basisForm": e.word_form.to_json(),
-                "primitiveCoefficient":
-                    "unknown" if e.prim is None else wd._frac_str(e.prim),
+                "primitiveCoefficient": wd._frac_str(e.prim),
                 "provenance": e.provenance,
             })
         return rows
@@ -233,11 +198,11 @@ class PeriodTable:
 
 # -- numeric resolution of zeta coefficients -----------------------------------
 
-# a zeta-coefficient is recognized from RECOGNITION_DIGITS digits above M - g,
-# within numerator and denominator bounds RECOGNITION_BOUNDS
+# a zeta-coefficient is recognized at RECOGNITION_PRIME from RECOGNITION_DIGITS
+# digits above M - g, within numerator and denominator bounds RECOGNITION_BOUNDS
 RECOGNITION_DIGITS = 4
 RECOGNITION_BOUNDS = (10 ** 4, 10 ** 3)
-RECOGNITION_PRIMES = (5, 7)
+RECOGNITION_PRIME = 5
 
 
 def recognize_zeta_ratio(eng, num, n):
@@ -248,26 +213,18 @@ def recognize_zeta_ratio(eng, num, n):
 
 
 def numeric_primitive_resolver():
-    """Recognize the zeta-coefficient of a symbol at each of RECOGNITION_PRIMES; compare."""
+    """Recognize the zeta-coefficient of a symbol at RECOGNITION_PRIME."""
 
     def resolve(symbol, dec_expression):
         from .polylog import get_engine
-        found = {}
-        for p in RECOGNITION_PRIMES:
-            eng = get_engine(p, PrecisionPolicy())
-            num = eng.period(sy.Expression.sym(symbol)) - eng.period(dec_expression)
-            q = recognize_zeta_ratio(eng, num, symbol.weight)
-            if q is None:
-                raise ArithmeticError(
-                    "could not recognize the zeta coefficient of %r at p=%d" % (symbol, p))
-            found[p] = q
-        vals = set(found.values())
-        if len(vals) != 1:
+        p = RECOGNITION_PRIME
+        eng = get_engine(p, PrecisionPolicy())
+        num = eng.period(sy.Expression.sym(symbol)) - eng.period(dec_expression)
+        q = recognize_zeta_ratio(eng, num, symbol.weight)
+        if q is None:
             raise ArithmeticError(
-                "inconsistent recognition for %r: %r" % (symbol, found))
-        q = vals.pop()
-        return q, ("numerically recognized, cross-checked at p=%s"
-                   % ",".join(str(p) for p in RECOGNITION_PRIMES))
+                "could not recognize the zeta coefficient of %r at p=%d" % (symbol, p))
+        return q, "numerically recognized at p=%d" % p
 
     return resolve
 
@@ -277,7 +234,7 @@ def numeric_primitive_resolver():
 
 def build_table_z_half():
     """Period table over Z[1/2]: the Li_k(1/2) column up to weight 4."""
-    t = PeriodTable({2}, resolver=numeric_primitive_resolver())
+    t = PeriodTable({2})
     t.ensure(sy.Symbol("log", 1, Fraction(2)))
     t.ensure(sy.Symbol("zeta", 3, Fraction(0)))
     for k in range(2, 5):
@@ -295,15 +252,14 @@ def build_table_z_sixth():
     vanish by this basis choice, which is what defines sigma_3 here);
     Li_3(9) then carries the one genuinely unknown coefficient.
     """
-    t = PeriodTable({2, 3}, resolver=numeric_primitive_resolver())
+    t = PeriodTable({2, 3})
     t.ensure(sy.Symbol("log", 1, Fraction(2)))
     t.ensure(sy.Symbol("log", 1, Fraction(3)))
     t.ensure(sy.Symbol("zeta", 3, Fraction(0)))
     for z in (Fraction(-2), Fraction(3), Fraction(9), Fraction(-3)):
         t.ensure(sy.Symbol("li", 2, z))
     for z in P3_CHOICE:
-        t.ensure_choice(sy.Symbol("li", 3, z), 0,
-                        "P_3 basis choice (defines sigma_3)")
+        t.ensure(sy.Symbol("li", 3, z), (Fraction(0), "P_3 basis choice (defines sigma_3)"))
     t.ensure(sy.Symbol("li", 3, Fraction(9)))
     t.ensure(sy.Symbol("li", 4, Fraction(3)))
     t.ensure(sy.Symbol("li", 4, Fraction(9)))

@@ -457,11 +457,11 @@ def kummer_degree_one(z, S, genset=None):
 
 
 def expand_in_basis(table, symbol):
-    """(word form, primitive coefficient or None) of one symbol in a period table."""
+    """(word form, primitive coefficient) of one symbol in a period table."""
     if isinstance(symbol, sy.Expression):
         mono = list(symbol.terms)
         if len(mono) != 1 or len(mono[0]) != 1 or symbol.terms[mono[0]] != 1:
             raise ValueError("expand_in_basis wants a single symbol")
         symbol = mono[0][0]
-    e = table.entry(symbol)
+    e = table.ensure(symbol)
     return e.word_form, e.prim

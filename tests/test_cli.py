@@ -94,6 +94,25 @@ def test_verify_suites_pass(capsys):
         code, data = run_cli(capsys, "verify", suite, *S, "--p", "5")
         assert code == 0, suite
         assert suite in data["suites"]
+    # the zeta-coefficient recognition at primes other than the tables' one
+    for p in ("7", "13"):
+        code, data = run_cli(capsys, "verify", "identities", "--p", p)
+        assert code == 0, p
+        assert data["suites"]["identities"][-1]["recognized"] == "-26/3"
+
+
+@pytest.mark.parametrize("argv, primes", [(("ideal", "--S", "2"), {5}),
+                                          (("ideal", "--S", "3"), {5}),
+                                          (("locus", "--S", "3", "--p", "13"), {5, 13})])
+def test_commands_build_engines_only_at_their_primes(argv, primes, capsys, monkeypatch):
+    # the period tables recognize their zeta-coefficients at p = 5 alone
+    import ckpolylog.galois as galois
+    import ckpolylog.polylog as polylog
+    monkeypatch.setattr(polylog, "_ENGINES", {})
+    monkeypatch.setattr(galois, "_TABLES", {})
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert {key[0] for key in polylog._ENGINES} == primes
 
 
 def test_verify_hopf_fails_when_a_cut_is_dropped(capsys, monkeypatch):
@@ -273,6 +292,12 @@ UNSUPPORTED_INPUT = [
     (("verify", "hopf", "--p", "5", "--n", "0"), "verify hopf takes no --n: only counterexample"),
     (("verify", "identities", "--p", "5", "--S", "7"), "verify identities takes no --S: only"),
     (("verify", "appendix", "--S", "3", "--n", "4"), "verify appendix takes no --S and --n: only"),
+    # ideal computes exactly over Z[1/S] and reads no prime or precision
+    (("ideal", "--S", "3", "--p", "3"), "ideal takes no --p: it computes exactly"),
+    (("ideal", "--prec", "30"), "ideal takes no --prec: it computes exactly"),
+    (("ideal", "--S", "2", "--guard", "5"), "ideal takes no --guard: it computes exactly"),
+    (("ideal", "--p", "7", "--prec", "2", "--guard", "3"),
+     "ideal takes no --p and --prec and --guard: it computes exactly"),
 ]
 
 

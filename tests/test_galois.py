@@ -36,22 +36,20 @@ def test_li2_minus2_exact_expansion(table_z_sixth):
 
 
 def test_li3_half_expansion_with_resolved_coefficient(table_z_half):
-    entry = table_z_half.entry(sym_li(3, F(1, 2)))
+    entry = table_z_half.ensure(sym_li(3, F(1, 2)))
     assert entry.word_form.terms == {("tau_2",) * 3: F(1)}
     assert entry.prim == F(7, 8)
-    assert "cross-checked" in entry.provenance
+    assert entry.provenance == "numerically recognized at p=5"
 
 
-def test_li3_half_supplied_coefficient_matches_numeric():
-    table = G.PeriodTable({2}, max_weight=4, resolver=None)
+def test_li3_half_supplied_coefficient_matches_numeric(table_z_half):
+    table = G.PeriodTable({2}, max_weight=4)
     table.ensure(sy.Symbol("log", 1, F(2)))
     sym = sym_li(3, F(1, 2))
-    table.ensure(sym)
-    assert table.entry(sym).prim is None
-    with pytest.raises(G.UnresolvedPrimitive):
-        table.full_form(sym)
-    table.supply_primitive(sym, F(7, 8), "supplied")
+    entry = table.ensure(sym, (F(7, 8), "supplied"))
+    assert (entry.prim, entry.provenance) == (F(7, 8), "supplied")
     assert table.full_form(sym).coefficient(("sigma_3",)) == F(7, 8)
+    assert table.full_form(sym) == table_z_half.full_form(sym)
 
 
 def test_li4_half_tabled_form(table_z_half):
@@ -72,10 +70,10 @@ def test_expand_in_basis_surface(table_z_half, table_z_sixth):
 
 
 def test_li3_nine_minus_12_li3_three_is_primitive(table_z_sixth):
-    dec9 = table_z_sixth.entry(sym_li(3, 9)).word_form
-    dec3 = table_z_sixth.entry(sym_li(3, 3)).word_form
+    dec9 = table_z_sixth.ensure(sym_li(3, 9)).word_form
+    dec3 = table_z_sixth.ensure(sym_li(3, 3)).word_form
     assert (dec9 - dec3.scale(12)).is_zero()
-    assert table_z_sixth.entry(sym_li(3, 9)).prim == F(-26, 3)
+    assert table_z_sixth.ensure(sym_li(3, 9)).prim == F(-26, 3)
 
 
 def test_weight4_table_values(table_z_sixth):
@@ -151,7 +149,7 @@ def test_expansion_rejects_non_s_unit_points(table_z_sixth):
 
 def test_inconsistent_table_raises():
     # corrupting a low-weight entry must break the higher-weight solve
-    table = G.PeriodTable({2, 3}, max_weight=3, resolver=None)
+    table = G.PeriodTable({2, 3}, max_weight=3)
     table.ensure(sy.Symbol("log", 1, F(2)))
     table.ensure(sy.Symbol("log", 1, F(3)))
     s2 = sym_li(2, -2)
@@ -159,7 +157,7 @@ def test_inconsistent_table_raises():
     table.entries[s2].word_form = wd.ShuffleElement.word(
         table.genset, ("tau_2", "tau_2"))  # wrong on purpose
     with pytest.raises(ValueError):
-        table.ensure(sym_li(3, -2))
+        table.ensure(sym_li(3, -2), (F(0), "basis choice"))
 
 
 def test_period_table_json(table_z_half):
@@ -193,6 +191,22 @@ def test_recognize_minus_26_thirds_at_the_default_policy(p):
     assert G.recognize_zeta_ratio(eng, _li3_nine_minus_12_li3_three(eng), 3) == F(-26, 3)
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_recognize_seven_eighths_at_the_default_policy(p):
+    # the tables recognize at one prime; the same coefficient must come out at others
+    from ckpolylog.padic import PrecisionPolicy
+    from ckpolylog.polylog import get_engine
+    eng = get_engine(p, PrecisionPolicy())
+    num = eng.polylog(3, F(1, 2)) - eng.log(F(2)) ** 3 / 6
+    assert G.recognize_zeta_ratio(eng, num, 3) == F(7, 8)
+
+
+def test_unrecognized_coefficient_names_symbol_and_prime(monkeypatch):
+    monkeypatch.setattr(G, "recognize_zeta_ratio", lambda eng, num, n: None)
+    with pytest.raises(ArithmeticError, match=r"Li3\(9\) at p=5"):
+        G.build_table_z_sixth()
+
+
 def _least_verify_prec(p, guard=3):
     from ckpolylog import cli
     for M in range(guard + 1, 40):
@@ -216,10 +230,9 @@ def test_resolver_and_verify_threshold_share_digits_and_bounds(monkeypatch):
     real = G.rational_reconstruct
     monkeypatch.setattr(G, "rational_reconstruct", spy)
     G.build_table_z_sixth()
-    # the resolver recognizes Li_3(9)'s coefficient at each recognition prime
+    # the resolver recognizes Li_3(9)'s coefficient once, at the recognition prime
     threshold = PrecisionPolicy().equality_threshold
-    assert calls == [(p, threshold + G.RECOGNITION_DIGITS, (num, den))
-                     for p in G.RECOGNITION_PRIMES]
+    assert calls == [(G.RECOGNITION_PRIME, threshold + G.RECOGNITION_DIGITS, (num, den))]
     for p in (5, 7, 13):
         # verify accepts the least --prec whose recognition digits suffice for
         # the bounds, unless the zeta_p(3) division needs more
@@ -235,4 +248,4 @@ def test_resolver_and_verify_threshold_share_digits_and_bounds(monkeypatch):
     assert _least_verify_prec(5) == least - 1
     calls.clear()
     G.build_table_z_sixth()
-    assert [c[1] for c in calls] == [threshold + G.RECOGNITION_DIGITS] * 2
+    assert [c[1] for c in calls] == [threshold + G.RECOGNITION_DIGITS]
