@@ -46,7 +46,9 @@ def eval_universal(n, genset):
     Li_k    |-> sum_{r+s=k} f_{g tau_1..tau_r} Phi^{tau_1}_{e0} ... Phi^{g}_{e1e0^{s-1}}
 
     Returns {target: {sorted tuple of coordinate names: ShuffleElement}}.
-    For |S| = 1 the Li_k image collapses to
+    The targets come in weight order, "log", "li1", ..., "li<n>": they are
+    the target names of the elimination ring and of the residue-disk
+    tables.  For |S| = 1 the Li_k image collapses to
     Phi^tau_{e1} (Phi^tau_{e0})^{k-1} f_tau^k / k! plus the sigma-headed
     corrections.
     """

@@ -16,13 +16,25 @@ substitution; we compute it three ways:
 Polynomials are words.LinearCombination subclasses keyed by dense
 exponent tuples, with Fraction coefficients and lex order.
 
-The ring's cocycle variables are the names of cocycles.coordinate_name,
-read off the image's monomials and sorted.  Earlier variables weigh more
-in lex, and "Phi[sigma_..." sorts before "Phi[tau_...", so the sigma
-coordinates rank highest and are eliminated first, the order the
-structured shortcut takes.  The generators do not depend on that order:
-the reduced basis of the elimination ideal is unique for the fixed order
-of the target and Galois variables.
+SubstitutionProblem lays the ring out once, in lex order, earliest
+variable heaviest:
+
+  * the cocycle block: the names of cocycles.coordinate_name, read off the
+    image's monomials and sorted, each of half-weight 0;
+  * the targets: the keys of cocycles.eval_universal's images, heaviest
+    first (li_n, ..., li1, log), each weighing what the f-words of its
+    image weigh (k for li_k, 1 for log);
+  * the Galois coordinates: one f-variable per Lyndon word, weighing the
+    word's half-weight.
+
+"Phi[sigma_..." sorts before "Phi[tau_...", so the sigma coordinates rank
+highest and are eliminated first, the order the structured shortcut
+takes.  The generators do not depend on that order: the reduced basis of
+the elimination ideal is unique for the fixed order of the target and
+Galois variables.  SubstitutionProblem.split cuts a polynomial into its
+Li-monomials (products of targets) with coefficient polynomials in the
+rest of the ring; the serializer, the substitution and the period
+specialization all read that one split.
 
 Buchberger's guard is the module constants: a basis element above degree
 MAX_DEGREE, or more than MAX_STEPS reduction steps in one groebner or
@@ -34,7 +46,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from . import cocycles, words
 
@@ -98,9 +110,6 @@ class Poly(words.LinearCombination):
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
-
-    def uses_vars(self, indices):
-        return any(any(e[i] for i in indices) for e in self.terms)
 
     def content_normalize(self):
         """Integer coefficients, content one, positive leading coefficient."""
@@ -215,19 +224,18 @@ def ideal_member(f, basis_gens):
 
 # -- the substitution ring ---------------------------------------------------
 
-LI_NAMES = ["log", "li1", "li2", "li3", "li4", "li5", "li6", "li7", "li8"]
-
-
-def li_weight(name):
-    return 1 if name == "log" else int(name[2:])
-
 
 def f_var_name(lyndon_word):
     return "f[%s]" % ".".join(lyndon_word)
 
 
 class SubstitutionProblem:
-    """The graph ideal of the universal evaluation image, ready to eliminate."""
+    """The graph ideal of the universal evaluation image, ready to eliminate.
+
+    ring names the variables and half_weights weighs them; li_names lists
+    the targets in the image's order, log first, and li_index their
+    positions in ring.
+    """
 
     def __init__(self, n, S):
         from .galois import standard_genset
@@ -237,71 +245,65 @@ class SubstitutionProblem:
         images = cocycles.eval_universal(n, self.genset)
         self.phi_names = sorted({name for poly in images.values()
                                  for mono in poly for name in mono})
-        self.lyndon = self.genset.lyndon_words(n)
-        self.f_names = [f_var_name(w) for w in self.lyndon]
-        self.li_names = [LI_NAMES[k] for k in range(0, n + 1)]
-        # lex order: cocycle coordinates > targets > Galois coordinates
-        self.ring = tuple(self.phi_names + list(reversed(self.li_names)) + self.f_names)
-        self.image_polys = {
-            tgt: self._image_to_poly(poly) for tgt, poly in images.items()}
+        lyndon = self.genset.lyndon_words(n)
+        self.li_names = list(images)
+        targets = self.li_names[::-1]
+        # lex order: cocycle coordinates > targets, heaviest first > Galois coordinates
+        self.ring = tuple(self.phi_names + targets + [f_var_name(w) for w in lyndon])
+        # a target weighs what the f-words of its image weigh
+        self.half_weights = tuple(
+            [0] * len(self.phi_names)
+            + [max(w for fel in images[t].values() for w in fel.weights()) for t in targets]
+            + [self.genset.word_weight(w) for w in lyndon])
+        index = {name: i for i, name in enumerate(self.ring)}
+        self.li_index = [index[name] for name in self.li_names]
+        self.image_polys = {tgt: self._image_to_poly(poly, index)
+                            for tgt, poly in images.items()}
 
-    def _image_to_poly(self, poly):
-        out = Poly.zero(self.ring)
+    def _image_to_poly(self, poly, index):
+        """An image as a Poly: each coordinate monomial times its f-coefficient
+        written in the Lyndon variables."""
+        terms = {}
         for mono, fel in poly.items():
-            phi = Poly.const(self.ring, 1)
-            for name in mono:
-                phi = phi * Poly.var(self.ring, name)
-            out = out + phi * self.shuffle_to_poly(fel)
-        return out
-
-    def shuffle_to_poly(self, fel):
-        """A ShuffleElement as a polynomial in the Lyndon coordinate variables."""
-        out = Poly.zero(self.ring)
-        for mono, c in words.element_as_lyndon_poly(fel).items():
-            term = Poly.const(self.ring, c)
-            for lw in mono:
-                term = term * Poly.var(self.ring, f_var_name(lw))
-            out = out + term
-        return out
+            for lyndon_mono, c in words.element_as_lyndon_poly(fel).items():
+                e = [0] * len(self.ring)
+                for name in mono + tuple(map(f_var_name, lyndon_mono)):
+                    e[index[name]] += 1
+                words.add_term(terms, tuple(e), c)
+        return Poly(self.ring, terms)
 
     def graph_ideal(self):
-        gens = []
-        for tgt in self.li_names:
-            gens.append(Poly.var(self.ring, tgt) - self.image_polys[tgt])
-        return gens
+        return [Poly.var(self.ring, tgt) - self.image_polys[tgt] for tgt in self.li_names]
+
+    def split(self, poly):
+        """{Li-monomial ((target, power), ...) in li_names order: coefficient Poly}.
+
+        The coefficient holds the terms of poly with that Li-monomial, the
+        targets' exponents set to zero.
+        """
+        out = {}
+        for e, c in poly.terms.items():
+            key = tuple((name, e[i]) for name, i in zip(self.li_names, self.li_index) if e[i])
+            rest = list(e)
+            for i in self.li_index:
+                rest[i] = 0
+            out.setdefault(key, {})[tuple(rest)] = c
+        return {key: Poly(self.ring, terms) for key, terms in out.items()}
 
     def substitute(self, poly):
-        """Replace each target variable by its image (verify_vanishing core)."""
-        li_idx = {name: self.ring.index(name) for name in self.li_names}
+        """Replace each target variable by its image (verify_vanishing core):
+        the sum over Li-monomials of coefficient * prod image^power."""
         out = Poly.zero(self.ring)
-        for e, c in poly.terms.items():
-            term = Poly.const(self.ring, c)
-            for name, i in li_idx.items():
-                if e[i]:
-                    term = term * self.image_polys[name] ** e[i]
-            rest = list(e)
-            for i in li_idx.values():
-                rest[i] = 0
-            out = out + term * Poly(self.ring, {tuple(rest): Fraction(1)})
+        for key, coeff in self.split(poly).items():
+            for name, k in key:
+                coeff = coeff * self.image_polys[name] ** k
+            out = out + coeff
         return out
 
     def weight(self, poly):
         """Total half-weight when homogeneous, else None."""
-        wts = set()
-        fw = {f_var_name(w): self.genset.word_weight(w) for w in self.lyndon}
-        for e in poly.terms:
-            w = 0
-            for name, k in zip(self.ring, e):
-                if not k:
-                    continue
-                if name in fw:
-                    w += k * fw[name]
-                elif name in self.li_names:
-                    w += k * li_weight(name)
-            wts.add(w)
-        if len(wts) == 1:
-            return wts.pop()
-        return None
+        wts = {sum(map(mul, self.half_weights, e)) for e in poly.terms}
+        return wts.pop() if len(wts) == 1 else None
 
 
 class IdealElement:
@@ -318,24 +320,9 @@ class IdealElement:
     def __repr__(self):
         return repr(self.poly)
 
-    def li_coefficients(self):
-        """Split into {Li-monomial (name, power) tuple: coefficient Poly in f}."""
-        ring = self.problem.ring
-        li_idx = [ring.index(n) for n in self.problem.li_names]
-        out = {}
-        for e, c in self.poly.terms.items():
-            key = tuple((self.problem.li_names[j], e[i])
-                        for j, i in enumerate(li_idx) if e[i])
-            rest = list(e)
-            for i in li_idx:
-                rest[i] = 0
-            cur = out.setdefault(key, Poly.zero(ring))
-            out[key] = cur + Poly(ring, {tuple(rest): c})
-        return out
-
     def to_json(self):
         rows = []
-        for key, coeff in sorted(self.li_coefficients().items()):
+        for key, coeff in sorted(self.problem.split(self.poly).items()):
             mono = []
             for name, k in key:
                 label = "log" if name == "log" else "Li%s" % name[2:]
@@ -352,8 +339,10 @@ def ck_ideal_generators(n, S):
     """
     prob = SubstitutionProblem(n, S)
     gb = groebner(prob.graph_ideal())
-    phi_idx = [prob.ring.index(v) for v in prob.phi_names]
-    eliminated = [g for g in gb if not g.uses_vars(phi_idx)]
+    # the cocycle block leads the lex order, so a basis element is free of
+    # it exactly when its leading monomial is
+    phi = len(prob.phi_names)
+    eliminated = [g for g in gb if not any(g.leading()[0][:phi])]
     eliminated.sort(key=lambda g: (prob.weight(g) or 10 ** 9, sorted(g.terms)))
     kept = []
     for g in eliminated:
@@ -429,17 +418,18 @@ def _li_monomials(prob, max_weight, max_degree):
     """
     names = prob.li_names
     out = []
-    for *e, slack in words.monomials([li_weight(n) for n in names] + [1], max_weight):
+    weights = [prob.half_weights[i] for i in prob.li_index]
+    for *e, slack in words.monomials(weights + [1], max_weight):
         if 0 < sum(e) <= max_degree:
             out.append((tuple((n, k) for n, k in zip(names, e) if k), max_weight - slack))
     return out
 
 
 def _f_monomials(prob, weight):
-    lw = prob.lyndon
-    names = [f_var_name(w) for w in lw]
+    f_block = slice(len(prob.phi_names) + len(prob.li_names), None)
+    names = prob.ring[f_block]
     return [tuple((n, k) for n, k in zip(names, e) if k)
-            for e in words.monomials([prob.genset.word_weight(w) for w in lw], weight)]
+            for e in words.monomials(prob.half_weights[f_block], weight)]
 
 
 def _nullspace(mat, ncols):
@@ -465,9 +455,9 @@ def specialize_coefficients(element, assignment):
     from .symbols import Expression
     named = {f_var_name(k): v for k, v in assignment.items()}
     out = {}
-    for key, coeff in element.li_coefficients().items():
+    ring = element.problem.ring
+    for key, coeff in element.problem.split(element.poly).items():
         acc = Expression.zero()
-        ring = element.problem.ring
         for e, c in coeff.terms.items():
             term = Expression.const(c)
             for name, k in zip(ring, e):

@@ -387,9 +387,6 @@ def locus_for(p, S, n, policy, symmetrize=False):
     return locus
 
 
-S3_MAP_NAMES = ("z", "1-z", "1/z", "1/(1-z)", "z/(z-1)", "(z-1)/z")
-
-
 def s3_images(z):
     one = 1
     return (z, one - z, one / z, one / (one - z), z / (z - one), (z - one) / z)

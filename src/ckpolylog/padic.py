@@ -194,8 +194,6 @@ class PadicNumber:
         return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -229,8 +227,6 @@ class PadicNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int) and other == 1:
-            return self
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented

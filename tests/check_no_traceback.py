@@ -1,0 +1,63 @@
+"""Run a grid of command lines, each in a fresh ``python -m ckpolylog`` process.
+
+Every run must end with exit status 0 (certified), 1 (computed but not
+certified) or 2 (rejected), and print no traceback; a rejection prints
+exactly one line on stderr.  The grid reaches past what the goldens pin:
+
+  * ``ideal --S l --n k --abstract-only`` for l in {2, 3, 5, 7}, k = 1..10;
+  * ``locus --S l --p p --n k`` for l in {2, 3, 5}, p in {7, 11},
+    k in {2, 3, 4, 6};
+  * ``verify counterexample --S l --p p --n k`` for l in {2, 3},
+    p in {5, 11}, k in {1, 4, 8}.
+
+From the repository root:
+
+    PYTHONPATH=src python tests/check_no_traceback.py
+
+It prints one line per command and exits 1 if any run broke the rule.
+"""
+
+import itertools
+import os
+import subprocess
+import sys
+
+
+def commands():
+    for ell, k in itertools.product((2, 3, 5, 7), range(1, 11)):
+        yield "ideal --S %d --n %d --abstract-only" % (ell, k)
+    for ell, p, k in itertools.product((2, 3, 5), (7, 11), (2, 3, 4, 6)):
+        yield "locus --S %d --p %d --n %d" % (ell, p, k)
+    for ell, p, k in itertools.product((2, 3), (5, 11), (1, 4, 8)):
+        yield "verify counterexample --S %d --p %d --n %d" % (ell, p, k)
+
+
+def fault(run):
+    """What the run did wrong, or None."""
+    if run.returncode not in (0, 1, 2):
+        return "exit %d" % run.returncode
+    if "Traceback" in run.stdout + run.stderr:
+        return "traceback"
+    if run.returncode == 2 and run.stderr.count("\n") != 1:
+        return "exit 2 with %d stderr lines" % run.stderr.count("\n")
+    return None
+
+
+def main():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    failed = 0
+    for cmd in commands():
+        run = subprocess.run([sys.executable, "-m", "ckpolylog", *cmd.split()],
+                             capture_output=True, text=True, env=env)
+        why = fault(run)
+        if why is None:
+            print("ok   exit %d  %s" % (run.returncode, cmd))
+            continue
+        failed += 1
+        print("FAIL %s: %s" % (cmd, why))
+        sys.stdout.write(run.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

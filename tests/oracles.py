@@ -393,7 +393,7 @@ def canonical_form(g):
     """Ring-independent representation of an IdealElement, for comparisons
     across substitution problems."""
     out = {}
-    for key, coeff in g.li_coefficients().items():
+    for key, coeff in g.problem.split(g.poly).items():
         fterms = []
         for e, c in coeff.terms.items():
             mono = tuple((v, k) for v, k in zip(g.problem.ring, e) if k)

@@ -298,6 +298,9 @@ UNSUPPORTED_INPUT = [
     (("ideal", "--S", "2", "--guard", "5"), "ideal takes no --guard: it computes exactly"),
     (("ideal", "--p", "7", "--prec", "2", "--guard", "3"),
      "ideal takes no --p and --prec and --guard: it computes exactly"),
+    # the ring has a target for each of log, Li_1, ..., Li_n, however large n
+    (("ideal", "--S", "3", "--n", "9"),
+     "ideal --S 3 --n 9 is unsupported: degree 13 exceeds guard 12"),
 ]
 
 

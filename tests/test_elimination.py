@@ -126,6 +126,27 @@ def test_ring_names_the_image_coordinates_sigma_first(ell):
     assert list(prob.ring[:3]) == [sigma] + taus
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ring_targets_are_the_image_keys_with_their_weights(n):
+    prob = E.SubstitutionProblem(n, {3})
+    assert prob.li_names == list(eval_universal(n, prob.genset))
+    assert [prob.weight(Poly.var(prob.ring, name)) for name in prob.li_names] \
+        == [1] + list(range(1, n + 1))
+
+
+def test_split_reassembles_each_polynomial():
+    prob, short = E.structured_shortcut_generators({3})
+    polys = [g.poly for g in short] + prob.graph_ideal()
+    for poly in polys:
+        total = Poly.zero(prob.ring)
+        for key, coeff in prob.split(poly).items():
+            mono = Poly.const(prob.ring, 1)
+            for name, k in key:
+                mono = mono * Poly.var(prob.ring, name) ** k
+            total = total + mono * coeff
+        assert total == poly
+
+
 def test_completeness_brute_force_kernel_certification():
     """The generated ideal matches the full elimination kernel, weight by weight."""
     prob = E.SubstitutionProblem(4, {3})

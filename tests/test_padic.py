@@ -31,6 +31,14 @@ def test_arithmetic_precision_semantics():
     assert z.unit == 0 and z.val_lower_bound() == 8
 
 
+@pytest.mark.parametrize("x", [PadicNumber.from_rational(5, F(7, 8), 10),
+                               PadicNumber.zero_to(5, 6), PadicNumber.exact_zero(5)],
+                         ids=["unit", "tracked-zero", "exact-zero"])
+def test_adding_zero_and_multiplying_by_one_keep_the_value(x):
+    assert x + 0 == x and 0 + x == x
+    assert x * 1 == x and 1 * x == x
+
+
 def test_truncate_abs_never_claims_beyond_its_bound():
     # a nonzero value of valuation >= A truncates to O(p^A), not O(p^val)
     x = PadicNumber(7, 50, 2, 10).truncate_abs(47)
