@@ -81,7 +81,7 @@ def _parse_S(text):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -154,9 +154,6 @@ class PeriodTable:
         """
         out = sy.Expression.zero()
         for m in el.weights():
-            if m == 0:
-                out = out + sy.Expression.const(el.coefficient(()))
-                continue
             span = self._spanning_products(m)
             vec = wd.solve_columns([form.terms for _, form in span],
                                    el.graded_part(m).terms)

@@ -9,12 +9,13 @@ reported loudly as a candidate, never dropped.
 
 Root isolation runs on integer vectors (polylog.IntSeries with one claim
 per coefficient).  The Newton polygon reads the coefficient valuations; the
-content is stripped by moving the power-of-p scale; and once every claim is
-at least 3, the residue test needs only the coefficients mod p, so the p
-candidate residues of a disk cost small-integer Horner steps.  Only a
+content is stripped by moving the power-of-p scale
+(IntSeries.without_content); and once every claim is at least 3, the
+residue test needs only the coefficients mod p (IntSeries.residues), so the
+p candidate residues of a disk cost small-integer Horner steps.  Only a
 surviving residue is evaluated with full claims for Hensel's test and
-Newton refinement, and the recentering S(r + p s) claims each coefficient
-as the PadicNumber sum would.
+Newton refinement, and the recentering S(r + p s) (IntSeries.recentered)
+claims each coefficient as the PadicNumber sum would.
 
 locus_for isolates the roots of its second function only in the residue
 classes of the running locus: on a disk a, only the residues r = t mod p
@@ -31,14 +32,12 @@ Locus, and intersect_loci rejects two loci at different policies.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import cocycles, galois
 from . import symbols as sy
-from .padic import PadicNumber, PrecisionError, padic_agree, rational_reconstruct, valuation
-from .polylog import (EXACT, IntSeries, get_engine, unsupported_prime, _power_tables,
-                      _series_eval, _series_multiply, _top)
+from .padic import EXACT, PadicNumber, PrecisionError, padic_agree, rational_reconstruct
+from .polylog import IntSeries, get_engine, unsupported_prime, _series_eval, _series_multiply
 
 
 class ColemanFunction:
@@ -59,7 +58,7 @@ class ColemanFunction:
         eng = self.engine
         table = eng.disk_table(a)
         N = eng.local_degree
-        out = IntSeries(self.p, [0] * N, 0, precs=[EXACT] * N)
+        out = IntSeries(self.p, [0] * N, 0, [EXACT] * N)
         for mono, c in self.coeffs.items():
             if c.is_exact_zero():
                 continue
@@ -173,37 +172,6 @@ def _lower_hull(pts):
     return hull
 
 
-def _series_shift(series, r, p, workprec):
-    """Coefficients of S(r + p s) as a series in s.
-
-    Coefficient l is sum_j c_j C(j, l) r^(j-l) times (p + O(p^(workprec+1)))^l.
-    The sum claims min_j (A_j + v_p C(j, l)) over the terms it keeps (exact
-    zeros and zeros beyond workprec drop out); the factor caps that claim at
-    l + workprec + v(sum), at l = 0 too.
-    """
-    s, n = series.scale, len(series)
-    claims = series.claims()
-    keep = [j for j, (u, A) in enumerate(zip(series.coeffs, claims))
-            if A != EXACT and (u or A <= workprec)]
-    # a claim grows by at most l + log_p(n) <= 2n here
-    pw, lg = _power_tables(p, _top(claims, s) + 2 * n)
-    coeffs, out = [], []
-    for l in range(n):
-        js = [j for j in keep if j >= l and (r or j == l)]
-        if not js:
-            coeffs.append(0)
-            out.append(EXACT)
-            continue
-        binom = [math.comb(j, l) for j in js]
-        A = min(claims[j] + valuation(b, p)[0] for j, b in zip(js, binom))
-        acc = sum(series.coeffs[j] * b * r ** (j - l) for j, b in zip(js, binom)) % pw[A - s]
-        v = s + lg[math.gcd(acc, pw[A - s])] if acc else A
-        A = min(A + l, l + workprec + v)
-        coeffs.append(acc * pw[l] % pw[A - s])
-        out.append(A)
-    return IntSeries(p, coeffs, s, precs=out)
-
-
 def _newton_refine(series, deriv, t0, workprec):
     t = t0
     for _ in range(max(6, workprec.bit_length() + 2)):
@@ -213,23 +181,6 @@ def _newton_refine(series, deriv, t0, workprec):
             break
         t = t - ft / dt
     return t
-
-
-def _strip_content(series):
-    """Divide out the p-power content; None when flat to working precision."""
-    known = [v for u, v in zip(series.coeffs, series.valuations()) if u]
-    if not known:
-        return None, 0
-    mu = min(known)
-    return series.shift(-mu), mu
-
-
-def _residues(series):
-    """Coefficients mod p of a series whose coefficients are integral."""
-    p, s = series.p, series.scale
-    if s >= 0:
-        return [u * p ** s % p for u in series.coeffs]
-    return [u // p ** -s % p for u in series.coeffs]
 
 
 def _roots_in_unit_disk(series, policy, depth, residues=None):
@@ -244,16 +195,16 @@ def _roots_in_unit_disk(series, policy, depth, residues=None):
     """
     p, workprec = series.p, policy.workprec()
     candidates = range(p) if residues is None else residues
-    stripped, _ = _strip_content(series)
+    stripped = series.without_content()
     if stripped is None:
         return [(PadicNumber.from_rational(p, r, workprec), False) for r in candidates]
-    window = min(stripped.claims())
+    window = min(stripped.claims)
     if window <= policy.g + 2:
         # not enough honest digits left to separate roots
         return [(PadicNumber.from_rational(p, 0, workprec), False)] if 0 in candidates else []
     deriv = stripped.derivative()
     # every claim is at least window >= 3, so val S(r) >= 1 iff S(r) = 0 mod p
-    top_first = _residues(stripped)[::-1]
+    top_first = stripped.residues()[::-1]
     found = []
     for r in candidates:
         acc = 0
@@ -271,7 +222,7 @@ def _roots_in_unit_disk(series, policy, depth, residues=None):
         if depth <= 0:
             found.append((rv, False))
             continue
-        shifted = _series_shift(stripped, r, p, workprec)
+        shifted = stripped.recentered(r, workprec)
         for (s, ok) in _roots_in_unit_disk(shifted, policy, depth - 1):
             found.append((rv + p * s, ok))
     return found
@@ -428,7 +379,7 @@ class CounterexampleReport:
         self.zeta_guard = zeta_guard
 
     def passed(self, policy):
-        return (all(self.symbolic.values())
+        return (self.zeta_guard and all(self.symbolic.values())
                 and all(v >= policy.equality_threshold for v in self.numeric.values()))
 
     def to_json(self, policy):

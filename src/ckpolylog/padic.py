@@ -5,14 +5,19 @@ precision is val + rel.  Addition floors the result at the joint absolute
 precision, multiplication and division work at the joint relative
 precision, so precision loss is tracked per value.  The logarithm is the
 Iwasawa branch (log p = 0), which kills Teichmueller roots of unity.
+
+EXACT = inf is both the valuation and the claim (absolute precision) of an
+exact zero: an exact zero has val = EXACT and rel = 0, a tracked zero O(p^A)
+has val = A.  Every polylog.IntSeries claims each coefficient in the same
+terms, EXACT for an exact zero coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
-_EXACT_ZERO_VAL = None
+EXACT = inf
 
 
 def is_prime(n):
@@ -82,8 +87,9 @@ class PrecisionPolicy:
 class PadicNumber:
     """p-adic scalar: p, valuation, unit part mod p^rel, relative precision.
 
-    Zero comes in two flavours: exact zero (infinite precision) and a
-    tracked zero O(p^A) whose valuation is only known to be >= A.
+    Zero comes in two flavours: exact zero, val = EXACT (infinite
+    precision), and a tracked zero O(p^A), val = A, whose valuation is only
+    known to be >= A.
     """
 
     __slots__ = ("p", "val", "unit", "rel")
@@ -92,19 +98,13 @@ class PadicNumber:
         self.p = p
         if rel < 0:
             rel = 0
-        if val is _EXACT_ZERO_VAL:
-            self.val, self.unit, self.rel = None, 0, 0
-            return
         unit %= p ** rel if rel else 1
         if unit == 0:
-            # all known digits vanished: tracked zero O(p^{val+rel})
+            # all known digits vanished: zero O(p^{val+rel}), exact at val = EXACT
             self.val, self.unit, self.rel = val + rel, 0, 0
             return
         # normalize so the unit is coprime to p
-        shift = 0
-        while unit % p == 0:
-            unit //= p
-            shift += 1
+        shift, unit = valuation(unit, p)
         self.val = val + shift
         self.rel = rel - shift
         self.unit = unit % (p ** self.rel)
@@ -113,7 +113,7 @@ class PadicNumber:
 
     @classmethod
     def exact_zero(cls, p):
-        return cls(p, _EXACT_ZERO_VAL, 0, 0)
+        return cls(p, EXACT, 0, 0)
 
     @classmethod
     def zero_to(cls, p, abs_prec):
@@ -139,7 +139,7 @@ class PadicNumber:
     # -- queries -----------------------------------------------------------
 
     def is_exact_zero(self):
-        return self.val is None
+        return self.val == EXACT
 
     def is_zeroish(self):
         return self.unit == 0
@@ -151,13 +151,9 @@ class PadicNumber:
         return self.val
 
     def val_lower_bound(self):
-        if self.val is None:
-            return 10 ** 9
         return self.val
 
     def abs_precision(self):
-        if self.val is None:
-            return 10 ** 9
         return self.val + self.rel
 
     def lift(self):
@@ -231,10 +227,9 @@ class PadicNumber:
         if b is NotImplemented:
             return NotImplemented
         a = self
-        if a.is_exact_zero() or b.is_exact_zero():
-            return PadicNumber.exact_zero(a.p)
         if a.unit == 0 or b.unit == 0:
-            # O(p^A) * (p^v unit) = O(p^{A+v}); O * O = O(sum of bounds)
+            # O(p^A) * (p^v unit) = O(p^{A+v}); O * O = O(sum of bounds); a
+            # bound EXACT keeps an exact zero exact
             bound = a.val_lower_bound() + b.val_lower_bound()
             return PadicNumber.zero_to(a.p, bound)
         rel = min(a.rel, b.rel)
@@ -279,7 +274,7 @@ class PadicNumber:
 
     def truncate_abs(self, abs_prec):
         if self.unit == 0:
-            if self.val is None or self.val >= abs_prec:
+            if self.val >= abs_prec:
                 return PadicNumber.zero_to(self.p, abs_prec)
             return self
         rel = abs_prec - self.val
@@ -365,8 +360,6 @@ def rational_reconstruct(x, num_bound, den_bound):
     2 * num_bound * den_bound < p^N for uniqueness; raises otherwise.
     Negative-valuation inputs are scaled through p^val first.
     """
-    if x.is_exact_zero():
-        return Fraction(0)
     if x.unit == 0:
         # consistent with 0 if the bound window contains it
         return Fraction(0)

@@ -12,19 +12,20 @@ term 1, so its log-derivative r = lambda'/lambda obeys an exact integer
 recurrence of length p-1, and t_1[n] = (r[n-1]/p)/n.  Each t_{k+1} follows
 from t_k by alternating prefix sums and one more division by n.  The whole
 build runs on integers modulo p^N; each t_k is one IntSeries, an integer
-vector with one power-of-p scale and one absolute precision, so precision
-loss is accounted once per division step (at most log_p D digits) rather
-than per coefficient.  At a Teichmueller point theta (theta^p = theta) the
-twist untwists exactly: t_k(theta) = (1 - p^{-k}) Li_k(theta).  That value
-is claimed only to the point's precision plus the least coefficient
-valuation, below the series' own precision, so each t_k is reduced
-once modulo p^(claim - scale) and its top coefficients that vanish there
-are dropped: at p = 31 a Horner runs over about 690 of 1,554 of them, to
-the same value and claim.  Two shortcuts spare most of these Horners.
-Li_1(theta) = -log(1 - theta) directly, so t_1 is evaluated only by the
-truncation guard at z = 0.  And theta_(1/a) = 1/theta_a with log theta = 0
-on the Iwasawa branch, so Li_k(1/theta) = (-1)^(k+1) Li_k(theta): of each
-pair of inverse disks a, a^-1 only the first one asked for runs a Horner.
+vector with one power-of-p scale and one claim (absolute precision) per
+coefficient, all of them equal, so precision loss is accounted once per
+division step (at most log_p D digits) rather than per coefficient.  At a
+Teichmueller point theta (theta^p = theta) the twist untwists exactly:
+t_k(theta) = (1 - p^{-k}) Li_k(theta).  That value is claimed only to the
+point's precision plus the least coefficient valuation, below the series'
+own claim, so each t_k is reduced once modulo p^(claim - scale) and its
+top coefficients that vanish there are dropped: at p = 31 a Horner runs
+over about 690 of 1,554 of them, to the same value and claim.  Two
+shortcuts spare most of these Horners.  Li_1(theta) = -log(1 - theta)
+directly, so t_1 is evaluated only by the truncation guard at z = 0.  And
+theta_(1/a) = 1/theta_a with log theta = 0 on the Iwasawa branch, so
+Li_k(1/theta) = (-1)^(k+1) Li_k(theta): of each pair of inverse disks a,
+a^-1 only the first one asked for runs a Horner.
 
 The series keep workprec + 4 digits (_gsprec), and the degree is sized
 from that.  Every t_k is integral (least coefficient valuation 0), so a
@@ -53,18 +54,18 @@ stays at or above workprec for k = max_weight.  So the dropped tail of every
 table series, and of every Coleman local series (Li-weight <= max_weight),
 lies at or above workprec; at the default policy N = workprec + 4 = 27.
 
-The disk series are IntSeries too, but with one absolute precision per
-coefficient: a value Li_k(theta) claims workprec, while a coefficient
-divided by j loses v_p(j) digits, so one claim per series would have to
-absorb the worst loss.  Each operation claims every coefficient by
-PadicNumber's own rules, without building a PadicNumber: a product term
+The disk series are IntSeries too, but their claims differ from one
+coefficient to the next: a value Li_k(theta) claims workprec, while a
+coefficient divided by j loses v_p(j) digits, so one claim for the whole
+series would have to absorb the worst loss.  Each operation claims every
+coefficient by PadicNumber's own rules, without building a PadicNumber: a product term
 a_i b_j claims min(A_a[i] + v(b_j), A_b[j] + v(a_i)), a sum the least claim
 of its terms, a division by j costs v_p(j) digits on that coefficient, and
 Horner evaluation claims acc * x + c step by step as PadicNumber would.
 A product with a one-coefficient factor, the constant that starts each
 monomial of a Coleman function's local series, takes one pass.
 The base series (log and Li_1 about a center c) are built directly as
-integer geometric series.  The factor dz/z = p/(c + p t) of dLi_k =
+integer geometric series, by one method.  The factor dz/z = p/(c + p t) of dLi_k =
 Li_(k-1) dz/z is never built: with q = p/c, the product y of a series a
 by it obeys y_k = q (a_k - y_(k-1)), one pass modulo p^(top - scale), and
 coefficient j of dz/z has valuation j + 1 and claims R + j + 1
@@ -86,7 +87,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .padic import (PadicNumber, PrecisionError, is_prime, iwasawa_log, log_floor,
+from .padic import (EXACT, PadicNumber, PrecisionError, is_prime, iwasawa_log, log_floor,
                     teichmuller, valuation)
 from .symbols import Expression
 
@@ -94,8 +95,6 @@ from .symbols import Expression
 class BadDiskError(ValueError):
     """Argument reduces into a residue disk where Li_k is not defined."""
 
-
-EXACT = math.inf  # the claim of an exact zero coefficient
 
 _POWERS = {}  # p -> ([p^0, p^1, ...], {p^e: e})
 
@@ -120,39 +119,34 @@ def _top(claims, scale):
 class IntSeries:
     """Power series sum coeffs[n] * p^scale * w^n over Z_p.
 
-    Coefficient n is the integer coeffs[n] modulo p^(A_n - scale), A_n its
-    absolute precision.  The Frobenius-twisted series claim one precision
-    prec for every coefficient (precs is None).  Residue-disk series carry
-    precs, one claim per coefficient (prec is None), EXACT for an exact zero; their
-    arithmetic claims each coefficient as PadicNumber would, with no object
-    per operation.  Every coefficient has valuation >= scale.
+    Coefficient n is the integer coeffs[n] modulo p^(A_n - scale), where
+    A_n = claims[n] is its absolute precision, EXACT for an exact zero.  The
+    claims of a Frobenius-twisted series t_k are all equal; a residue-disk
+    series claims each coefficient as PadicNumber would, with no object per
+    operation.  Every coefficient has valuation >= scale.
     """
 
-    __slots__ = ("p", "coeffs", "scale", "prec", "precs", "_vals", "_minval", "_reduced")
+    __slots__ = ("p", "coeffs", "scale", "claims", "_vals", "_minval", "_reduced")
 
-    def __init__(self, p, coeffs, scale, prec=None, precs=None):
-        self.p, self.coeffs, self.scale = p, coeffs, scale
-        self.prec, self.precs = prec, precs
+    def __init__(self, p, coeffs, scale, claims):
+        self.p, self.coeffs, self.scale, self.claims = p, coeffs, scale, claims
         self._vals = self._minval = self._reduced = None
 
     @classmethod
     def from_padics(cls, p, values):
-        """Per-coefficient series holding the PadicNumbers values."""
+        """The series holding the PadicNumbers values."""
         scale = min([0] + [x.val_lower_bound() for x in values])
-        claims = [EXACT if x.is_exact_zero() else x.abs_precision() for x in values]
+        claims = [x.abs_precision() for x in values]
         pw = _power_tables(p, _top(claims, scale))[0]
         coeffs = [x.unit * pw[x.val - scale] % pw[A - scale] if x.unit else 0
                   for x, A in zip(values, claims)]
-        return cls(p, coeffs, scale, precs=claims)
+        return cls(p, coeffs, scale, claims)
 
     def __len__(self):
         return len(self.coeffs)
 
-    def claims(self):
-        return self.precs if self.precs is not None else [self.prec] * len(self.coeffs)
-
     def coefficient(self, n):
-        A = self.claims()[n]
+        A = self.claims[n]
         if A == EXACT:
             return PadicNumber.exact_zero(self.p)
         return PadicNumber(self.p, self.scale, self.coeffs[n], A - self.scale)
@@ -161,32 +155,34 @@ class IntSeries:
         """Valuation of each coefficient; its claim when it is zero to that claim."""
         if self._vals is None:
             s = self.scale
-            claims = self.claims()
+            claims = self.claims
             pw, lg = _power_tables(self.p, _top(claims, s))
             self._vals = [s + lg[math.gcd(u, pw[A - s])] if u else A
                           for u, A in zip(self.coeffs, claims)]
         return self._vals
 
     def min_valuation(self, start=0):
-        """Least valuation among coeffs[start:] of a one-claim series; prec
-        when they all vanish."""
-        g = math.gcd(self.p ** (self.prec - self.scale), *self.coeffs[start:])
+        """Least valuation among coeffs[start:], read modulo the least claim;
+        that claim when they all vanish there."""
+        g = math.gcd(self.p ** (min(self.claims) - self.scale), *self.coeffs[start:])
         return self.scale + log_floor(g, self.p)
 
     def evaluate(self, x):
-        """Horner evaluation of a one-claim series on integers, val(x) >= 0.
+        """Horner evaluation of a twisted series on integers, val(x) >= 0.
 
         x is known to x.abs_precision() digits, so the value is claimed to
-        min(prec, x.abs_precision() + least coefficient valuation).  The
-        Horner runs modulo p^(claim - scale) on the coefficients reduced to
-        that modulus, top first, without the top ones that vanish there;
-        that list is kept per modulus, so the Teichmueller points of one
-        engine share it.  The value is the full Horner's.
+        min(least claim, x.abs_precision() + least coefficient valuation);
+        both minima are taken once per series (_minval).  The Horner runs
+        modulo p^(claim - scale) on the coefficients reduced to that
+        modulus, top first, without the top ones that vanish there; that
+        list is kept per modulus, so the Teichmueller points of one engine
+        share it.  The value is the full Horner's.
         """
         if self._minval is None:
-            self._minval = self.min_valuation()
+            self._minval = min(self.claims), self.min_valuation()
             self._reduced = {}
-        prec = min(self.prec, x.abs_precision() + self._minval)
+        least, minval = self._minval
+        prec = min(least, x.abs_precision() + minval)
         mod = self.p ** (prec - self.scale)
         top_first = self._reduced.get(mod)
         if top_first is None:
@@ -203,15 +199,14 @@ class IntSeries:
     def rescaled(self, scale):
         """The same series over a lower scale."""
         m = self.p ** (self.scale - scale)
-        return IntSeries(self.p, [u * m for u in self.coeffs], scale,
-                         precs=list(self.claims()))
+        return IntSeries(self.p, [u * m for u in self.coeffs], scale, list(self.claims))
 
     def with_constant(self, c):
         """The series with coefficient 0 replaced by the PadicNumber c."""
         head = IntSeries.from_padics(self.p, [c])
         s = min(self.scale, head.scale)
         out, head = self.rescaled(s), head.rescaled(s)
-        out.coeffs[0], out.precs[0] = head.coeffs[0], head.precs[0]
+        out.coeffs[0], out.claims[0] = head.coeffs[0], head.claims[0]
         return out
 
     def __add__(self, other):
@@ -220,29 +215,28 @@ class IntSeries:
         a, b = self.rescaled(s), other.rescaled(s)
         if len(a) < len(b):
             a, b = b, a
-        claims = list(a.precs)
+        claims = list(a.claims)
         coeffs = list(a.coeffs)
         pw = _power_tables(self.p, _top(claims, s))[0]
-        for n, (u, A) in enumerate(zip(b.coeffs, b.precs)):
+        for n, (u, A) in enumerate(zip(b.coeffs, b.claims)):
             A = min(A, claims[n])
             claims[n] = A
             coeffs[n] = 0 if A == EXACT else (coeffs[n] + u) % pw[A - s]
-        return IntSeries(self.p, coeffs, s, precs=claims)
+        return IntSeries(self.p, coeffs, s, claims)
 
     def shift(self, k):
         """Multiply by p^k exactly (no precision loss)."""
-        return IntSeries(self.p, self.coeffs, self.scale + k,
-                         precs=[A + k for A in self.claims()])
+        return IntSeries(self.p, self.coeffs, self.scale + k, [A + k for A in self.claims])
 
     def derivative(self):
         """d/dw; multiplying coefficient n by n gains v_p(n) digits of claim."""
         p, s = self.p, self.scale
         claims = [A if A == EXACT else A + valuation(n, p)[0]
-                  for n, A in enumerate(self.claims()) if n]
+                  for n, A in enumerate(self.claims) if n]
         pw = _power_tables(p, _top(claims, s))[0]
         coeffs = [0 if A == EXACT else u * n % pw[A - s]
                   for n, (u, A) in enumerate(zip(self.coeffs[1:], claims), start=1)]
-        return IntSeries(p, coeffs, s, precs=claims)
+        return IntSeries(p, coeffs, s, claims)
 
     def integral(self):
         """Antiderivative with exact-zero constant: coefficient j is coeffs[j-1]/j.
@@ -253,7 +247,7 @@ class IntSeries:
         p, s = self.p, self.scale
         index = [valuation(j, p) for j in range(1, len(self.coeffs) + 1)]
         claims = [EXACT] + [A if A == EXACT else A - e
-                            for A, (e, _) in zip(self.claims(), index)]
+                            for A, (e, _) in zip(self.claims, index)]
         s_new = min([s] + [v - e for v, (e, _) in zip(self.valuations(), index)
                            if v != EXACT])
         pw = _power_tables(p, _top(claims, s_new) + s - s_new)[0]
@@ -266,7 +260,51 @@ class IntSeries:
             k = s - e - s_new
             u = u * pw[k] if k >= 0 else u // pw[-k]
             coeffs.append(u * pow(w, -1, mod) % mod)
-        return IntSeries(p, coeffs, s_new, precs=claims)
+        return IntSeries(p, coeffs, s_new, claims)
+
+    def without_content(self):
+        """The series divided by its p-power content; None when it vanishes
+        to every claim."""
+        known = [v for u, v in zip(self.coeffs, self.valuations()) if u]
+        return self.shift(-min(known)) if known else None
+
+    def residues(self):
+        """Coefficients mod p of a series whose coefficients are integral."""
+        p, s = self.p, self.scale
+        if s >= 0:
+            return [u * p ** s % p for u in self.coeffs]
+        return [u // p ** -s % p for u in self.coeffs]
+
+    def recentered(self, r, workprec):
+        """Coefficients of S(r + p s) as a series in s.
+
+        Coefficient l is sum_j c_j C(j, l) r^(j-l) times
+        (p + O(p^(workprec+1)))^l.  The sum claims min_j (A_j + v_p C(j, l))
+        over the terms it keeps (exact zeros and zeros beyond workprec drop
+        out); the factor caps that claim at l + workprec + v(sum), at l = 0
+        too.
+        """
+        p, s, n = self.p, self.scale, len(self)
+        keep = [j for j, (u, A) in enumerate(zip(self.coeffs, self.claims))
+                if A != EXACT and (u or A <= workprec)]
+        # a claim grows by at most l + log_p(n) <= 2n here
+        pw, lg = _power_tables(p, _top(self.claims, s) + 2 * n)
+        coeffs, claims = [], []
+        for l in range(n):
+            js = [j for j in keep if j >= l and (r or j == l)]
+            if not js:
+                coeffs.append(0)
+                claims.append(EXACT)
+                continue
+            binom = [math.comb(j, l) for j in js]
+            A = min(self.claims[j] + valuation(b, p)[0] for j, b in zip(js, binom))
+            acc = sum(self.coeffs[j] * b * r ** (j - l)
+                      for j, b in zip(js, binom)) % pw[A - s]
+            v = s + lg[math.gcd(acc, pw[A - s])] if acc else A
+            A = min(A + l, l + workprec + v)
+            coeffs.append(acc * pw[l] % pw[A - s])
+            claims.append(A)
+        return IntSeries(p, coeffs, s, claims)
 
 
 def _series_eval(series, x):
@@ -279,7 +317,7 @@ def _series_eval(series, x):
     if x.is_exact_zero():
         return series.coefficient(0) if len(series) else PadicNumber.exact_zero(p)
     Ax, vx, X = x.abs_precision(), x.val_lower_bound(), x.lift()
-    claims = series.claims()
+    claims = series.claims
     pw, lg = _power_tables(p, _top(claims, s))
     acc, A = 0, EXACT
     for u, Ac in zip(reversed(series.coeffs), reversed(claims)):
@@ -311,14 +349,14 @@ def _series_multiply(a, b, trunc):
     if len(b) == 1:
         a, b = b, a
     if len(a) == 1:
-        u, A, v = a.coeffs[0], a.claims()[0], a.valuations()[0]
+        u, A, v = a.coeffs[0], a.claims[0], a.valuations()[0]
         claims = [min(A + vb, v + Ab)
-                  for vb, Ab in zip(b.valuations()[:trunc], b.claims()[:trunc])]
+                  for vb, Ab in zip(b.valuations()[:trunc], b.claims[:trunc])]
         # an exact zero's integer is 0, so an EXACT claim gets coefficient 0
         coeffs = [u * ub for ub in b.coeffs[:trunc]]
     else:
-        ua, Aa, va = a.coeffs, a.claims(), a.valuations()
-        rb, rAb, rvb = b.coeffs[::-1], b.claims()[::-1], b.valuations()[::-1]
+        ua, Aa, va = a.coeffs, a.claims, a.valuations()
+        rb, rAb, rvb = b.coeffs[::-1], b.claims[::-1], b.valuations()[::-1]
         na, nb = len(ua), len(rb)
         coeffs, claims = [], []
         for k in range(min(trunc, na + nb - 1)):
@@ -332,7 +370,7 @@ def _series_multiply(a, b, trunc):
     coeffs += [0] * (trunc - len(coeffs))
     pw = _power_tables(p, _top(claims, s))[0]
     coeffs = [u % pw[A - s] if u else 0 for u, A in zip(coeffs, claims)]
-    return IntSeries(p, coeffs, s, precs=claims)
+    return IntSeries(p, coeffs, s, claims)
 
 
 def _twisted_kernel(p, degree, weights, digits):
@@ -355,7 +393,7 @@ def _twisted_kernel(p, degree, weights, digits):
         over_n.append(p ** (L - v) * pow(u, -1, emod) % emod)
     # r is divisible by p, so t_1[n] = (r[n-1]/p)/n is known to digits-1-L
     t1 = [0] + [r[n - 1] // p * over_n[n] % emod for n in range(1, degree)]
-    series = [IntSeries(p, t1, -L, digits - 1 - L)]
+    series = [IntSeries(p, t1, -L, [digits - 1 - L] * degree)]
     for _ in range(2, weights + 1):
         prev = series[-1]
         # t_{k+1} = -int t_k(u) du / (u (u+1)); gamma_n = -s_n / n with
@@ -365,7 +403,7 @@ def _twisted_kernel(p, degree, weights, digits):
         for n in range(1, degree):
             s = (prev.coeffs[n] - s) % emod
             gam.append(-s * over_n[n] % emod)
-        series.append(IntSeries(p, gam, prev.scale - L, prev.prec - L))
+        series.append(IntSeries(p, gam, prev.scale - L, [A - L for A in prev.claims]))
     return series
 
 
@@ -396,7 +434,6 @@ class PolylogEngine:
         self._teich_values = {}
         self._disk_tables = {}
         self._zeta_cache = {}
-        self._periods = {}
         self.local_degree = self._local_degree()
 
     def _local_degree(self):
@@ -494,41 +531,33 @@ class PolylogEngine:
 
     # -- residue-disk power series -----------------------------------------
 
-    def _geometric(self, unit, count, alternate):
-        """Coefficients m = 1..count of sum (-1)^(m+1) (p/unit)^m / m.
+    def _log_series_at(self, center, li1=False):
+        """log(center + p t), or Li_1(center + p t) = -log(1 - center - p t)
+        when li1, as a power series in t.
 
-        The sign alternates only when asked.  unit is known to R digits
-        (R <= workprec), so (p/unit)^m claims R + m digits and the division
-        by m costs v_p(m) of them, as on PadicNumbers.
+        With u = center (u = 1 - center for Li_1), coefficient m >= 1 is
+        (p/u)^m / m, its sign alternating for log only.  u is known to R
+        digits (R <= workprec), so (p/u)^m claims R + m digits and the
+        division by m costs v_p(m) of them, as on PadicNumbers.
         """
         p = self.p
+        unit = 1 - center if li1 else center
         R = min(self.workprec, unit.rel)
-        pw = _power_tables(p, R + count)[0]
+        pw = _power_tables(p, R + self.local_degree)[0]
         mod = pw[R]
         q = pow(unit.unit, -1, mod)
         qm = 1
-        coeffs, claims = [], []
-        for m in range(1, count + 1):
+        coeffs, claims = [0], [EXACT]
+        for m in range(1, self.local_degree):
             qm = qm * q % mod
             e, w = valuation(m, p)
             c = qm * pow(w, -1, mod) if w != 1 else qm
-            if alternate and m % 2 == 0:
+            if not li1 and m % 2 == 0:
                 c = -c
             coeffs.append(pw[m - e] * (c % mod))
             claims.append(R + m - e)
-        return coeffs, claims
-
-    def _log_series_at(self, center):
-        """log(center + p t) as a power series in t."""
-        coeffs, claims = self._geometric(center, self.local_degree - 1, True)
-        return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(
-            iwasawa_log(center))
-
-    def _li1_series_at(self, center):
-        """Li_1(center + p t) = -log(1 - center - p t) as a power series in t."""
-        coeffs, claims = self._geometric(1 - center, self.local_degree - 1, False)
-        return IntSeries(self.p, [0] + coeffs, 0, precs=[EXACT] + claims).with_constant(
-            -iwasawa_log(1 - center))
+        log = iwasawa_log(unit)
+        return IntSeries(p, coeffs, 0, claims).with_constant(-log if li1 else log)
 
     def _times_dz_over_z(self, series, center, trunc):
         """series * p/(center + p t) below t^trunc (<= len(series)), in one
@@ -538,7 +567,7 @@ class PolylogEngine:
         R = min(self.workprec, center.rel)
         claims = []
         low = EXACT
-        for k, (A, v) in enumerate(zip(series.claims()[:trunc], series.valuations())):
+        for k, (A, v) in enumerate(zip(series.claims[:trunc], series.valuations())):
             low = min(low, min(A, v + R) - k)
             claims.append(k + 1 + low)
         top = _top(claims, s)
@@ -550,7 +579,7 @@ class PolylogEngine:
         for u, A in zip(series.coeffs, claims):
             y = q * (u - y) % mod
             coeffs.append(0 if A == EXACT else y % pw[A - s])
-        return IntSeries(p, coeffs, s, precs=claims)
+        return IntSeries(p, coeffs, s, claims)
 
     def disk_table(self, a):
         """Local series of log, Li_1..Li_n on the disk of a (2 <= a <= p-1),
@@ -569,7 +598,7 @@ class PolylogEngine:
         tvals = self.values_at_teichmuller(a)
         a_pn = PadicNumber.from_rational(p, a, self.workprec)
         shift = (self.teichmuller_point(a) - a_pn) / p
-        prev = self._li1_series_at(a_pn)
+        prev = self._log_series_at(a_pn, li1=True)
         table = {"li1": prev}
         for k in range(2, self.max_weight + 1):
             # dLi_k = Li_(k-1) dz/z
@@ -646,17 +675,11 @@ class PolylogEngine:
         for mono, coeff in expr.terms.items():
             val = PadicNumber.from_rational(self.p, coeff, self.workprec)
             for s in mono:
-                val = val * self._period_symbol(s)
+                val = val * (self.log(s.z) if s.kind == "log" else
+                             self.zeta(s.n) if s.kind == "zeta" else
+                             self.polylog(s.n, s.z))
             acc = acc + val
         return acc
-
-    def _period_symbol(self, s):
-        """Coleman value of one motivic symbol, computed once per engine."""
-        if s not in self._periods:
-            self._periods[s] = (self.log(s.z) if s.kind == "log" else
-                                self.zeta(s.n) if s.kind == "zeta" else
-                                self.polylog(s.n, s.z))
-        return self._periods[s]
 
     # -- appendix check ---------------------------------------------------------
 

@@ -413,8 +413,6 @@ def _lyndon_decomposition_table(genset, n):
 def word_as_lyndon_poly(genset, word):
     """f_word as {multiset of Lyndon words: coefficient}."""
     word = tuple(word)
-    if not word:
-        return {(): Fraction(1)}
     n = genset.word_weight(word)
     return dict(_lyndon_decomposition_table(genset, n)[word])
 

@@ -8,7 +8,12 @@ exactly one line on stderr.  The grid reaches past what the goldens pin:
   * ``locus --S l --p p --n k`` for l in {2, 3, 5}, p in {7, 11},
     k in {2, 3, 4, 6};
   * ``verify counterexample --S l --p p --n k`` for l in {2, 3},
-    p in {5, 11}, k in {1, 4, 8}.
+    p in {5, 11}, k in {1, 4, 8};
+  * at the smallest precisions, where exact and tracked zeros meet:
+    ``locus --S l --p p --prec M --guard g --symmetrize`` for l in {2, 3},
+    p in {5, 7}, (M, g) in {(1, 0), (2, 1), (4, 3)};
+    ``verify counterexample --p 5 --prec M --guard g`` for (M, g) in
+    {(1, 0), (4, 3), (7, 3)}; and ``verify hopf --p 5 --prec 1 --guard 0``.
 
 From the repository root:
 
@@ -30,6 +35,12 @@ def commands():
         yield "locus --S %d --p %d --n %d" % (ell, p, k)
     for ell, p, k in itertools.product((2, 3), (5, 11), (1, 4, 8)):
         yield "verify counterexample --S %d --p %d --n %d" % (ell, p, k)
+    low = ((1, 0), (2, 1), (4, 3))
+    for ell, p, (M, g) in itertools.product((2, 3), (5, 7), low):
+        yield "locus --S %d --p %d --prec %d --guard %d --symmetrize" % (ell, p, M, g)
+    for M, g in ((1, 0), (4, 3), (7, 3)):
+        yield "verify counterexample --p 5 --prec %d --guard %d" % (M, g)
+    yield "verify hopf --p 5 --prec 1 --guard 0"
 
 
 def fault(run):

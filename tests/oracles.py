@@ -129,7 +129,7 @@ def twisted_horner(series, x):
     """A twisted IntSeries at x by Horner over every coefficient, unreduced,
     modulo p^(claim - scale), claimed as IntSeries.evaluate claims it."""
     p, s = series.p, series.scale
-    prec = min(series.prec, x.abs_precision() + series.min_valuation())
+    prec = min(min(series.claims), x.abs_precision() + series.min_valuation())
     mod = p ** (prec - s)
     X = x.lift() % mod
     acc = 0

@@ -8,7 +8,7 @@ import pytest
 
 import ckpolylog
 import ckpolylog.words as wd
-from ckpolylog.cli import main
+from ckpolylog.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -383,6 +383,31 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_emit_rejects_non_finite_numbers(capsys):
+    # an infinite valuation (an exact zero) fails loudly, never prints Infinity
+    with pytest.raises(ValueError):
+        _emit({"v": float("inf")}, None)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("p, M", [(5, 4), (7, 6)])
+def test_counterexample_fails_when_zeta_vanishes_to_working_precision(p, M, capsys):
+    # at M - g <= 3, zeta_p(3) vanishes to working precision, so the sigma
+    # coordinate Li_3(-1)/zeta_p(3) has no p-adic realization
+    argv = ["verify", "counterexample", "--p", str(p), "--prec", str(M), "--guard", "3"]
+    code, data = run_cli(capsys, *argv)
+    (row,) = data["suites"]["counterexample"]
+    assert row["zetaNonzeroGuard"] is False
+    assert row["passed"] is False and code == 1
+    # the valuations are tracked zeros at workprec M + g + 8, never exact zeros
+    assert set(row["numericValuations"].values()) == {M + 11}
+    # --n 2 has no sigma coordinate and divides by no zeta value
+    code, data = run_cli(capsys, *argv, "--n", "2")
+    (row,) = data["suites"]["counterexample"]
+    assert row["zetaNonzeroGuard"] is True
+    assert row["passed"] is True and code == 0
 
 
 def test_verify_suite_flag_spelling(capsys):

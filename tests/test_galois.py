@@ -176,6 +176,15 @@ def test_period_expression_round_trip(table_z_sixth, eng5):
     assert (eng5.period(expr) - direct).val_lower_bound() >= 20
 
 
+def test_period_expression_of_a_constant_term(table_z_sixth):
+    # the weight-0 part solves through the empty product, to the constant
+    one = wd.ShuffleElement.one(table_z_sixth.genset)
+    assert table_z_sixth.period_expression_of(one.scale(F(5, 2))).terms == {(): F(5, 2)}
+    el = table_z_sixth.full_form(sym_li(3, 9))
+    with_constant = table_z_sixth.period_expression_of(el + one.scale(F(-3)))
+    assert with_constant.terms == {**table_z_sixth.period_expression_of(el).terms, (): F(-3)}
+
+
 # -- the one zeta-ratio recognition ---------------------------------------------
 
 

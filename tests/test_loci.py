@@ -320,10 +320,10 @@ def test_disk_series_against_padic_oracle(p, policy):
             _assert_matches_oracle(series, want, (a, f.label))
             _assert_matches_oracle(_series_eval(series, t), oracles.series_eval(want, t),
                                    (a, f.label, "eval"))
-        stripped, _ = L._strip_content(series)
+        stripped = series.without_content()
         r = (a + 1) % p  # r = 0 on the disk of p - 1
         padics = [stripped.coefficient(n) for n in range(len(stripped))]
-        _assert_matches_oracle(L._series_shift(stripped, r, p, policy.workprec()),
+        _assert_matches_oracle(stripped.recentered(r, policy.workprec()),
                                oracles.series_shift(padics, r, p, policy.workprec()),
                                (a, "shift", r))
 
@@ -345,7 +345,7 @@ def test_series_kernels_on_mixed_claims_against_padic_oracle():
     for n, c in enumerate(coeffs):
         assert series.coefficient(n) == c
     for r in range(p):
-        _assert_matches_oracle(L._series_shift(series, r, p, workprec),
+        _assert_matches_oracle(series.recentered(r, workprec),
                                oracles.series_shift(coeffs, r, p, workprec), ("shift", r))
     _assert_matches_oracle(series.derivative(),
                            [c * (i + 1) for i, c in enumerate(coeffs[1:])], "derivative")

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ckpolylog.padic import (
-    PadicNumber, PrecisionPolicy, iwasawa_log, padic_agree,
+    EXACT, PadicNumber, PrecisionPolicy, iwasawa_log, padic_agree,
     rational_reconstruct, teichmuller,
 )
 from oracles import iwasawa_log_by_padic_loop
@@ -57,6 +57,19 @@ def test_tracked_zero_propagation():
     assert (z + PadicNumber.from_rational(p, 1, 20)).abs_precision() == 8
     with pytest.raises(ZeroDivisionError):
         1 / z
+
+
+def test_exact_zero_has_valuation_and_claim_exact():
+    p = 5
+    zero = PadicNumber.exact_zero(p)
+    assert zero.is_exact_zero()
+    assert zero.val_lower_bound() == zero.abs_precision() == EXACT
+    # truncating claims only the bound: the tracked zero O(p^5)
+    tracked = zero.truncate_abs(5)
+    assert tracked == PadicNumber.zero_to(p, 5) and not tracked.is_exact_zero()
+    assert tracked.val_lower_bound() == tracked.abs_precision() == 5
+    assert (zero * tracked).is_exact_zero() and (tracked * zero).is_exact_zero()
+    assert rational_reconstruct(zero, 10, 10) == 0
 
 
 def test_shift_and_truncate():

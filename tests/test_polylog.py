@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ckpolylog.padic import (PadicNumber, PrecisionPolicy, PrecisionError,
+from ckpolylog.padic import (EXACT, PadicNumber, PrecisionPolicy, PrecisionError,
                              iwasawa_log, log_floor, rational_reconstruct, teichmuller)
 from ckpolylog.polylog import (BadDiskError, IntSeries, PolylogEngine, get_engine,
                                _series_eval, _series_multiply, _twisted_kernel)
@@ -53,11 +53,30 @@ def test_twisted_series_against_log_oracle(p, policy):
     series = eng.twisted_series()
     ref = twisted_series_by_log(p, eng._gsprec, eng._twist_degree(), eng.max_weight)
     for tk, rk in zip(series, ref):
-        assert tk.prec >= eng._gsprec
+        assert min(tk.claims) >= eng._gsprec
         assert tk.coeffs[0] == 0
         for n in range(1, len(rk)):
             want = rk[n]
             assert (tk.coefficient(n) - want).val_lower_bound() >= want.abs_precision()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_twisted_series_claim_every_coefficient_alike(p, policy):
+    eng = get_engine(p, policy)
+    for tk in eng.twisted_series():
+        assert len(tk.claims) == len(tk.coeffs) == eng._twist_degree()
+        assert tk.claims == [tk.claims[0]] * len(tk.claims)
+        assert tk.claims[0] >= eng._gsprec
+
+
+def test_from_padics_claims_an_exact_zero_exact():
+    p = 5
+    series = IntSeries.from_padics(p, [PadicNumber.exact_zero(p), PadicNumber.zero_to(p, 6),
+                                       PadicNumber.from_rational(p, F(3, 5), 8)])
+    # 3/5 = 5^-1 * 3, known to 8 relative digits: absolute precision 7
+    assert (series.scale, series.claims) == (-1, [EXACT, 6, 7])
+    assert series.coefficient(0).is_exact_zero()
+    assert series.coefficient(1) == PadicNumber.zero_to(p, 6)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -74,10 +93,10 @@ def test_twisted_series_precision_is_honest(p, policy):
     prec = eng.workprec + 10
     w_hi = 1 / (PadicNumber(p, 0, teichmuller(2, p, prec), prec) - 1)
     for lo_k, hi_k in zip(series, hi):
-        assert hi_k.prec == lo_k.prec + 10
+        assert hi_k.claims == [A + 10 for A in lo_k.claims]
         for n in range(D):
             diff = lo_k.coefficient(n) - hi_k.coefficient(n)
-            assert diff.val_lower_bound() >= lo_k.prec
+            assert diff.val_lower_bound() >= lo_k.claims[n]
         a = lo_k.evaluate(w)
         assert (a - hi_k.evaluate(w_hi)).val_lower_bound() >= a.abs_precision()
 
@@ -193,8 +212,8 @@ def _assert_dz_over_z_product(eng, series, center, trunc, where):
     dzz = IntSeries.from_padics(eng.p, dz_over_z_series(eng, center))
     got = eng._times_dz_over_z(series, center, trunc)
     want = _series_multiply(series, dzz, trunc)
-    assert (got.coeffs, got.scale, got.claims()) == \
-        (want.coeffs, want.scale, want.claims()), where
+    assert (got.coeffs, got.scale, got.claims) == \
+        (want.coeffs, want.scale, want.claims), where
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])

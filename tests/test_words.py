@@ -209,6 +209,11 @@ def test_lyndon_decomposition_round_trip():
             assert acc.terms == {word: F(1)}
 
 
+def test_empty_word_is_the_empty_lyndon_monomial():
+    assert word_as_lyndon_poly(GS, ()) == {(): F(1)}
+    assert word_as_lyndon_poly(GS1, []) == {(): F(1)}
+
+
 def test_lyndon_coordinates_sigma_leading():
     assert word_as_lyndon_poly(GS1, ("sigma", "tau")) == {((("sigma", "tau")),): F(1)}
     mixed = word_as_lyndon_poly(GS1, ("tau", "sigma"))
