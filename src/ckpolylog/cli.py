@@ -82,7 +82,7 @@ def _parse_S(text):
 
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -294,6 +294,8 @@ def parse_args(argv):
 
 def _out_unwritable(path):
     """Why the certificate cannot be written to path, or None; creates nothing."""
+    if not path:
+        return "--out needs a file name"
     if os.path.isdir(path):
         return "--out %s is a directory" % path
     folder = os.path.dirname(path) or "."
@@ -332,7 +334,7 @@ def _unsupported(args):
         return "ideal takes no %s: it computes exactly over Z[1/S]" % ignored
     if not args.prec > args.guard >= 0:
         return "need --prec > --guard >= 0"
-    if args.out and (reason := _out_unwritable(args.out)):
+    if args.out is not None and (reason := _out_unwritable(args.out)):
         return reason
     if args.command == "ideal":
         return "ideal needs --n >= 1" if args.n < 1 else None

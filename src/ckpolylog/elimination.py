@@ -24,8 +24,10 @@ variable heaviest:
   * the targets: the keys of cocycles.eval_universal's images, heaviest
     first (li_n, ..., li1, log), each weighing what the f-words of its
     image weigh (k for li_k, 1 for log);
-  * the Galois coordinates: one f-variable per Lyndon word, weighing the
-    word's half-weight.
+  * the Galois coordinates: the Lyndon words the images use, their
+    f-coefficients written in Lyndon words, in word_sort_key order, each
+    weighing its half-weight.  The ring on all Lyndon words is free over
+    theirs, so the other words would not change the kernel's generators.
 
 "Phi[sigma_..." sorts before "Phi[tau_...", so the sigma coordinates rank
 highest and are eliminated first, the order the structured shortcut
@@ -232,9 +234,11 @@ def f_var_name(lyndon_word):
 class SubstitutionProblem:
     """The graph ideal of the universal evaluation image, ready to eliminate.
 
-    ring names the variables and half_weights weighs them; li_names lists
-    the targets in the image's order, log first, and li_index their
-    positions in ring.
+    Every block of ring is read off the images of
+    cocycles.eval_universal, each expanded once into (coordinate monomial,
+    Lyndon monomial, coefficient) triples.  ring names the variables and
+    half_weights weighs them; li_names lists the targets in the image's
+    order, log first, and li_index their positions in ring.
     """
 
     def __init__(self, n, S):
@@ -243,9 +247,13 @@ class SubstitutionProblem:
         self.S = tuple(sorted(S))
         self.genset = standard_genset(self.S, n)
         images = cocycles.eval_universal(n, self.genset)
+        triples = {tgt: [(mono, lyndon_mono, c) for mono, fel in poly.items()
+                         for lyndon_mono, c in words.element_as_lyndon_poly(fel).items()]
+                   for tgt, poly in images.items()}
         self.phi_names = sorted({name for poly in images.values()
                                  for mono in poly for name in mono})
-        lyndon = self.genset.lyndon_words(n)
+        lyndon = sorted({w for image in triples.values() for _, lyndon_mono, _ in image
+                         for w in lyndon_mono}, key=self.genset.word_sort_key)
         self.li_names = list(images)
         targets = self.li_names[::-1]
         # lex order: cocycle coordinates > targets, heaviest first > Galois coordinates
@@ -257,20 +265,15 @@ class SubstitutionProblem:
             + [self.genset.word_weight(w) for w in lyndon])
         index = {name: i for i, name in enumerate(self.ring)}
         self.li_index = [index[name] for name in self.li_names]
-        self.image_polys = {tgt: self._image_to_poly(poly, index)
-                            for tgt, poly in images.items()}
-
-    def _image_to_poly(self, poly, index):
-        """An image as a Poly: each coordinate monomial times its f-coefficient
-        written in the Lyndon variables."""
-        terms = {}
-        for mono, fel in poly.items():
-            for lyndon_mono, c in words.element_as_lyndon_poly(fel).items():
+        self.image_polys = {}
+        for tgt, image in triples.items():
+            terms = {}
+            for mono, lyndon_mono, c in image:
                 e = [0] * len(self.ring)
                 for name in mono + tuple(map(f_var_name, lyndon_mono)):
                     e[index[name]] += 1
                 words.add_term(terms, tuple(e), c)
-        return Poly(self.ring, terms)
+            self.image_polys[tgt] = Poly(self.ring, terms)
 
     def graph_ideal(self):
         return [Poly.var(self.ring, tgt) - self.image_polys[tgt] for tgt in self.li_names]

@@ -2,16 +2,16 @@
 
 Words in a graded alphabet, the shuffle product, the reduced
 deconcatenation coproduct and its cobar square, plus the Lyndon-word
-polynomial decomposition used to present the algebra as a free
-commutative polynomial ring, and monomials, the one enumerator of
-monomials of a given weight in weighted variables.  A cut (u, v)
-determines its word uv, so the coproduct is read off the cuts term by
-term, with no two terms to add.  The package's two exact cores live
-here: LinearCombination (with add_term), the one implementation of
-sparse exact combinations behind ShuffleElement, TensorElement,
-symbols.Expression, symbols.TensorExpr and elimination.Poly; and the
-exact row reduction (row_reduce, solve_columns), the one linear-algebra
-core.
+polynomial decomposition (Duval's factorization, then Radford's
+recursion) used to present the algebra as a free commutative polynomial
+ring, and monomials, the one enumerator of monomials of a given weight
+in weighted variables.  A cut (u, v) determines its word uv, so the
+coproduct is read off the cuts term by term, with no two terms to add.
+The package's two exact cores live here: LinearCombination (with
+add_term), the one implementation of sparse exact combinations behind
+ShuffleElement, TensorElement, symbols.Expression, symbols.TensorExpr
+and elimination.Poly; and the exact row reduction (row_reduce,
+solve_columns), the one linear-algebra core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -77,32 +77,14 @@ class GeneratorSet:
     def lyndon_key(self, word):
         return tuple(self._lyndon_rank[g] for g in word)
 
-    def is_lyndon(self, word):
-        if len(word) == 0:
-            return False
-        k = self.lyndon_key(word)
-        return all(k < k[i:] + k[:i] for i in range(1, len(word)))
-
-    def lyndon_words(self, max_weight):
-        out = []
-        for n in range(1, max_weight + 1):
-            out.extend(w for w in self.words_of_weight(n) if self.is_lyndon(w))
-        return out
-
-    def lyndon_monomials(self, n):
-        """Multisets of Lyndon words of total weight n (sorted tuples)."""
-        lw = self.lyndon_words(n)
-        return sorted(tuple(sorted(w for w, k in zip(lw, e) for _ in range(k)))
-                      for e in monomials([self.word_weight(w) for w in lw], n))
-
 
 def monomials(weights, total):
     """Exponent vectors e >= 0 with sum(e[i] * weights[i]) == total.
 
     The weights are positive.  The vectors come in lexicographic order,
     fewest copies of the first variable first.  This is the one enumerator
-    of weighted monomials: Lyndon monomials here, the period products in
-    galois, the Li- and f-monomials in elimination.
+    of weighted monomials: the period products in galois, the Li- and
+    f-monomials in elimination.
     """
     if total == 0:
         yield (0,) * len(weights)
@@ -372,49 +354,55 @@ def cobar_square(a):
 # -- Lyndon polynomial decomposition --------------------------------------
 #
 # The shuffle algebra is a free commutative polynomial ring on the duals of
-# Lyndon words (Radford).  decompose_word expresses any f_w as an exact
+# Lyndon words (Radford).  word_as_lyndon_poly expresses any f_w as an exact
 # polynomial in those generators; with heavier letters ordered first, the
 # words sigma tau^r used by the cocycle evaluation images are themselves
 # Lyndon, so e.g. f_{sigma tau} is a polynomial coordinate.
 
+def lyndon_factors(genset, word):
+    """The Chen-Fox-Lyndon factors l1 >= l2 >= ... of word, by Duval's algorithm.
+
+    Words compare by genset.lyndon_key; the factors concatenate to word.
+    """
+    key = genset.lyndon_key(word)
+    out = []
+    i = 0
+    while i < len(word):
+        j, k = i + 1, i
+        while j < len(word) and key[k] <= key[j]:
+            k = i if key[k] < key[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(word[i:i + j - k])
+            i += j - k
+    return out
+
+
 @lru_cache(maxsize=None)
-def _lyndon_decomposition_table(genset, n):
-    words = list(genset.words_of_weight(n))
-    monos = genset.lyndon_monomials(n)
-    if len(words) != len(monos):
-        raise AssertionError("Lyndon monomial count mismatch at weight %d" % n)
-    index = {w: i for i, w in enumerate(words)}
-    # Column j = expansion of the shuffle product of mono j in the word basis.
-    cols = []
-    for mono in monos:
-        el = ShuffleElement.one(genset)
-        for lw in mono:
-            el = shuffle_product(el, ShuffleElement.word(genset, lw))
-        col = [Fraction(0)] * len(words)
-        for w, c in el.terms.items():
-            col[index[w]] = c
-        cols.append(col)
-    # Solve M x = e_w for each word w: invert M once.
-    m = len(words)
-    aug = [[cols[j][i] for j in range(m)] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-           for i in range(m)]
-    row_reduce(aug, m)
-    inv = [row[m:] for row in aug]
-    table = {}
-    for i, w in enumerate(words):
-        poly = {}
-        for j in range(m):
-            if inv[j][i]:
-                poly[monos[j]] = inv[j][i]
-        table[w] = poly
-    return table
+def _lyndon_poly(genset, word):
+    """f_word as {sorted tuple of Lyndon words: coefficient}, by Radford's recursion.
+
+    For the factors l1 >= ... >= lk of word, l1 sh ... sh lk is c f_word
+    plus words u below word (c the product of the factorials of the
+    factors' multiplicities), so f_word = (l1 ... lk - sum d_u f_u) / c.
+    """
+    factors = lyndon_factors(genset, word)
+    if len(factors) <= 1:
+        return {tuple(factors): Fraction(1)}
+    product = ShuffleElement.one(genset)
+    for lw in factors:
+        product = shuffle_product(product, ShuffleElement.word(genset, lw))
+    c = product.terms.pop(word)
+    poly = {tuple(sorted(factors)): Fraction(1)}
+    for u, d in product.terms.items():
+        for mono, e in _lyndon_poly(genset, u).items():
+            add_term(poly, mono, -d * e)
+    return {mono: x / c for mono, x in poly.items()}
 
 
 def word_as_lyndon_poly(genset, word):
     """f_word as {multiset of Lyndon words: coefficient}."""
-    word = tuple(word)
-    n = genset.word_weight(word)
-    return dict(_lyndon_decomposition_table(genset, n)[word])
+    return dict(_lyndon_poly(genset, tuple(word)))
 
 
 def element_as_lyndon_poly(el):
@@ -445,8 +433,8 @@ def solve_delta_prime(genset, n, target):
 # -- exact row reduction ----------------------------------------------------
 #
 # The one Gauss-Jordan elimination behind every exact linear solve: the
-# Lyndon inversion here, the period-span rewrite, basis determinant and
-# f_{sigma tau} system in galois, and the graded kernel in elimination.
+# period-span rewrite, basis determinant and f_{sigma tau} system in
+# galois, and the graded kernel in elimination.
 
 
 def row_reduce(rows, ncols):

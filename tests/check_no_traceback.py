@@ -1,8 +1,9 @@
 """Run a grid of command lines, each in a fresh ``python -m ckpolylog`` process.
 
-Every run must end with exit status 0 (certified), 1 (computed but not
-certified) or 2 (rejected), and print no traceback; a rejection prints
-exactly one line on stderr.  The grid reaches past what the goldens pin:
+Every run must end within TIMEOUT seconds with exit status 0 (certified),
+1 (computed but not certified) or 2 (rejected), and print no traceback; a
+rejection prints exactly one line on stderr.  The grid reaches past what
+the goldens pin:
 
   * ``ideal --S l --n k --abstract-only`` for l in {2, 3, 5, 7}, k = 1..10;
   * ``locus --S l --p p --n k`` for l in {2, 3, 5}, p in {7, 11},
@@ -13,7 +14,10 @@ exactly one line on stderr.  The grid reaches past what the goldens pin:
     ``locus --S l --p p --prec M --guard g --symmetrize`` for l in {2, 3},
     p in {5, 7}, (M, g) in {(1, 0), (2, 1), (4, 3)};
     ``verify counterexample --p 5 --prec M --guard g`` for (M, g) in
-    {(1, 0), (4, 3), (7, 3)}; and ``verify hopf --p 5 --prec 1 --guard 0``.
+    {(1, 0), (4, 3), (7, 3)}; and ``verify hopf --p 5 --prec 1 --guard 0``;
+  * ideals whose elimination outgrows its guard, each rejected in one line
+    and never hung: ``ideal --S 3 --n 20``, ``ideal --S 2 --n 30`` and
+    ``ideal --S 2,3 --n 8``.
 
 From the repository root:
 
@@ -26,6 +30,8 @@ import itertools
 import os
 import subprocess
 import sys
+
+TIMEOUT = 60
 
 
 def commands():
@@ -41,6 +47,9 @@ def commands():
     for M, g in ((1, 0), (4, 3), (7, 3)):
         yield "verify counterexample --p 5 --prec %d --guard %d" % (M, g)
     yield "verify hopf --p 5 --prec 1 --guard 0"
+    yield "ideal --S 3 --n 20"
+    yield "ideal --S 2 --n 30"
+    yield "ideal --S 2,3 --n 8"
 
 
 def fault(run):
@@ -58,8 +67,13 @@ def main():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     failed = 0
     for cmd in commands():
-        run = subprocess.run([sys.executable, "-m", "ckpolylog", *cmd.split()],
-                             capture_output=True, text=True, env=env)
+        try:
+            run = subprocess.run([sys.executable, "-m", "ckpolylog", *cmd.split()],
+                                 capture_output=True, text=True, env=env, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            failed += 1
+            print("FAIL %s: timed out after %d s" % (cmd, TIMEOUT))
+            continue
         why = fault(run)
         if why is None:
             print("ok   exit %d  %s" % (run.returncode, cmd))

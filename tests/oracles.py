@@ -17,9 +17,13 @@ PadicNumbers is the reference for the integer one.  The coproducts
 accumulated term by term and the dense Delta' solve are the references
 for the cut-by-cut coproducts and the first-cut Delta' solve in words,
 and the cobar square with one inner Delta' per outer cut and a full
-Fraction difference is the reference for the memoized one.  Single
-matrix entries by the structure theorem (brown_entry) are the reference
-for cocycle_apply's substitution into the eval_universal images.
+Fraction difference is the reference for the memoized one.  Lyndon words
+found by the rotation test, and every word's Lyndon polynomial read off
+the inverse of the dense matrix of the Lyndon monomials' shuffle products,
+are the references for Duval's factorization and Radford's recursion in
+words.  Single matrix entries by the structure theorem (brown_entry) are
+the reference for cocycle_apply's substitution into the eval_universal
+images.
 Last come helpers that only the tests call: Coleman function values at a
 point, a ring-independent form of ideal elements, ExprFraction equality,
 the inverse of cocycle_apply on its image, the P_3 inversion residual,
@@ -340,6 +344,48 @@ def cobar_square_by_terms(a):
                      wd.reduced_coproduct(ShuffleElement.word(gs, r, c)).terms.items())
     return {k: d for k in left.keys() | right.keys()
             if (d := left.get(k, 0) - right.get(k, 0))}
+
+
+# -- Lyndon words by rotation, and the dense Lyndon inverse ----------------------
+
+
+def is_lyndon(genset, word):
+    """word is nonempty and, by genset.lyndon_key, below each proper rotation."""
+    k = genset.lyndon_key(word)
+    return len(word) > 0 and all(k < k[i:] + k[:i] for i in range(1, len(word)))
+
+
+def lyndon_words(genset, max_weight):
+    """Lyndon words of weight <= max_weight, in serialization order."""
+    return [w for n in range(1, max_weight + 1) for w in genset.words_of_weight(n)
+            if is_lyndon(genset, w)]
+
+
+def lyndon_monomials(genset, n):
+    """Multisets of Lyndon words of total weight n (sorted tuples)."""
+    lw = lyndon_words(genset, n)
+    return sorted(tuple(sorted(w for w, k in zip(lw, e) for _ in range(k)))
+                  for e in wd.monomials([genset.word_weight(w) for w in lw], n))
+
+
+def lyndon_decomposition_dense(genset, n):
+    """{word of weight n: {Lyndon monomial: coefficient}}, by inverting the
+    matrix whose column j is Lyndon monomial j's shuffle product in words."""
+    words = list(genset.words_of_weight(n))
+    monos = lyndon_monomials(genset, n)
+    assert len(words) == len(monos), "Lyndon monomial count mismatch at weight %d" % n
+    index = {w: i for i, w in enumerate(words)}
+    m = len(words)
+    aug = [[F(0)] * m + [F(int(k == i)) for k in range(m)] for i in range(m)]
+    for j, mono in enumerate(monos):
+        el = ShuffleElement.one(genset)
+        for lw in mono:
+            el = wd.shuffle_product(el, ShuffleElement.word(genset, lw))
+        for w, c in el.terms.items():
+            aug[index[w]][j] = c
+    wd.row_reduce(aug, m)
+    return {w: {monos[j]: aug[j][m + i] for j in range(m) if aug[j][m + i]}
+            for i, w in enumerate(words)}
 
 
 def brown_entry(word, lam, values, genset):

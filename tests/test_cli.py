@@ -301,6 +301,9 @@ UNSUPPORTED_INPUT = [
     # the ring has a target for each of log, Li_1, ..., Li_n, however large n
     (("ideal", "--S", "3", "--n", "9"),
      "ideal --S 3 --n 9 is unsupported: degree 13 exceeds guard 12"),
+    # an empty --out names no file; it once printed the certificate to stdout
+    (("ideal", "--S", "3", "--n", "2", "--out="), "--out needs a file name"),
+    (("ideal", "--S", "3", "--n", "2", "--out", ""), "--out needs a file name"),
 ]
 
 

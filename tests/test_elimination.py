@@ -7,7 +7,8 @@ import ckpolylog.galois as G
 import ckpolylog.symbols as sy
 from ckpolylog.cocycles import coordinate_name, eval_universal
 from ckpolylog.elimination import Poly
-from oracles import canonical_form
+from ckpolylog.words import ShuffleElement, shuffle_product
+from oracles import canonical_form, lyndon_words
 
 
 def test_weight1_no_relations():
@@ -132,6 +133,34 @@ def test_ring_targets_are_the_image_keys_with_their_weights(n):
     assert prob.li_names == list(eval_universal(n, prob.genset))
     assert [prob.weight(Poly.var(prob.ring, name)) for name in prob.li_names] \
         == [1] + list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("S, n", [({2, 3}, 6), ({3}, 10)])
+def test_f_block_is_the_lyndon_words_the_images_use(S, n):
+    prob = E.SubstitutionProblem(n, S)
+    gs = prob.genset
+    f_block = slice(len(prob.phi_names) + len(prob.li_names), None)
+    fvars = prob.ring[f_block]
+    # a KeyError names an f-variable that is no Lyndon word
+    lyndon = {E.f_var_name(w): w for w in lyndon_words(gs, n)}
+    block = [lyndon[name] for name in fvars]
+    assert block == sorted(block, key=gs.word_sort_key)
+    used = {v for poly in prob.image_polys.values() for e in poly.terms
+            for v, k in zip(prob.ring, e) if k}
+    assert set(fvars) <= used
+    assert prob.half_weights[f_block] == tuple(gs.word_weight(w) for w in block)
+    # each image, its Lyndon monomials shuffled back into words, is eval_universal's
+    phi = len(prob.phi_names)
+    for tgt, image in eval_universal(n, gs).items():
+        back = {}
+        for e, c in prob.image_polys[tgt].terms.items():
+            mono = tuple(name for name, k in zip(prob.phi_names, e[:phi]) for _ in range(k))
+            el = ShuffleElement.one(gs).scale(c)
+            for w, k in zip(block, e[f_block]):
+                for _ in range(k):
+                    el = shuffle_product(el, ShuffleElement.word(gs, w))
+            back[mono] = back[mono] + el if mono in back else el
+        assert back == image
 
 
 def test_split_reassembles_each_polynomial():

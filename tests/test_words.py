@@ -13,7 +13,8 @@ from ckpolylog.words import (
 import ckpolylog.words as wd
 from ckpolylog.galois import standard_genset
 from oracles import (cobar_square_by_terms, deconcat_by_accumulation, expr_fraction_equals,
-                     reduced_by_accumulation, solve_delta_prime_dense)
+                     is_lyndon, lyndon_decomposition_dense, reduced_by_accumulation,
+                     solve_delta_prime_dense)
 
 GS = GeneratorSet([("tau_2", 1), ("tau_3", 1), ("sigma_3", 3)])
 GS1 = GeneratorSet([("tau", 1), ("sigma", 3), ("sigma_5", 5)])
@@ -218,6 +219,27 @@ def test_lyndon_coordinates_sigma_leading():
     assert word_as_lyndon_poly(GS1, ("sigma", "tau")) == {((("sigma", "tau")),): F(1)}
     mixed = word_as_lyndon_poly(GS1, ("tau", "sigma"))
     assert mixed == {(("sigma", "tau"),): F(-1), (("sigma",), ("tau",)): F(1)}
+
+
+def test_lyndon_factors_are_nonincreasing_lyndon_words():
+    gs = standard_genset({2, 3}, 6)
+    for n in range(1, 7):
+        for word in gs.words_of_weight(n):
+            factors = wd.lyndon_factors(gs, word)
+            assert sum(factors, ()) == word
+            assert all(is_lyndon(gs, f) for f in factors)
+            keys = [gs.lyndon_key(f) for f in factors]
+            assert keys == sorted(keys, reverse=True)
+            # Duval's single factor is the rotation test
+            assert (len(factors) == 1) == is_lyndon(gs, word)
+
+
+@pytest.mark.parametrize("S, top", [({2, 3}, 5), ({3}, 8)])
+def test_radford_recursion_matches_the_dense_inverse(S, top):
+    gs = standard_genset(S, top)
+    for n in range(1, top + 1):
+        for word, poly in lyndon_decomposition_dense(gs, n).items():
+            assert word_as_lyndon_poly(gs, word) == poly, word
 
 
 def test_solve_delta_prime_and_primitive_count():
