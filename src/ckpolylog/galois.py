@@ -10,6 +10,10 @@ either fixed by a basis choice or recognized numerically through the p-adic
 period map at one prime, RECOGNITION_PRIME, and cached with provenance, the
 same way the half-weight-3 tables here were first produced.  The tests and
 `verify identities` recognize the same coefficients at other primes.
+
+A tabled period table is its Li_4 rows and its basis choice: the builders
+ensure only those, `PeriodTable.ensure` pulls in every lower entry the
+coproducts reach, and `f_sigma_tau_expression` solves from the rows.
 """
 
 from __future__ import annotations
@@ -230,12 +234,9 @@ def numeric_primitive_resolver():
 
 
 def build_table_z_half():
-    """Period table over Z[1/2]: the Li_k(1/2) column up to weight 4."""
+    """Period table over Z[1/2]: the row Li_4(1/2); ensure pulls in the rest."""
     t = PeriodTable({2})
-    t.ensure(sy.Symbol("log", 1, Fraction(2)))
-    t.ensure(sy.Symbol("zeta", 3, Fraction(0)))
-    for k in range(2, 5):
-        t.ensure(sy.Symbol("li", k, Fraction(1, 2)))
+    t.ensure(sy.Symbol("li", 4, Fraction(1, 2)))
     return t
 
 
@@ -246,18 +247,13 @@ def build_table_z_sixth():
     """Period table over Z' = Z[1/6] feeding the Z[1/3] pipeline.
 
     P_3(Z') is pinned to span{Li_3(-2), Li_3(3)} (their zeta-coefficients
-    vanish by this basis choice, which is what defines sigma_3 here);
+    vanish by this basis choice, which is what defines sigma_3 here), so the
+    choice is ensured before the rows Li_4(3) and Li_4(9) pull in the rest;
     Li_3(9) then carries the one genuinely unknown coefficient.
     """
     t = PeriodTable({2, 3})
-    t.ensure(sy.Symbol("log", 1, Fraction(2)))
-    t.ensure(sy.Symbol("log", 1, Fraction(3)))
-    t.ensure(sy.Symbol("zeta", 3, Fraction(0)))
-    for z in (Fraction(-2), Fraction(3), Fraction(9), Fraction(-3)):
-        t.ensure(sy.Symbol("li", 2, z))
     for z in P3_CHOICE:
         t.ensure(sy.Symbol("li", 3, z), (Fraction(0), "P_3 basis choice (defines sigma_3)"))
-    t.ensure(sy.Symbol("li", 3, Fraction(9)))
     t.ensure(sy.Symbol("li", 4, Fraction(3)))
     t.ensure(sy.Symbol("li", 4, Fraction(9)))
     return t
@@ -309,35 +305,32 @@ def _tensor_coords(t12, left_basis, right_basis):
     return {k: v for k, v in out.items() if v}
 
 
-# ell -> (name of the builder of the table feeding Z[1/ell], looked up at call
-# time; the points z of the Li_4(z) rows fixing f_{sigma tau}; the other tail letter)
-TABLED = {2: ("build_table_z_half", (Fraction(1, 2),), 2),
-          3: ("build_table_z_sixth", (Fraction(3), Fraction(9)), 2)}
+# ell -> name of the builder of the table feeding Z[1/ell], looked up at call time
+TABLED = {2: "build_table_z_half", 3: "build_table_z_sixth"}
 TABLED_S = tuple((ell,) for ell in TABLED)  # the bases whose f_{sigma tau} is tabled
 
 
 def f_sigma_tau_expression(S, table):
     """The period expression of the coordinate f_{sigma tau} over Z[1/ell].
 
-    Solves the linear system expressing Li_4 at the tabled points through
-    the unknown pure-period coordinates (the sigma-headed word sigma*tau and,
-    given a second point, the weight-one-tail word), exactly as in
-    half-weight 4.
+    The rows are the table's Li_4 entries, in symbol order; the unknowns are
+    the pure-period coordinates sigma_3 tau_ell and, for each other prime q
+    of the table, the weight-one-tail word tau_q tau_ell^3.  Solves that
+    linear system exactly, as in half-weight 4.
     """
     S = tuple(sorted(S))
     if S not in TABLED_S:
         raise ValueError("f_sigma_tau is tabled for %s only"
                          % " and ".join("S={%d}" % ell for ell in TABLED))
     (ell,) = S
-    _, pts, other = TABLED[ell]
     gs = table.genset
-    target_word = (sigma_id(3), tau_id(ell))
-    tail_word = (tau_id(other),) + (tau_id(ell),) * 3
-    unknowns = [target_word, tail_word][:len(pts)]
+    unknowns = [(sigma_id(3), tau_id(ell))] + [(tau_id(q),) + (tau_id(ell),) * 3
+                                               for q in table.S if q != ell]
+    pts = sorted(s for s in table.entries if s.kind == "li" and s.n == 4)
     rows = []
-    for z in pts:
-        form = table.full_form(sy.Symbol("li", 4, z))
-        known = sy.li_u(4, z)
+    for s in pts:
+        form = table.full_form(s)
+        known = sy.Expression.sym(s)
         coeffs = [form.coefficient(w) for w in unknowns]
         leftover = form - ShuffleElement(gs, dict(zip(unknowns, coeffs)))
         if leftover:
@@ -345,7 +338,9 @@ def f_sigma_tau_expression(S, table):
         rows.append(coeffs + [known])
     _, det = wd.row_reduce(rows, len(unknowns))
     if not det:
-        raise ValueError("singular period system (bad w_2 table?)")
+        raise ValueError("the Li_4 rows %s do not determine the words %s"
+                         % (", ".join(map(repr, pts)),
+                            ", ".join(" ".join(w) for w in unknowns)))
     return rows[0][-1]
 
 
@@ -362,7 +357,7 @@ def specialization_assignment(S):
     """
     (ell,) = tuple(S)
     if ell not in _TABLES:
-        _TABLES[ell] = globals()[TABLED[ell][0]]()
+        _TABLES[ell] = globals()[TABLED[ell]]()
     fst = f_sigma_tau_expression(S, _TABLES[ell])
     return {
         (tau_id(ell),): sy.log_u(ell),

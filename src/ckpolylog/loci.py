@@ -83,12 +83,11 @@ def assemble_coleman(specialized, p, policy, label=""):
     return ColemanFunction(p, policy, coeffs, label=label)
 
 
-def weight2_function(p, policy):
-    """Li_2 - (1/2) log Li_1, the half-weight 2 locus cutter for any Z[1/ell]."""
-    half = PadicNumber.from_rational(p, Fraction(-1, 2), policy.workprec())
-    one = PadicNumber.from_rational(p, 1, policy.workprec())
-    coeffs = {(("li2", 1),): one, (("li1", 1), ("log", 1)): half}
-    return ColemanFunction(p, policy, coeffs, label="wt2")
+def weight2_function(p, S, policy):
+    """The half-weight 2 function 2 Li_2 - log Li_1 for Z = Spec Z[1/ell] (the shortcut's g2)."""
+    from .elimination import specialize_coefficients, structured_shortcut_generators
+    _, gens = structured_shortcut_generators(set(S))
+    return assemble_coleman(specialize_coefficients(gens[0], {}), p, policy, label="wt2")
 
 
 def weight4_function(p, S, policy):
@@ -325,7 +324,7 @@ def used_weights(n):
 
 def locus_for(p, S, n, policy, symmetrize=False):
     """The full pipeline: functions for the weight bound, zeros, intersection."""
-    build = {2: lambda: weight2_function(p, policy),
+    build = {2: lambda: weight2_function(p, S, policy),
              4: lambda: weight4_function(p, S=tuple(sorted(S)), policy=policy)}
     fns = [build[w]() for w in used_weights(n)]
     if not fns:

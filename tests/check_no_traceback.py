@@ -19,19 +19,28 @@ the goldens pin:
     and never hung: ``ideal --S 3 --n 20``, ``ideal --S 2 --n 30`` and
     ``ideal --S 2,3 --n 8``.
 
-From the repository root:
+Each run's exit status and the sha256 of its stdout must also match its
+line of GRID, ``tests/golden/no_traceback_grid.txt``, so a change of any
+output on the grid shows here.  From the repository root:
 
     PYTHONPATH=src python tests/check_no_traceback.py
 
-It prints one line per command and exits 1 if any run broke the rule.
+It prints one line per command and exits 1 if any run broke the rule or
+left its pinned line.  After an intended change of output, check each
+changed command and regenerate the file with
+
+    PYTHONPATH=src python tests/check_no_traceback.py --write
 """
 
+import hashlib
 import itertools
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 TIMEOUT = 60
+GRID = Path(__file__).parent / "golden" / "no_traceback_grid.txt"
 
 
 def commands():
@@ -63,9 +72,18 @@ def fault(run):
     return None
 
 
-def main():
+def pin(cmd, run):
+    """The grid line of a run: exit status, stdout sha256 and command."""
+    return "%d %s %s" % (run.returncode, hashlib.sha256(run.stdout.encode()).hexdigest(), cmd)
+
+
+def main(argv):
+    write = argv == ["--write"]
+    pinned = {} if write else {line.split(" ", 2)[2]: line
+                               for line in GRID.read_text().splitlines()}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     failed = 0
+    lines = []
     for cmd in commands():
         try:
             run = subprocess.run([sys.executable, "-m", "ckpolylog", *cmd.split()],
@@ -74,15 +92,20 @@ def main():
             failed += 1
             print("FAIL %s: timed out after %d s" % (cmd, TIMEOUT))
             continue
+        lines.append(pin(cmd, run))
         why = fault(run)
+        if why is None and not write and lines[-1] != pinned.get(cmd):
+            why = "exit status or stdout differs from %s" % GRID.name
         if why is None:
             print("ok   exit %d  %s" % (run.returncode, cmd))
             continue
         failed += 1
         print("FAIL %s: %s" % (cmd, why))
         sys.stdout.write(run.stderr)
+    if write and not failed:
+        GRID.write_text("".join(line + "\n" for line in lines))
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

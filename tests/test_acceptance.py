@@ -95,7 +95,7 @@ def test_criterion_5_weight2_locus(policy):
     t0 = time.time()
     ok = True
     for p in (5, 7):
-        locus = L.find_zeros(L.weight2_function(p, policy))
+        locus = L.find_zeros(L.weight2_function(p, (3,), policy))
         guesses = sorted(str(z.rational_guess) for z in locus.zeros)
         ok = ok and guesses == ["-1", "1/2", "2"] and locus.all_certified()
     report(5, ok, "certified weight-2 zeros {2, 1/2, -1} at p = 5 and 7",

@@ -118,6 +118,37 @@ def test_f_sigma_tau_z_third(table_z_sixth):
     assert fst == expected
 
 
+def test_table_z_half_holds_its_row_and_what_it_pulls_in(table_z_half):
+    assert sorted(map(repr, table_z_half.entries)) == [
+        "Li2(1/2)", "Li3(1/2)", "Li4(1/2)", "log(2)", "zeta(3)"]
+
+
+def test_table_z_sixth_holds_its_rows_its_choice_and_what_they_pull_in(table_z_sixth):
+    assert sorted(map(repr, table_z_sixth.entries)) == [
+        "Li2(-2)", "Li2(3)", "Li2(9)", "Li3(-2)", "Li3(3)", "Li3(9)", "Li4(3)", "Li4(9)",
+        "log(2)", "log(3)", "zeta(3)"]
+    # the choice is ensured before the rows; a row ensured first pulls
+    # Li_3(3) in with no choice, and no period span then holds its coefficient
+    for z in G.P3_CHOICE:
+        entry = table_z_sixth.entries[sym_li(3, z)]
+        assert (entry.prim, entry.provenance) == (0, "P_3 basis choice (defines sigma_3)")
+
+
+def test_f_sigma_tau_names_rows_and_words_of_an_underdetermined_table():
+    table = G.PeriodTable({2, 3})
+    for z in G.P3_CHOICE:
+        table.ensure(sym_li(3, z), (F(0), "P_3 basis choice (defines sigma_3)"))
+    table.ensure(sym_li(4, 3))
+    with pytest.raises(ValueError, match=r"Li_4 rows Li4\(3\) do not determine the words "
+                                         r"sigma_3 tau_3, tau_2 tau_3 tau_3 tau_3"):
+        G.f_sigma_tau_expression((3,), table)
+
+
+def test_f_sigma_tau_rejects_an_untabled_base(table_z_sixth):
+    with pytest.raises(ValueError, match=r"is tabled for S=\{2\} and S=\{3\} only"):
+        G.f_sigma_tau_expression((5,), table_z_sixth)
+
+
 def test_full_forms_reproduce_goncharov_coproducts(table_z_sixth):
     # Delta' of the word form equals the substituted Goncharov coproduct
     for s in [sym_li(2, -2), sym_li(2, 3), sym_li(3, 3), sym_li(3, 9),

@@ -16,16 +16,16 @@ def rational_points(locus):
 
 @pytest.fixture(scope="module")
 def wt2_locus_5(policy):
-    return L.find_zeros(L.weight2_function(5, policy))
+    return L.find_zeros(L.weight2_function(5, (3,), policy))
 
 
 @pytest.fixture(scope="module")
 def wt2_locus_7(policy):
-    return L.find_zeros(L.weight2_function(7, policy))
+    return L.find_zeros(L.weight2_function(7, (3,), policy))
 
 
 def test_assemble_weight2(policy):
-    f = L.weight2_function(5, policy)
+    f = L.weight2_function(5, (3,), policy)
     assert f.coeffs[(("li2", 1),)].lift() % 5 != 0
     v = oracles.coleman_evaluate(f, F(2))
     assert v.val_lower_bound() >= policy.M
@@ -43,7 +43,7 @@ def test_weight2_zero_set_p7(wt2_locus_7):
 
 
 def test_root_soundness(wt2_locus_5, policy):
-    f = L.weight2_function(5, policy)
+    f = L.weight2_function(5, (3,), policy)
     for z in wt2_locus_5.zeros:
         assert oracles.coleman_evaluate(f, z.z).val_lower_bound() >= policy.M
 
@@ -51,7 +51,7 @@ def test_root_soundness(wt2_locus_5, policy):
 def test_root_completeness_net_scan(policy, wt2_locus_5):
     """Scan a p^{-3}-net; small values appear only near reported roots."""
     p = 5
-    f = L.weight2_function(p, policy)
+    f = L.weight2_function(p, (3,), policy)
     roots = [z.z for z in wt2_locus_5.zeros]
     for a in range(2, p):
         for t0 in range(p):
@@ -175,7 +175,7 @@ def test_s3_images_orbit_of_two(policy):
 
 def test_locus_json_deterministic(policy, wt2_locus_5):
     a = json.dumps(wt2_locus_5.to_json(), sort_keys=True)
-    again = L.find_zeros(L.weight2_function(5, policy))
+    again = L.find_zeros(L.weight2_function(5, (3,), policy))
     b = json.dumps(again.to_json(), sort_keys=True)
     assert a == b
     data = wt2_locus_5.to_json()
@@ -305,7 +305,7 @@ def test_disk_series_against_padic_oracle(p, policy):
     constants Li_k(a) from Li_k(theta_a); the oracle builds the table about
     theta_a and Horner-evaluates it at a."""
     eng = get_engine(p, policy)
-    fns = [L.weight2_function(p, policy),
+    fns = [L.weight2_function(p, (3,), policy),
            L.weight4_function(p, S=(3,), policy=policy)]
     t = PadicNumber.from_rational(p, F(2 + p, 3), policy.workprec() - 5)
     for a in ORACLE_DISKS.get(p, range(2, p)):
@@ -370,7 +370,7 @@ def test_series_kernels_on_mixed_claims_against_padic_oracle():
 def test_locus_for_equals_intersection_of_full_searches(p, S, policy):
     """locus_for isolates the weight-4 roots only in the residue classes of
     the weight-2 locus; the certificate equals the one from two full searches."""
-    f2 = L.weight2_function(p, policy)
+    f2 = L.weight2_function(p, S, policy)
     f4 = L.weight4_function(p, S=S, policy=policy)
     l2 = L.find_zeros(f2)
     full = L.intersect_loci(l2, L.find_zeros(f4))
@@ -403,7 +403,7 @@ def test_locus_for_at_equality_threshold_one(p):
     # M - g = 1: points agree on the same disk whatever t mod p, so every
     # class of a disk with a locus point is searched
     policy = PrecisionPolicy(4, 3)
-    f2, f4 = L.weight2_function(p, policy), L.weight4_function(p, S=(3,), policy=policy)
+    f2, f4 = L.weight2_function(p, (3,), policy), L.weight4_function(p, S=(3,), policy=policy)
     full = L.intersect_loci(L.find_zeros(f2), L.find_zeros(f4))
     assert L.locus_for(p, (3,), 4, policy).to_json() == full.to_json()
 
