@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 from . import cocycles, words
@@ -117,14 +117,9 @@ class Poly(words.LinearCombination):
         """Integer coefficients, content one, positive leading coefficient."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        scale = Fraction(den, num)
-        out = self.scale(scale)
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        num = gcd(*(c.numerator * (den // c.denominator) for c in self.terms.values()))
+        out = self.scale(Fraction(den, num))
         if out.leading()[1] < 0:
             out = out.scale(-1)
         return out

@@ -2,13 +2,14 @@
 
 A Coleman function here is a polynomial in log, Li_1..Li_n with p-adic
 coefficients.  Zero finding composes the residue-disk power series of the
-polylogarithms, bounds roots per disk by the Newton polygon of the
-truncated series, isolates them by exhaustive digit refinement and
-certifies simple roots by Hensel's criterion; anything uncertifiable is
-reported loudly as a candidate, never dropped.
+polylogarithms, bounds roots per disk by Strassmann's theorem (the largest
+index of least valuation among the known coefficients of the truncated
+series), isolates them by exhaustive digit refinement and certifies simple
+roots by Hensel's criterion; anything uncertifiable is reported loudly as a
+candidate, never dropped.
 
 Root isolation runs on integer vectors (polylog.IntSeries with one claim
-per coefficient).  The Newton polygon reads the coefficient valuations; the
+per coefficient).  The Strassmann bound reads the coefficient valuations; the
 content is stripped by moving the power-of-p scale
 (IntSeries.without_content); and once every claim is at least 3, the
 residue test needs only the coefficients mod p (IntSeries.residues), so the
@@ -23,7 +24,7 @@ of the locus points a + p t.  Two points agree when val(z - z') >= M - g,
 which from 2 up needs the same disk and the same t mod p, and the
 restricted search returns the full one's roots in those classes in the
 same order, so the intersection is unchanged.  Every disk still gets its
-local series, Newton bound and flatness check.
+local series, Strassmann bound and flatness check.
 
 A locus holds at one PrecisionPolicy (M, g): the function builders take
 it, find_zeros reads it off the ColemanFunction, s3_symmetrize off the
@@ -121,7 +122,7 @@ class Zero:
 
 
 class Locus:
-    """Zeros on X(Z_p) of the named functions, with per-disk Newton bounds."""
+    """Zeros on X(Z_p) of the named functions, with per-disk Strassmann bounds."""
 
     def __init__(self, p, policy, zeros, functions, newton_bounds=None):
         self.p, self.policy = p, policy
@@ -143,32 +144,17 @@ class Locus:
 
 
 def newton_root_bound(series, threshold):
-    """Number of roots in the closed unit disk (with multiplicity) from the
-    Newton polygon of the known part of a truncated series."""
-    pts = [(j, v) for j, (u, v) in enumerate(zip(series.coeffs, series.valuations()))
+    """Strassmann's bound on the roots in the closed unit disk (with
+    multiplicity) of the known part of a truncated series: the largest index
+    of least valuation among the nonzero coefficients of valuation below
+    threshold, where the Newton polygon stops falling; None when there are
+    none (the series content is below precision)."""
+    pts = [(v, j) for j, (u, v) in enumerate(zip(series.coeffs, series.valuations()))
            if u and v < threshold]
     if not pts:
-        return None  # series content below precision
-    lead = pts[0][0]  # roots at t = 0 up to this order
-    hull = _lower_hull(pts)
-    count = lead
-    for (j1, v1), (j2, v2) in zip(hull, hull[1:]):
-        if v2 <= v1:
-            count += j2 - j1
-    return count
-
-
-def _lower_hull(pts):
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
+        return None
+    least = min(v for v, _ in pts)
+    return max(j for v, j in pts if v == least)
 
 
 def _newton_refine(series, deriv, t0, workprec):
@@ -271,9 +257,7 @@ def find_zeros(F, within=None):
             z = a + p * t
             guess = None
             try:
-                guess = rational_reconstruct(
-                    z.truncate_abs(min(z.abs_precision(), policy.workprec())),
-                    1000, 1000)
+                guess = rational_reconstruct(z.truncate_abs(policy.workprec()), 1000, 1000)
             except ValueError:
                 pass
             zeros.append(Zero(a, z, certified,

@@ -39,15 +39,9 @@ def valuation(q, ell):
             v += 1
         return v, q
     q = Fraction(q)
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % ell == 0:
-        num //= ell
-        v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    return v, (Fraction(num, den) if v else q)
+    v, num = valuation(q.numerator, ell)
+    w, den = valuation(q.denominator, ell)
+    return v - w, (Fraction(num, den) if v or w else q)
 
 
 class PrecisionError(ArithmeticError):
@@ -302,18 +296,15 @@ def padic_agree(x, y, policy):
 
 
 def teichmuller(a, p, abs_prec):
-    """The (p-1)-st root of unity congruent to a mod p, to abs_prec digits."""
+    """The (p-1)-st root of unity congruent to a mod p, to abs_prec >= 1 digits.
+
+    Closed form a^(p^(N-1)) mod p^N, N = abs_prec: a^(p^k) agrees with the
+    lift to k + 1 digits.
+    """
     a %= p
     if a == 0:
         raise ValueError("no Teichmueller lift of 0")
-    t = a
-    mod = p ** abs_prec
-    for _ in range(abs_prec + 1):
-        nt = pow(t, p, mod)
-        if nt == t:
-            break
-        t = nt
-    return t
+    return pow(a, p ** (abs_prec - 1), p ** abs_prec)
 
 
 def iwasawa_log(z):

@@ -459,9 +459,8 @@ class PolylogEngine:
 
     def _twist_degree(self):
         p, W = self.p, self._gsprec
-        logterm = 1
-        while p ** logterm < (p - 1) * (W + 14):
-            logterm += 1
+        # the least logterm with p^logterm >= (p - 1)(W + 14)
+        logterm = log_floor((p - 1) * (W + 14) - 1, p) + 1
         return (p - 1) * (W + 4 * logterm + 12) + 24
 
     def twisted_series(self):
@@ -619,10 +618,7 @@ class PolylogEngine:
         return PadicNumber.from_rational(self.p, Fraction(z), self.workprec)
 
     def log(self, z):
-        z = self._as_padic(z)
-        if z.unit == 0:
-            raise ValueError("log of zero")
-        return iwasawa_log(z)
+        return iwasawa_log(self._as_padic(z))
 
     def polylog(self, k, z):
         """Li_k(z) for a unit z of Z_p off the disk of 1, and Li_k(0) = 0."""

@@ -117,11 +117,9 @@ def log_u(z):
     if z == 0:
         raise ValueError("log of zero")
     out = Expression()
-    num = _factor(abs(z.numerator)) if abs(z.numerator) != 1 else {}
-    den = _factor(z.denominator) if z.denominator != 1 else {}
-    for p, e in num.items():
+    for p, e in _factor(abs(z.numerator)).items():
         out = out + Expression.sym(Symbol("log", 1, Fraction(p))).scale(e)
-    for p, e in den.items():
+    for p, e in _factor(z.denominator).items():
         out = out - Expression.sym(Symbol("log", 1, Fraction(p))).scale(e)
     return out
 

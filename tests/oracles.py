@@ -12,7 +12,10 @@ coefficient, each operation claiming precision by PadicNumber's own rules)
 are the reference for the engine's integer disk tables, Coleman local
 series and root-search shifts; the oracle table of a disk a is expanded
 about theta_a first and Horner-evaluated at a for its constants, a route
-the engine no longer takes.  The Iwasawa logarithm summed on
+the engine no longer takes.  The lower convex hull of a series'
+coefficient valuations (the Newton polygon) is the reference for the
+Strassmann root bound of loci, and t -> t^p iterated until fixed for the
+closed-form Teichmueller lift.  The Iwasawa logarithm summed on
 PadicNumbers is the reference for the integer one.  The coproducts
 accumulated term by term and the dense Delta' solve are the references
 for the cut-by-cut coproducts and the first-cut Delta' solve in words,
@@ -265,6 +268,54 @@ def series_shift(series, r, p, workprec):
             acc = acc + c * math.comb(j, l) * r ** (j - l)
         out.append(acc * pfac ** l)
     return out
+
+
+# -- root count by the Newton polygon, Teichmueller lift by iteration ------------
+
+
+def newton_polygon_root_count(series, threshold):
+    """Number of roots in the closed unit disk (with multiplicity) from the
+    Newton polygon of the known part of a truncated series."""
+    pts = [(j, v) for j, (u, v) in enumerate(zip(series.coeffs, series.valuations()))
+           if u and v < threshold]
+    if not pts:
+        return None  # series content below precision
+    lead = pts[0][0]  # roots at t = 0 up to this order
+    hull = _lower_hull(pts)
+    count = lead
+    for (j1, v1), (j2, v2) in zip(hull, hull[1:]):
+        if v2 <= v1:
+            count += j2 - j1
+    return count
+
+
+def _lower_hull(pts):
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
+
+
+def teichmuller_by_iteration(a, p, abs_prec):
+    """The (p-1)-st root of unity congruent to a mod p, to abs_prec digits,
+    by iterating t -> t^p mod p^abs_prec until it is fixed."""
+    a %= p
+    if a == 0:
+        raise ValueError("no Teichmueller lift of 0")
+    t = a
+    mod = p ** abs_prec
+    for _ in range(abs_prec + 1):
+        nt = pow(t, p, mod)
+        if nt == t:
+            break
+        t = nt
+    return t
 
 
 # -- logarithm and coproducts, accumulated ---------------------------------------

@@ -60,6 +60,14 @@ def test_normalization_idempotent_and_deterministic():
         assert g.normalized().poly == g.poly
 
 
+def test_content_normalize_clears_denominators_and_content():
+    ring = ("x", "y")
+    f = Poly(ring, {(2, 0): F(-3, 4), (1, 1): F(9, 10), (0, 0): F(3, 2)})
+    assert f.content_normalize().terms == {(2, 0): 5, (1, 1): -6, (0, 0): -10}
+    assert Poly(ring, {(0, 1): F(-7, 3)}).content_normalize().terms == {(0, 1): 1}
+    assert Poly.zero(ring).content_normalize().terms == {}
+
+
 def test_soundness_all_outputs_vanish():
     for n in (2, 3, 4):
         for g in E.ck_ideal_generators(n, {3}):

@@ -94,6 +94,42 @@ def test_newton_bound_counts(wt2_locus_5):
     assert wt2_locus_5.newton_bounds == {2: 1, 3: 1, 4: 1}
 
 
+def test_strassmann_bound_is_the_newton_polygon_count(policy):
+    """Strassmann's bound (the largest index of least valuation) equals the
+    root count read off the Newton polygon's lower hull: on every disk's
+    local series of g2 and g4, and on series built to hit each rule."""
+    threshold = policy.workprec() - policy.g
+    for p in (5, 7, 13, 31):
+        for S in ((3,), (2,)):
+            for f in (L.weight2_function(p, S, policy),
+                      L.weight4_function(p, S=S, policy=policy)):
+                for a in range(2, p):
+                    series = f.local_series(a)
+                    want = oracles.newton_polygon_root_count(series, threshold)
+                    assert L.newton_root_bound(series, threshold) == want, (p, S, f.label, a)
+    p = 5
+    exact, tracked = PadicNumber.exact_zero(p), PadicNumber.zero_to(p, 3)
+
+    def known(*values):
+        return IntSeries.from_padics(p, [v if isinstance(v, PadicNumber)
+                                         else PadicNumber.from_rational(p, v, 20)
+                                         for v in values])
+
+    cases = [
+        (known(exact, tracked), 10, None),             # no known coefficient
+        (known(5 ** 10, 5 ** 11), 10, None),          # all at or above threshold
+        (known(5 ** 10, 5 ** 11), 11, 0),
+        (known(5 ** 11, 5 ** 10, 5 ** 12), 11, 1),    # the one below threshold
+        (known(exact, exact, 3, 5), 10, 2),           # leading exact zeros
+        (known(5 ** 4, tracked, 5 ** 5), 10, 0),      # a tracked zero is not known
+        (known(25, 5, 3, 125, 7, 1250), 10, 4),       # a tie at the least valuation
+        (known(F(1, 3), exact, 2, 5 ** 2, 4), 10, 4),
+    ]
+    for series, thr, want in cases:
+        assert oracles.newton_polygon_root_count(series, thr) == want
+        assert L.newton_root_bound(series, thr) == want, (series.coeffs, thr)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_weight4_filter_values(p, policy):
     f4 = L.weight4_function(p, S=(3,), policy=policy)

@@ -4,9 +4,9 @@ import pytest
 
 from ckpolylog.padic import (
     EXACT, PadicNumber, PrecisionPolicy, iwasawa_log, padic_agree,
-    rational_reconstruct, teichmuller,
+    rational_reconstruct, teichmuller, valuation,
 )
-from oracles import iwasawa_log_by_padic_loop
+from oracles import iwasawa_log_by_padic_loop, teichmuller_by_iteration
 
 
 def test_from_rational_and_lift():
@@ -117,6 +117,30 @@ def test_teichmuller_fixed_points():
             t = teichmuller(a, p, 14)
             assert pow(t, p, p ** 14) == t
             assert t % p == a
+
+
+def test_teichmuller_closed_form_equals_the_iteration():
+    for p in (5, 7, 13, 31, 101):
+        for a in range(1, p):
+            for N in (1, 2, 12, 27, 40):
+                assert teichmuller(a, p, N) == teichmuller_by_iteration(a, p, N), (p, a, N)
+        assert teichmuller(p - 1 - p, p, 12) == teichmuller(p - 1, p, 12)
+        with pytest.raises(ValueError):
+            teichmuller(p, p, 12)
+
+
+def test_valuation_of_fractions_and_ints():
+    assert valuation(F(50, 3), 5) == (2, F(2, 3))    # ell in the numerator
+    assert valuation(F(3, 50), 5) == (-2, F(3, 2))   # ell in the denominator
+    q = F(7, 3)                                       # in neither: q itself
+    v, u = valuation(q, 5)
+    assert v == 0 and u == q and isinstance(u, F)
+    assert valuation(F(-75, 4), 5) == (2, F(-3, 4))
+    assert valuation(F(-4, 75), 5) == (-2, F(-4, 3))
+    v, u = valuation(-250, 5)
+    assert (v, u) == (3, -2) and type(u) is int
+    with pytest.raises(ValueError):
+        valuation(F(0), 5)
 
 
 def test_iwasawa_log_torsion_and_branch():

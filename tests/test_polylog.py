@@ -131,6 +131,14 @@ def test_teichmuller_values_need_only_workprec_plus_four_digits(p, M, g, K):
         assert eng.values_at_teichmuller(a) == wide.values_at_teichmuller(a)
 
 
+@pytest.mark.parametrize("M, g, degrees", [(12, 3, (244, 330, 636, 1554)),
+                                            (30, 5, (324, 474, 876, 2154))])
+def test_twist_degree_pins(M, g, degrees):
+    # (p - 1)(W + 4 L + 12) + 24, L the least with p^L >= (p - 1)(W + 14)
+    got = tuple(PolylogEngine(p, PrecisionPolicy(M, g))._twist_degree() for p in (5, 7, 13, 31))
+    assert got == degrees
+
+
 def test_twisted_series_tail_guard_fires(policy, monkeypatch):
     # a series cut far too early must fail the tail-decay guard
     eng = PolylogEngine(5, policy)
