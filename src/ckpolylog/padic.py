@@ -247,7 +247,7 @@ class PadicNumber:
 
     def __pow__(self, k):
         if k < 0:
-            return 1 / (self ** (-k))
+            raise ValueError("negative exponent %d" % k)
         out = PadicNumber.from_rational(
             self.p, 1, self.rel if self.rel else self._EXACT_COERCE_REL)
         base = self

@@ -36,9 +36,9 @@ workprec + 3, and at z = 0 (w = -1, known to _gsprec digits) a value
 claimed to at least workprec + 1.
 
 Values elsewhere on the disk of a come from the differential system
-dLi_k = Li_(k-1) dz/z integrated as power series in t, z = a + p t, about
-the integer a itself.  Li_1 and log are geometric series about a, with
-Li_1(a) = -log(1 - a).  For k >= 2 the integral I_k of Li_(k-1) dz/z that
+d log = dz/z, dLi_1 = -dz/(z - 1), dLi_k = Li_(k-1) dz/z, each series one
+integration step in t, z = a + p t, about the integer a itself, from log a
+and Li_1(a) = -log(1 - a).  For k >= 2 the integral I_k of Li_(k-1) dz/z that
 vanishes at a is built first; since Li_k(theta_a) - Li_k(a) = I_k at
 t = (theta_a - a)/p, its constant is
 
@@ -64,11 +64,11 @@ of its terms, a division by j costs v_p(j) digits on that coefficient, and
 Horner evaluation claims acc * x + c step by step as PadicNumber would.
 A product with a one-coefficient factor, the constant that starts each
 monomial of a Coleman function's local series, takes one pass.
-The base series (log and Li_1 about a center c) are built directly as
-integer geometric series, by one method.  The factor dz/z = p/(c + p t) of dLi_k =
-Li_(k-1) dz/z is never built: with q = p/c, the product y of a series a
-by it obeys y_k = q (a_k - y_(k-1)), one pass modulo p^(top - scale), and
-coefficient j of dz/z has valuation j + 1 and claims R + j + 1
+Every disk series integrates a series times p/(c + p t) about a center c:
+dz/z about c = a, and dz/(z - 1) about c = a - 1 for Li_1.  That factor is
+never built: with q = p/c, the product y of a series a by it obeys
+y_k = q (a_k - y_(k-1)), one pass modulo p^(top - scale), and coefficient
+j of the factor has valuation j + 1 and claims R + j + 1
 (R = min(workprec, rel(c))), so y_k claims
 
     (k + 1) + min over i <= k of (min(A_a[i], v_a[i] + R) - i),
@@ -242,14 +242,21 @@ class IntSeries:
         """Antiderivative with exact-zero constant: coefficient j is coeffs[j-1]/j.
 
         Dividing by j costs v_p(j) digits on that coefficient only; the scale
-        drops as far as the divisions need.
+        drops as far as the divisions need.  A coefficient's valuation is at
+        least the scale, so only the divisions by j with p | j can lower it,
+        and only those coefficients' valuations are read.
         """
         p, s = self.p, self.scale
         index = [valuation(j, p) for j in range(1, len(self.coeffs) + 1)]
         claims = [EXACT] + [A if A == EXACT else A - e
                             for A, (e, _) in zip(self.claims, index)]
-        s_new = min([s] + [v - e for v, (e, _) in zip(self.valuations(), index)
-                           if v != EXACT])
+        pw, lg = _power_tables(p, _top(self.claims, s))
+        s_new = s
+        for j in range(p, len(self.coeffs) + 1, p):
+            u, A = self.coeffs[j - 1], self.claims[j - 1]
+            if A != EXACT:
+                v = s + lg[math.gcd(u, pw[A - s])] if u else A
+                s_new = min(s_new, v - index[j - 1][0])
         pw = _power_tables(p, _top(claims, s_new) + s - s_new)[0]
         coeffs = [0]
         for u, A, (e, w) in zip(self.coeffs, claims[1:], index):
@@ -530,34 +537,6 @@ class PolylogEngine:
 
     # -- residue-disk power series -----------------------------------------
 
-    def _log_series_at(self, center, li1=False):
-        """log(center + p t), or Li_1(center + p t) = -log(1 - center - p t)
-        when li1, as a power series in t.
-
-        With u = center (u = 1 - center for Li_1), coefficient m >= 1 is
-        (p/u)^m / m, its sign alternating for log only.  u is known to R
-        digits (R <= workprec), so (p/u)^m claims R + m digits and the
-        division by m costs v_p(m) of them, as on PadicNumbers.
-        """
-        p = self.p
-        unit = 1 - center if li1 else center
-        R = min(self.workprec, unit.rel)
-        pw = _power_tables(p, R + self.local_degree)[0]
-        mod = pw[R]
-        q = pow(unit.unit, -1, mod)
-        qm = 1
-        coeffs, claims = [0], [EXACT]
-        for m in range(1, self.local_degree):
-            qm = qm * q % mod
-            e, w = valuation(m, p)
-            c = qm * pow(w, -1, mod) if w != 1 else qm
-            if not li1 and m % 2 == 0:
-                c = -c
-            coeffs.append(pw[m - e] * (c % mod))
-            claims.append(R + m - e)
-        log = iwasawa_log(unit)
-        return IntSeries(p, coeffs, 0, claims).with_constant(-log if li1 else log)
-
     def _times_dz_over_z(self, series, center, trunc):
         """series * p/(center + p t) below t^trunc (<= len(series)), in one
         pass: the recurrence and claims of the module docstring, equal to
@@ -584,27 +563,32 @@ class PolylogEngine:
         """Local series of log, Li_1..Li_n on the disk of a (2 <= a <= p-1),
         centered at a itself.
 
-        Li_1 and log are geometric series about a.  For k >= 2 the integral
-        I_k of Li_(k-1) dz/z that vanishes at a gives Li_k(a) = Li_k(theta_a)
-        - I_k((theta_a - a)/p), claimed to workprec.
+        Each series is one integration step about a: log from log a, Li_1
+        from -log(1 - a), with dz/(z - 1) = p dt/((a - 1) + p t).  For k >= 2
+        the integral I_k of Li_(k-1) dz/z that vanishes at a gives Li_k(a) =
+        Li_k(theta_a) - I_k((theta_a - a)/p), claimed to workprec.
         """
         a = a % self.p
         if a in (0, 1):
             raise BadDiskError("disk %d mod %d is a bad disk" % (a, self.p))
         if a in self._disk_tables:
             return self._disk_tables[a]
-        p, N = self.p, self.local_degree
+        p, N, W = self.p, self.local_degree, self.workprec
         tvals = self.values_at_teichmuller(a)
-        a_pn = PadicNumber.from_rational(p, a, self.workprec)
+        a_pn = PadicNumber.from_rational(p, a, W)
         shift = (self.teichmuller_point(a) - a_pn) / p
-        prev = self._log_series_at(a_pn, li1=True)
-        table = {"li1": prev}
+        table = {}
+        # log integrates 1 dz/z and Li_1 integrates -1 dz/(z - 1), each
+        # constant known to workprec digits, exact zeros after it
+        for name, c, center, value in (("log", 1, a_pn, iwasawa_log(a_pn)),
+                                       ("li1", -1, a_pn - 1, -iwasawa_log(1 - a_pn))):
+            f = IntSeries(p, [c] + [0] * (N - 2), 0, [W] + [EXACT] * (N - 2))
+            table[name] = self._times_dz_over_z(f, center, N - 1).integral().with_constant(value)
         for k in range(2, self.max_weight + 1):
             # dLi_k = Li_(k-1) dz/z
-            integral = self._times_dz_over_z(prev, a_pn, N - 1).integral()
-            value = (tvals[k] - _series_eval(integral, shift)).truncate_abs(self.workprec)
-            prev = table["li%d" % k] = integral.with_constant(value)
-        table["log"] = self._log_series_at(a_pn)
+            integral = self._times_dz_over_z(table["li%d" % (k - 1)], a_pn, N - 1).integral()
+            value = (tvals[k] - _series_eval(integral, shift)).truncate_abs(W)
+            table["li%d" % k] = integral.with_constant(value)
         self._disk_tables[a] = table
         return table
 

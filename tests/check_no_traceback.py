@@ -9,8 +9,9 @@ the goldens pin:
   * ``locus --S l --p p --n k`` for l in {2, 3, 5}, p in {7, 11},
     k in {2, 3, 4, 6};
   * at larger primes, where every disk's Teichmüller lift is longer:
-    ``locus --S 2 --p 13``, ``locus --S 2 --p 31 --symmetrize`` and
-    ``locus --S 3 --p 101``;
+    ``locus --S 2 --p 13``, ``locus --S 2 --p 31 --symmetrize``,
+    ``locus --S 3 --p 101`` and ``locus --S 3 --p 31 --prec 30``, whose
+    disk degree N = 45 passes p, so a disk-series integral divides by p;
   * ``verify counterexample --S l --p p --n k`` for l in {2, 3},
     p in {5, 11}, k in {1, 4, 8};
   * at the smallest precisions, where exact and tracked zeros meet:
@@ -54,6 +55,7 @@ def commands():
     yield "locus --S 2 --p 13"
     yield "locus --S 2 --p 31 --symmetrize"
     yield "locus --S 3 --p 101"
+    yield "locus --S 3 --p 31 --prec 30"
     for ell, p, k in itertools.product((2, 3), (5, 11), (1, 4, 8)):
         yield "verify counterexample --S %d --p %d --n %d" % (ell, p, k)
     low = ((1, 0), (2, 1), (4, 3))

@@ -12,11 +12,15 @@ coefficient, each operation claiming precision by PadicNumber's own rules)
 are the reference for the engine's integer disk tables, Coleman local
 series and root-search shifts; the oracle table of a disk a is expanded
 about theta_a first and Horner-evaluated at a for its constants, a route
-the engine no longer takes.  The lower convex hull of a series'
-coefficient valuations (the Newton polygon) is the reference for the
-Strassmann root bound of loci, and t -> t^p iterated until fixed for the
-closed-form Teichmueller lift.  The Iwasawa logarithm summed on
-PadicNumbers is the reference for the integer one.  The coproducts
+the engine no longer takes.  log and Li_1 about a center, summed as
+integer geometric series, are the references for the engine's one
+integration step, and IntSeries.integral reading every coefficient's
+valuation is the reference for the one reading those at p | j only.
+The lower convex hull of a series' coefficient valuations (the Newton
+polygon) is the reference for the Strassmann root bound of loci, and
+t -> t^p iterated until fixed for the closed-form Teichmueller lift.
+The Iwasawa logarithm summed on PadicNumbers is the reference for the
+integer one.  The coproducts
 accumulated term by term and the dense Delta' solve are the references
 for the cut-by-cut coproducts and the first-cut Delta' solve in words,
 and the cobar square with one inner Delta' per outer cut and a full
@@ -41,7 +45,8 @@ import ckpolylog.words as wd
 from ckpolylog.archimedean import complex_P3
 from ckpolylog.cocycles import coordinate_name
 from ckpolylog.galois import standard_genset, tau_id
-from ckpolylog.padic import PadicNumber, iwasawa_log, log_floor, teichmuller, valuation
+from ckpolylog.padic import EXACT, PadicNumber, iwasawa_log, log_floor, teichmuller, valuation
+from ckpolylog.polylog import IntSeries, _power_tables, _top
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
 
 
@@ -73,7 +78,8 @@ def washington_lp(p, s, e, prec=20):
             c = binom_int(1 - s, j) * B[j] * F(p, a) ** j
             if c:
                 inner = inner + PadicNumber.from_rational(p, c, prec + 6)
-        total = total + chi * mean ** (1 - s) * inner
+        power = mean ** abs(1 - s)
+        total = total + chi * (power if s <= 1 else 1 / power) * inner
     return total / (p * (s - 1))
 
 
@@ -194,6 +200,57 @@ def li1_series_at(eng, center):
         out.append(power / l)
         power = power * ratio
     return out
+
+
+def geometric_log_series(eng, center, li1=False):
+    """log(center + p t), or Li_1(center + p t) = -log(1 - center - p t)
+    when li1, as an IntSeries in t, summed as a geometric series.
+
+    With u = center (u = 1 - center for Li_1), coefficient m >= 1 is
+    (p/u)^m / m, its sign alternating for log only.  u is known to R
+    digits (R <= workprec), so (p/u)^m claims R + m digits and the
+    division by m costs v_p(m) of them, as on PadicNumbers.
+    """
+    p = eng.p
+    unit = 1 - center if li1 else center
+    R = min(eng.workprec, unit.rel)
+    pw = _power_tables(p, R + eng.local_degree)[0]
+    mod = pw[R]
+    q = pow(unit.unit, -1, mod)
+    qm = 1
+    coeffs, claims = [0], [EXACT]
+    for m in range(1, eng.local_degree):
+        qm = qm * q % mod
+        e, w = valuation(m, p)
+        c = qm * pow(w, -1, mod) if w != 1 else qm
+        if not li1 and m % 2 == 0:
+            c = -c
+        coeffs.append(pw[m - e] * (c % mod))
+        claims.append(R + m - e)
+    log = iwasawa_log(unit)
+    return IntSeries(p, coeffs, 0, claims).with_constant(-log if li1 else log)
+
+
+def integral_reading_every_valuation(series):
+    """IntSeries.integral with the scale read off every coefficient's
+    valuation, v - v_p(j) at each index j."""
+    p, s = series.p, series.scale
+    index = [valuation(j, p) for j in range(1, len(series.coeffs) + 1)]
+    claims = [EXACT] + [A if A == EXACT else A - e
+                        for A, (e, _) in zip(series.claims, index)]
+    s_new = min([s] + [v - e for v, (e, _) in zip(series.valuations(), index)
+                       if v != EXACT])
+    pw = _power_tables(p, _top(claims, s_new) + s - s_new)[0]
+    coeffs = [0]
+    for u, A, (e, w) in zip(series.coeffs, claims[1:], index):
+        if not u:
+            coeffs.append(0)
+            continue
+        mod = pw[A - s_new]
+        k = s - e - s_new
+        u = u * pw[k] if k >= 0 else u // pw[-k]
+        coeffs.append(u * pow(w, -1, mod) % mod)
+    return IntSeries(p, coeffs, s_new, claims)
 
 
 def dz_over_z_series(eng, center):

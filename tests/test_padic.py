@@ -29,6 +29,10 @@ def test_arithmetic_precision_semantics():
     # subtraction to zero leaves a tracked zero at the joint precision
     z = a - PadicNumber.from_rational(p, 2, 8)
     assert z.unit == 0 and z.val_lower_bound() == 8
+    # powers take exponents k >= 0; a negative one is refused, not looped on
+    assert (c ** 3).valuation() == 6 and (c ** 0).lift() == 1
+    with pytest.raises(ValueError, match="negative exponent"):
+        c ** -2
 
 
 @pytest.mark.parametrize("x", [PadicNumber.from_rational(5, F(7, 8), 10),

@@ -9,7 +9,8 @@ from ckpolylog.polylog import (BadDiskError, IntSeries, PolylogEngine, get_engin
 import ckpolylog.symbols as sy
 
 from oracles import (washington_lp, generalized_bernoulli, bernoulli_list, disk_series,
-                     dz_over_z_series, twisted_horner, twisted_series_by_log)
+                     dz_over_z_series, geometric_log_series, integral_reading_every_valuation,
+                     twisted_horner, twisted_series_by_log)
 
 
 def test_engine_rejects_small_or_composite_primes():
@@ -268,6 +269,54 @@ def test_dz_over_z_recurrence_on_mixed_claims(policy):
             for trunc in (1, len(values) - 1, len(values)):
                 _assert_dz_over_z_product(eng, series, center, trunc,
                                           (len(values), center, trunc))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 101])
+def test_disk_base_series_equal_the_geometric_series(p):
+    # log and li1, each one integration step about a, in integers, scale and
+    # claims, at low, default and high precision and weights 4 and 6
+    grid = ([(12, 3, 4)] if p == 101 else
+            [(M, 3, K) for M in (12, 20, 30, 4) for K in (4, 6)])
+    for M, g, K in grid:
+        eng = get_engine(p, PrecisionPolicy(M, g), K)
+        for a in range(2, p):
+            apn = PadicNumber.from_rational(p, a, eng.workprec)
+            table = eng.disk_table(a)
+            for name, li1 in (("log", False), ("li1", True)):
+                got, want = table[name], geometric_log_series(eng, apn, li1)
+                assert (got.coeffs, got.scale, got.claims) == \
+                    (want.coeffs, want.scale, want.claims), (M, g, K, a, name)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integral_scale_read_where_p_divides_j(p, rng):
+    """The scale of an integral, read only at the divisions by j with p | j,
+    equals the one read off every coefficient.  An exact zero, a tracked
+    zero and a unit sit at indices p - 1 and 2p - 1 (j = p, 2p), among
+    random coefficients of mixed claims, at scales 0, 2 and -3; at p = 3
+    the series also reaches j = 9 = p^2."""
+    n = 2 * p + 4
+    # (integer, claim - scale) of the three kinds
+    kinds = {"exact": (0, EXACT), "tracked": (0, 0), "unit": (p + 1, 6)}
+    drops = set()
+    for s in (0, 2, -3):
+        for first, second in ((x, y) for x in kinds for y in kinds):
+            for _ in range(3):
+                coeffs, claims = [], []
+                for i in range(n):
+                    if i in (p - 1, 2 * p - 1):
+                        u, rel = kinds[first if i == p - 1 else second]
+                    else:
+                        u, rel = rng.choice([(0, EXACT), (0, rng.randrange(9)),
+                                             (rng.randrange(1, p ** 8), rng.randrange(1, 9))])
+                    coeffs.append(u if rel == EXACT else u % p ** rel)
+                    claims.append(s + rel)
+                got = IntSeries(p, coeffs, s, claims).integral()
+                want = integral_reading_every_valuation(IntSeries(p, coeffs, s, claims))
+                assert (got.coeffs, got.scale, got.claims) == \
+                    (want.coeffs, want.scale, want.claims), (s, coeffs, claims)
+                drops.add(s - want.scale)
+    assert {0, 1} <= drops
 
 
 @pytest.mark.parametrize("p", [5, 7])
