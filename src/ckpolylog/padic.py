@@ -4,7 +4,11 @@ A PadicNumber is p^val * unit with the unit known modulo p^rel; absolute
 precision is val + rel.  Addition floors the result at the joint absolute
 precision, multiplication and division work at the joint relative
 precision, so precision loss is tracked per value.  The logarithm is the
-Iwasawa branch (log p = 0), which kills Teichmueller roots of unity.
+Iwasawa branch (log p = 0), which kills Teichmueller roots of unity.  Like
+the Teichmueller lift it is one modular power: with N = rel - 1 and
+x = u^((p-1) p^N) mod p^(N+rel), log u = ((x - 1)/p^N)/(p - 1) mod p^rel,
+as each term p^((m-1)N) L^m/m! (m >= 2) of x - 1 = exp(p^N L) - 1,
+L = log u^(p-1), has valuation >= (m-1)N + 1 >= rel at every p, 2 and 3 too.
 
 EXACT = inf is both the valuation and the claim (absolute precision) of an
 exact zero: an exact zero has val = EXACT and rel = 0, a tracked zero O(p^A)
@@ -15,7 +19,7 @@ terms, EXACT for an exact zero coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isqrt
+from math import inf, isqrt
 
 EXACT = inf
 
@@ -121,14 +125,6 @@ class PadicNumber:
         v, num = valuation(q.numerator, p)
         w, den = valuation(q.denominator, p)
         return cls(p, v - w, num * pow(den, -1, p ** rel), rel)
-
-    @classmethod
-    def from_int_mod(cls, p, residue, abs_prec):
-        """Value known modulo p^abs_prec (valuation read off the residue)."""
-        residue %= p ** abs_prec
-        if residue == 0:
-            return cls.zero_to(p, abs_prec)
-        return cls(p, 0, residue, abs_prec)
 
     # -- queries -----------------------------------------------------------
 
@@ -310,30 +306,22 @@ def teichmuller(a, p, abs_prec):
 def iwasawa_log(z):
     """Iwasawa-branch logarithm: log p = 0, log of Teichmueller units = 0.
 
-    Works for any nonzero PadicNumber; the valuation is discarded (branch)
-    and the unit u is handled through u^(p-1) = 1 + t with val(t) >= 1.
-    The result is known modulo p^rel, rel the relative precision of z.
+    Works for any nonzero PadicNumber; the valuation is discarded (branch).
+    For the unit u, rel = z.rel and N = rel - 1, one modular power
+    x = u^((p-1) p^N) mod p^(N+rel) gives log u = ((x - 1)/p^N)/(p - 1)
+    mod p^rel.  With L = log u^(p-1), v(L) >= 1 (>= 2 at p = 2), x is
+    exp(p^N L) mod p^(N+rel) (at p = 2, N = 0: exp L = -u = u mod 2), and
+    (x - 1)/p^N - L sums p^((m-1)N) L^m/m! over m >= 2, each term of
+    valuation >= (m-1)N + m - v_p(m!) >= N + 1 = rel, as v_p(m!) <= m - 1
+    at every p.  Moving u by p^rel moves x by p^(N+rel).
     """
     if z.unit == 0:
         raise ValueError("log of zero")
     p = z.p
     rel = z.rel
-    t = pow(z.unit, p - 1, p ** rel) - 1
-    # log(1+t) = sum (-1)^(m+1) t^m / m; val(t^m/m) >= m - log_p(m), so the
-    # terms past m_max vanish mod p^rel.  Dividing by m costs at most
-    # log_p(m_max) digits, which the working modulus carries.
-    m_max = 1
-    while m_max + 1 <= rel + log_floor(m_max + 1, p) + 1:
-        m_max += 1
-    mod = p ** (rel + log_floor(m_max, p))
-    acc = 0
-    power = 1
-    for m in range(1, m_max + 1):
-        power = power * t % mod
-        v, unit = valuation(m, p)
-        term = power // p ** v * pow(unit, -1, mod)
-        acc += term if m % 2 else -term
-    return PadicNumber.from_int_mod(p, acc * pow(p - 1, -1, p ** rel), rel)
+    n = p ** (rel - 1)
+    x = pow(z.unit, (p - 1) * n, n * p ** rel)
+    return PadicNumber(p, 0, (x - 1) // n * pow(p - 1, -1, p ** rel), rel)
 
 
 def log_floor(m, p):
@@ -375,14 +363,8 @@ def rational_reconstruct(x, num_bound, den_bound):
         return None
     if b < 0:
         a, b = -a, -b
-    if abs(a) > num_bound or b > den_bound or b % p == 0:
+    if abs(a) > num_bound or b > den_bound or b % p == 0 or (a - b * r) % modulus:
         return None
-    g = gcd(abs(a), b) if a else b
-    if g > 1:
-        a, b = a // g, b // g
-    if (a - b * r) % modulus != 0:
-        return None
-    out = Fraction(a, b)
-    if scale:
-        out = out / p ** scale
-    return out
+    # the scale's p-power counts against den_bound as well
+    out = Fraction(a, b * p ** scale)
+    return out if out.denominator <= den_bound else None

@@ -3,7 +3,8 @@
 tests/test_golden.py calls ``cli.main`` in the test process; the benchmark
 runs each command as its own ``python -m ckpolylog`` child with
 PYTHONDONTWRITEBYTECODE=1.  This script does the same for every entry of
-``test_golden.COMMANDS`` and compares stdout and exit status with the
+``test_golden.COMMANDS``, under ``-W error`` so that a warning raised in
+``src/`` fails the run, and compares stdout and exit status with the
 golden file and the entry.  From the repository root:
 
     PYTHONPATH=src python tests/check_golden_cli.py
@@ -25,7 +26,7 @@ def main():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     failed = 0
     for name, (argv, status) in sorted(COMMANDS.items()):
-        run = subprocess.run([sys.executable, "-m", "ckpolylog", *argv],
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "ckpolylog", *argv],
                              capture_output=True, text=True, env=env)
         want = (GOLDEN / (name + ".json")).read_text()
         if run.returncode == status and run.stdout == want:

@@ -1,9 +1,10 @@
 """Run a grid of command lines, each in a fresh ``python -m ckpolylog`` process.
 
-Every run must end within TIMEOUT seconds with exit status 0 (certified),
-1 (computed but not certified) or 2 (rejected), and print no traceback; a
-rejection prints exactly one line on stderr.  The grid reaches past what
-the goldens pin:
+Each child runs under ``-W error``, so a warning raised in ``src/`` fails
+its line.  Every run must end within TIMEOUT seconds with exit status 0
+(certified), 1 (computed but not certified) or 2 (rejected), and print no
+traceback; a rejection prints exactly one line on stderr.  The grid reaches
+past what the goldens pin:
 
   * ``ideal --S l --n k --abstract-only`` for l in {2, 3, 5, 7}, k = 1..10;
   * ``locus --S l --p p --n k`` for l in {2, 3, 5}, p in {7, 11},
@@ -12,6 +13,7 @@ the goldens pin:
     ``locus --S 2 --p 13``, ``locus --S 2 --p 31 --symmetrize``,
     ``locus --S 3 --p 101`` and ``locus --S 3 --p 31 --prec 30``, whose
     disk degree N = 45 passes p, so a disk-series integral divides by p;
+  * ``locus --S 3 --p 7 --prec 100``, whose logarithms run at 111 digits;
   * ``verify counterexample --S l --p p --n k`` for l in {2, 3},
     p in {5, 11}, k in {1, 4, 8};
   * at the smallest precisions, where exact and tracked zeros meet:
@@ -56,6 +58,7 @@ def commands():
     yield "locus --S 2 --p 31 --symmetrize"
     yield "locus --S 3 --p 101"
     yield "locus --S 3 --p 31 --prec 30"
+    yield "locus --S 3 --p 7 --prec 100"
     for ell, p, k in itertools.product((2, 3), (5, 11), (1, 4, 8)):
         yield "verify counterexample --S %d --p %d --n %d" % (ell, p, k)
     low = ((1, 0), (2, 1), (4, 3))
@@ -94,7 +97,8 @@ def main(argv):
     lines = []
     for cmd in commands():
         try:
-            run = subprocess.run([sys.executable, "-m", "ckpolylog", *cmd.split()],
+            run = subprocess.run([sys.executable, "-W", "error", "-m", "ckpolylog",
+                                  *cmd.split()],
                                  capture_output=True, text=True, env=env, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             failed += 1
