@@ -45,7 +45,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import archimedean, elimination, galois, loci
+from . import archimedean, elimination, galois, loci, symbols
 from . import words as wd
 from .padic import PrecisionPolicy, is_prime, log_floor
 from .polylog import get_engine, padic_L3_check, unsupported_prime
@@ -178,6 +178,13 @@ def _suite_hopf(args, policy):
     x = wd.ShuffleElement.word(gs, ("tau_2",))
     rows.append({"check": "shuffle power identity",
                  "passed": x.shuffle_pow(6).coefficient(("tau_2",) * 6) == 720})
+    # each tabled Li row, read off its point's cocycle, against Goncharov's coproduct
+    for builder in galois.TABLED.values():
+        table = getattr(galois, builder)()
+        for s in sorted(s for s in table.entries if s.kind == "li"):
+            gon = table.tensor_to_words(symbols.reduced_coproduct(symbols.Expression.sym(s)))
+            rows.append({"check": "goncharov:%r over Z[1/%s]" % (s, ",".join(map(str, table.S))),
+                         "passed": wd.reduced_coproduct(table.full_form(s)) == gon})
     return rows
 
 

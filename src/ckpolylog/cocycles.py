@@ -19,8 +19,9 @@ and cocycle_apply evaluates a cocycle by substituting into them.
 
 Coordinate values may live in any commutative coefficient object with
 +, *, and truthiness (exact rationals, p-adics, expression fractions,
-polynomials), so the same code serves the geometric step and the
-field-valued counterexample cocycle.
+polynomials), so the same code serves the geometric step, the field-valued
+counterexample cocycle and each period-table row: Li_n(z) at the cocycle
+of an S-unit point z, whose tau coordinates are kappa_coordinates.
 """
 
 from __future__ import annotations

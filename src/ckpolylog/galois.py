@@ -2,24 +2,25 @@
 
 Writes motivic polylogarithm symbols as exact combinations of the f-word
 basis attached to the generators tau_ell (weight one, dual to log(ell))
-and sigma_{2n+1} (dual to zeta(2n+1)).  Reduced coproducts reduce weight-n
-symbols to lower weight; the kernel of the reduced coproduct is spanned by
-zeta(n) in odd weight and vanishes in even weight, so each expansion
-leaves at most one rational coefficient undetermined.  That coefficient is
-either fixed by a basis choice or recognized numerically through the p-adic
-period map at one prime, RECOGNITION_PRIME, and cached with provenance, the
-same way the half-weight-3 tables here were first produced.  The tests and
-`verify identities` recognize the same coefficients at other primes.
+and sigma_{2n+1} (dual to zeta(2n+1)).  A row Li_n(z) at an S-unit point z
+is its point's cocycle, `cocycles.cocycle_apply` at the Kummer coordinates
+of z and the zeta-coefficients of its lower odd Li_k(z).  In odd weight the
+row's own zeta-coefficient is left open: a basis choice fixes it, or it is
+recognized numerically through the p-adic period map at one prime,
+RECOGNITION_PRIME, and cached with provenance.  The tests and
+`verify identities` recognize the same coefficients at other primes, and
+`verify hopf` checks each row against Goncharov's symbol coproduct.
 
 A tabled period table is its Li_4 rows and its basis choice: the builders
 ensure only those, `PeriodTable.ensure` pulls in every lower entry the
-coproducts reach, and `f_sigma_tau_expression` solves from the rows.
+rows' coproducts reach, and `f_sigma_tau_expression` solves from the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import cocycles
 from . import symbols as sy
 from . import words as wd
 from .padic import PrecisionPolicy, rational_reconstruct, valuation
@@ -64,8 +65,8 @@ class PeriodTable:
     """Expansion table for one open integer scheme Spec Z[1/S].
 
     Entries map symbols to their f-basis forms and are complete when created:
-    an odd-weight Li entry takes its zeta-coefficient from a basis choice
-    passed to `ensure`, or else from `numeric_primitive_resolver`.
+    a Li entry is its point's cocycle plus, in odd weight, a zeta-coefficient
+    from a basis choice passed to `ensure` or `numeric_primitive_resolver`.
     """
 
     def __init__(self, S, max_weight=4):
@@ -119,9 +120,20 @@ class PeriodTable:
         if not (_is_s_unit(z, self.S) and _is_s_unit(1 - z, self.S)):
             raise ValueError("Li_%d(%s) is not an S-point symbol for S=%s"
                              % (n, z, list(self.S)))
-        tens = sy.reduced_coproduct(sy.Expression.sym(sy.Symbol("li", n, z)))
-        target = self.tensor_to_words(tens)
-        dec = wd.solve_delta_prime(self.genset, n, target)
+        kappa = {ell: cocycles.kappa_coordinates(z, ell) for ell in self.S}
+        # ensure what Goncharov's coproduct reaches: nothing at log z = 0, where sigma terms vanish
+        reached = n > 1 and any(e0 for e0, _ in kappa.values())
+        for k in range(2, n if reached else 2):
+            self.ensure(sy.Symbol("li", k, z))
+        for ell, e in kappa.items():
+            if reached and any(e):
+                self.ensure(sy.Symbol("log", 1, Fraction(ell)))
+        values = {cocycles.coordinate_name(tau_id(ell), k): e[k]
+                  for ell, e in kappa.items() for k in (0, 1)}
+        for k in range(3, n + 1, 2):
+            lower = self.entries[sy.Symbol("li", k, z)].prim if reached and k < n else 0
+            values[cocycles.coordinate_name(sigma_id(k), k)] = lower
+        dec = cocycles.cocycle_apply(values, self.genset, n)["li%d" % n]
         if n % 2 == 0 or n == 1:
             return TableEntry(dec, Fraction(0), "coproduct (no primitives)")
         if choice is None:

@@ -210,7 +210,8 @@ class PadicNumber:
         return self + (-b)
 
     def __rsub__(self, other):
-        return (-self) + other
+        b = self._coerce(other)
+        return NotImplemented if b is NotImplemented else (-self) + b
 
     def __mul__(self, other):
         b = self._coerce(other)
@@ -239,7 +240,7 @@ class PadicNumber:
 
     def __rtruediv__(self, other):
         a = self._coerce(other)
-        return a / self
+        return NotImplemented if a is NotImplemented else a / self
 
     def __pow__(self, k):
         if k < 0:

@@ -413,23 +413,6 @@ def element_as_lyndon_poly(el):
     return out
 
 
-def solve_delta_prime(genset, n, target):
-    """Find x of pure weight n with Delta'(x) = target.
-
-    The primitive directions (single-letter words of weight n) of x are
-    zero; raises ValueError when the system is inconsistent.  The cut
-    (w[:1], w[1:]) occurs in Delta'(f_w) alone, so x_w is the target's
-    coefficient there; the exact re-check of Delta'(x) = target is the
-    certificate.
-    """
-    words = genset.words_of_weight(n)
-    x = ShuffleElement(genset, {w: target.terms.get((w[:1], w[1:]), 0)
-                                for w in words if len(w) > 1})
-    if reduced_coproduct(x) != target:
-        raise ValueError("inconsistent Delta' system at weight %d" % n)
-    return x
-
-
 # -- exact row reduction ----------------------------------------------------
 #
 # The one Gauss-Jordan elimination behind every exact linear solve: the

@@ -21,9 +21,10 @@ polygon) is the reference for the Strassmann root bound of loci, and
 t -> t^p iterated until fixed for the closed-form Teichmueller lift.
 The Iwasawa logarithm summed on PadicNumbers is the reference for the
 integer one.  The coproducts
-accumulated term by term and the dense Delta' solve are the references
-for the cut-by-cut coproducts and the first-cut Delta' solve in words,
-and the cobar square with one inner Delta' per outer cut and a full
+accumulated term by term are the references for the cut-by-cut
+coproducts in words.  The first-cut Delta' solve rebuilds a period-table
+row from its Goncharov coproduct, the route the tables no longer take,
+and the dense Delta' solve is the reference for it; the cobar square with one inner Delta' per outer cut and a full
 Fraction difference is the reference for the memoized one.  Lyndon words
 found by the rotation test, and every word's Lyndon polynomial read off
 the inverse of the dense matrix of the Lyndon monomials' shuffle products,
@@ -427,6 +428,23 @@ def reduced_by_accumulation(a):
         _accumulate(terms, ((), w), -c)
     _accumulate(terms, ((), ()), a.coefficient(()))
     return TensorElement(a.genset, terms)
+
+
+def solve_delta_prime(genset, n, target):
+    """Find x of pure weight n with Delta'(x) = target.
+
+    The primitive directions (single-letter words of weight n) of x are
+    zero; raises ValueError when the system is inconsistent.  The cut
+    (w[:1], w[1:]) occurs in Delta'(f_w) alone, so x_w is the target's
+    coefficient there; the exact re-check of Delta'(x) = target is the
+    certificate.
+    """
+    words = genset.words_of_weight(n)
+    x = ShuffleElement(genset, {w: target.terms.get((w[:1], w[1:]), 0)
+                                for w in words if len(w) > 1})
+    if wd.reduced_coproduct(x) != target:
+        raise ValueError("inconsistent Delta' system at weight %d" % n)
+    return x
 
 
 def solve_delta_prime_dense(genset, n, target):

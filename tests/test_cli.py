@@ -131,7 +131,8 @@ def test_verify_hopf_fails_when_a_cut_is_dropped(capsys, monkeypatch):
     failing = [row["check"] for row in data["suites"]["hopf"] if not row["passed"]]
     assert "cobar:tau_2.tau_3.tau_2" in failing
     assert "cobar exactness through weight 8" in failing
-    assert all(c.startswith("cobar") for c in failing)
+    # the Goncharov rows of the period tables take Delta' through the same cuts
+    assert all(c.startswith(("cobar", "goncharov:")) for c in failing)
 
 
 def test_cli_rejects_bad_primes(capsys):

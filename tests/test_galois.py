@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from ckpolylog import cli
 import ckpolylog.galois as G
 import ckpolylog.symbols as sy
 import ckpolylog.words as wd
-from oracles import expand_in_basis, kummer_degree_one
+from oracles import expand_in_basis, kummer_degree_one, solve_delta_prime
+from test_golden import COMMANDS, GOLDEN
 
 
 def sym_li(n, z):
@@ -169,7 +172,7 @@ def test_product_rule_expansion(table_z_sixth):
     assert via_product == direct
     # and the Delta'-solve route recovers the same element
     target = table_z_sixth.tensor_to_words(sy.reduced_coproduct(prod_expr))
-    solved = wd.solve_delta_prime(table_z_sixth.genset, 3, target)
+    solved = solve_delta_prime(table_z_sixth.genset, 3, target)
     assert solved == via_product  # weight 3, sigma-coefficient zero on both
 
 
@@ -178,17 +181,56 @@ def test_expansion_rejects_non_s_unit_points(table_z_sixth):
         table_z_sixth.ensure(sym_li(2, 5))
 
 
-def test_inconsistent_table_raises():
-    # corrupting a low-weight entry must break the higher-weight solve
-    table = G.PeriodTable({2, 3}, max_weight=3)
-    table.ensure(sy.Symbol("log", 1, F(2)))
-    table.ensure(sy.Symbol("log", 1, F(3)))
-    s2 = sym_li(2, -2)
-    table.ensure(s2)
-    table.entries[s2].word_form = wd.ShuffleElement.word(
-        table.genset, ("tau_2", "tau_2"))  # wrong on purpose
-    with pytest.raises(ValueError):
-        table.ensure(sym_li(3, -2), (F(0), "basis choice"))
+def test_a_wrong_row_fails_its_goncharov_check_in_verify_hopf(monkeypatch, capsys):
+    # a table row off its Goncharov coproduct is caught by verify hopf, by name
+    real = G.build_table_z_sixth
+
+    def corrupt():
+        table = real()
+        table.entries[sym_li(4, 3)].word_form = wd.ShuffleElement.word(
+            table.genset, ("tau_3", "tau_3", "tau_3", "tau_2"))  # wrong on purpose
+        return table
+
+    monkeypatch.setattr(G, "build_table_z_sixth", corrupt)
+    assert cli.main(["verify", "hopf", "--p", "5"]) == 1
+    rows = json.loads(capsys.readouterr().out)["suites"]["hopf"]
+    assert [r["check"] for r in rows if not r["passed"]] == ["goncharov:Li4(3) over Z[1/2,3]"]
+    assert {"check": "cobar exactness through weight 8", "passed": True} in rows
+
+
+def test_li_rows_are_their_delta_prime_solves(table_z_half, table_z_sixth):
+    # the cocycle route gives each row the word form the Delta' solve of its
+    # Goncharov coproduct gives, plus its sigma word
+    assert (len(table_z_half.entries), len(table_z_sixth.entries)) == (5, 11)
+    for table in (table_z_half, table_z_sixth):
+        for s in (s for s in table.entries if s.kind == "li"):
+            target = table.tensor_to_words(sy.reduced_coproduct(sy.Expression.sym(s)))
+            form = solve_delta_prime(table.genset, s.n, target)
+            if table.has_sigma(s.n):
+                form = form + wd.ShuffleElement.word(table.genset, (G.sigma_id(s.n),),
+                                                     table.entries[s].prim)
+            assert table.full_form(s) == form, s
+
+
+def test_li1_row_is_minus_log_of_one_minus_z():
+    # its cocycle coordinate Phi[tau;li1] is -ord(1 - z); Delta' of Li_1 is 0
+    table = G.PeriodTable({2, 3})
+    assert table.full_form(sym_li(1, -2)).terms == {("tau_3",): F(-1)}
+    assert table.full_form(sym_li(1, 3)).terms == {("tau_2",): F(-1)}
+
+
+def test_tables_and_commands_need_no_goncharov_coproduct(monkeypatch, capsys):
+    def refuse(expr):
+        raise AssertionError("reduced_coproduct called on %r" % (expr,))
+
+    monkeypatch.setattr(sy, "reduced_coproduct", refuse)
+    monkeypatch.setattr(G, "_TABLES", {})
+    assert len(G.build_table_z_half().entries) == 5
+    assert len(G.build_table_z_sixth().entries) == 11
+    for name in ("ideal_S3", "locus_S3_p5"):
+        argv, status = COMMANDS[name]
+        assert cli.main(argv) == status
+        assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()
 
 
 def test_period_table_json(table_z_half):

@@ -5,11 +5,13 @@ that changes any digit, claimed precision or Newton bound of a certificate
 fails here.  `appendix` is left out: its complex float residuals depend on
 the platform's libm.
 
-To regenerate after an intended change of output, run for each entry
+To regenerate after an intended change of output, run from the repository
+root
 
-    python -m ckpolylog <argv> > tests/golden/<name>.json
+    PYTHONPATH=src python tests/check_golden_cli.py --write
 
-and check that it exits with the status the entry names.
+which rewrites each golden from its command's stdout when the command exits
+with the status the entry names, and prints the diff of each one it rewrote.
 """
 
 from pathlib import Path

@@ -43,6 +43,17 @@ def test_adding_zero_and_multiplying_by_one_keep_the_value(x):
     assert x * 1 == x and 1 * x == x
 
 
+def test_reflected_operators_refuse_what_they_cannot_coerce():
+    x = PadicNumber.from_rational(5, F(7, 8), 10)
+    # a float is neither coerced nor recursed on: Python names the operator
+    with pytest.raises(TypeError, match=r"for /: 'float' and 'PadicNumber'"):
+        2.0 / x
+    with pytest.raises(TypeError, match=r"for -: 'float' and 'PadicNumber'"):
+        2.0 - x
+    assert 3 / x == PadicNumber.from_rational(5, F(24, 7), 10)
+    assert 3 - x == PadicNumber.from_rational(5, F(17, 8), 10)
+
+
 def test_truncate_abs_never_claims_beyond_its_bound():
     # a nonzero value of valuation >= A truncates to O(p^A), not O(p^val)
     x = PadicNumber(7, 50, 2, 10).truncate_abs(47)

@@ -28,7 +28,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ckpolylog"
 
 # defs that seed an open ROADMAP item: that item will run them
 SEEDS = {
-    "cocycles.kappa_coordinates": "to prove the rational points of a locus (ROADMAP item 2)",
     "elimination.graded_kernel_dimension": "to become the production ideal route "
                                            "(ROADMAP item 3)",
     "elimination._li_monomials": "a helper of graded_kernel_dimension (ROADMAP item 3)",

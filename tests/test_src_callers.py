@@ -27,8 +27,7 @@ ALLOWED = {
     "cmd_verify": "cli.main dispatches cmd_* by name",
     "__version__": "package metadata",
     **{qualname.partition(".")[2]: SEEDS[qualname]
-       for qualname in ("galois.basis_certificate_deg3", "elimination.graded_kernel_dimension",
-                        "cocycles.kappa_coordinates")},
+       for qualname in ("galois.basis_certificate_deg3", "elimination.graded_kernel_dimension")},
 }
 
 

@@ -74,3 +74,17 @@ def test_traced_ideal_fires_the_table_spans(tmp_path):
     assert run.returncode == 0, run.stderr
     fired = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
     assert {"galois.table_build", "galois.resolve", "galois.f_sigma_tau"} <= fired
+
+
+def test_traced_verify_hopf_fires_the_coproduct_spans(tmp_path):
+    # the tables no longer take Goncharov's coproduct; verify hopf checks their
+    # rows against it, so a traced certify-small pass still sees these spans
+    spans_file = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
+    run = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans_file), "0",
+                          "--", "verify", "hopf", "--p", "5"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    fired = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
+    assert {"symbols.reduced_coproduct", "words.cobar_square", "galois.table_build"} <= fired

@@ -8,13 +8,13 @@ from ckpolylog.symbols import Expression, ExprFraction, Symbol, TensorExpr, log_
 from ckpolylog.words import (
     GeneratorSet, ShuffleElement, TensorElement, cobar_square,
     element_as_lyndon_poly, reduced_coproduct, row_reduce, shuffle_product,
-    solve_columns, solve_delta_prime, word_as_lyndon_poly,
+    solve_columns, word_as_lyndon_poly,
 )
 import ckpolylog.words as wd
 from ckpolylog.galois import standard_genset
 from oracles import (cobar_square_by_terms, deconcat_by_accumulation, expr_fraction_equals,
                      is_lyndon, lyndon_decomposition_dense, reduced_by_accumulation,
-                     solve_delta_prime_dense)
+                     solve_delta_prime, solve_delta_prime_dense)
 
 GS = GeneratorSet([("tau_2", 1), ("tau_3", 1), ("sigma_3", 3)])
 GS1 = GeneratorSet([("tau", 1), ("sigma", 3), ("sigma_5", 5)])
