@@ -3,13 +3,14 @@
 The universal evaluation image expresses log and Li_1..Li_n as polynomials
 in the cocycle coordinates with coefficients in the Galois coordinate
 ring.  The ideal of relations among the targets is the kernel of that
-substitution; we compute it three ways:
+substitution; it is computed three ways:
 
   * lexicographic Groebner elimination of the graph ideal with the
-    cocycle coordinates ordered first (the certified route),
-  * the structured shortcut that solves the Li_3 image for the sigma_3
-    coordinate Phi[sigma_3;li3] and substitutes into the Li_4 image
-    (cross-check),
+    cocycle coordinates ordered first, the route `ideal` runs,
+  * the structured shortcut, which writes the half-weight 2 and 4
+    generators g_2 and g_4 over Z[1/ell] in closed form; every `locus`
+    builds its functions from it, and the tests check that it and
+    Buchberger agree,
   * brute-force graded linear algebra on coefficient vectors (used by
     the test suite to certify completeness degree by degree).
 
@@ -358,10 +359,11 @@ def verify_vanishing(element):
 
 
 def structured_shortcut_generators(S):
-    """The half-weight 2 and 4 elements built the way the displayed
-    computation does it: eliminate Phi[sigma_3;li3] between the Li_3 and
-    Li_4 images, then clear the remaining coordinates by hand.  |S| = 1
-    only."""
+    """The half-weight 2 and 4 generators over Z[1/ell], written in closed
+    form: g_2 = Li_2 - (1/2) log Li_1 and the displayed g_4.  Every `locus`
+    builds its functions from these, `ideal` runs Buchberger instead
+    (ck_ideal_generators), and the tests check that the two agree.
+    |S| = 1 only."""
     if len(S) != 1:
         raise ValueError("shortcut requires |S| = 1")
     prob = SubstitutionProblem(4, S)

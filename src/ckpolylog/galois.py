@@ -11,9 +11,9 @@ RECOGNITION_PRIME, and cached with provenance.  The tests and
 `verify identities` recognize the same coefficients at other primes, and
 `verify hopf` checks each row against Goncharov's symbol coproduct.
 
-A tabled period table is its Li_4 rows and its basis choice: the builders
-ensure only those, `PeriodTable.ensure` pulls in every lower entry the
-rows' coproducts reach, and `f_sigma_tau_expression` solves from the rows.
+A period table is its description, S, a basis choice and its rows, all
+given to the constructor; each row pulls in every lower entry its cocycle
+reads, and `f_sigma_tau_expression` solves from the rows.
 """
 
 from __future__ import annotations
@@ -64,16 +64,22 @@ class TableEntry:
 class PeriodTable:
     """Expansion table for one open integer scheme Spec Z[1/S].
 
-    Entries map symbols to their f-basis forms and are complete when created:
-    a Li entry is its point's cocycle plus, in odd weight, a zeta-coefficient
-    from a basis choice passed to `ensure` or `numeric_primitive_resolver`.
+    rows are Li symbols; choice, the basis choice, maps odd Li symbols to
+    (value, provenance) pairs that fix their zeta-coefficients.  The chosen
+    symbols are ensured first, then the rows, each in symbol order.  Entries
+    are complete when created: a Li entry is its point's cocycle plus, in odd
+    weight, a zeta-coefficient from the choice or `numeric_primitive_resolver`.
     """
 
-    def __init__(self, S, max_weight=4):
+    def __init__(self, S, rows=(), choice=None, max_weight=4):
         self.S = tuple(sorted(S))
         self.max_weight = max_weight
         self.genset = standard_genset(self.S, max_weight)
+        self.choice = dict(choice or {})
+        self.rows = tuple(sorted(rows))
         self.entries = {}
+        for symbol in sorted(self.choice) + list(self.rows):
+            self.ensure(symbol)
 
     def has_sigma(self, n):
         return n % 2 == 1 and n >= 3 and n <= self.max_weight
@@ -88,12 +94,8 @@ class PeriodTable:
 
     # -- expansion -------------------------------------------------------------
 
-    def ensure(self, symbol, choice=None):
-        """The entry of symbol, created on first use.
-
-        choice, a (value, provenance) pair, fixes the zeta-coefficient of an
-        odd Li symbol by a basis choice instead of recognizing it.
-        """
+    def ensure(self, symbol):
+        """The entry of symbol, created on first use."""
         if symbol in self.entries:
             return self.entries[symbol]
         if symbol.kind == "log":
@@ -109,11 +111,11 @@ class PeriodTable:
             entry = TableEntry(ShuffleElement.zero(self.genset), Fraction(1),
                                "dual generator")
         else:
-            entry = self._expand_li(symbol, choice)
+            entry = self._expand_li(symbol)
         self.entries[symbol] = entry
         return entry
 
-    def _expand_li(self, symbol, choice):
+    def _expand_li(self, symbol):
         n, z = symbol.n, symbol.z
         if n > self.max_weight:
             raise ValueError("weight %d beyond table bound %d" % (n, self.max_weight))
@@ -121,21 +123,21 @@ class PeriodTable:
             raise ValueError("Li_%d(%s) is not an S-point symbol for S=%s"
                              % (n, z, list(self.S)))
         kappa = {ell: cocycles.kappa_coordinates(z, ell) for ell in self.S}
-        # ensure what Goncharov's coproduct reaches: nothing at log z = 0, where sigma terms vanish
-        reached = n > 1 and any(e0 for e0, _ in kappa.values())
-        for k in range(2, n if reached else 2):
+        # ensure the entries the cocycle reads: Li_k(z) below n, log ell for ell | z(1 - z)
+        for k in range(2, n):
             self.ensure(sy.Symbol("li", k, z))
         for ell, e in kappa.items():
-            if reached and any(e):
+            if any(e):
                 self.ensure(sy.Symbol("log", 1, Fraction(ell)))
         values = {cocycles.coordinate_name(tau_id(ell), k): e[k]
                   for ell, e in kappa.items() for k in (0, 1)}
         for k in range(3, n + 1, 2):
-            lower = self.entries[sy.Symbol("li", k, z)].prim if reached and k < n else 0
+            lower = self.entries[sy.Symbol("li", k, z)].prim if k < n else 0
             values[cocycles.coordinate_name(sigma_id(k), k)] = lower
         dec = cocycles.cocycle_apply(values, self.genset, n)["li%d" % n]
         if n % 2 == 0 or n == 1:
             return TableEntry(dec, Fraction(0), "coproduct (no primitives)")
+        choice = self.choice.get(symbol)
         if choice is None:
             # looked up per call, so a wrapper installed on the factory is the one that runs
             choice = numeric_primitive_resolver()(symbol, self.period_expression_of(dec))
@@ -246,10 +248,8 @@ def numeric_primitive_resolver():
 
 
 def build_table_z_half():
-    """Period table over Z[1/2]: the row Li_4(1/2); ensure pulls in the rest."""
-    t = PeriodTable({2})
-    t.ensure(sy.Symbol("li", 4, Fraction(1, 2)))
-    return t
+    """Period table over Z[1/2]: the row Li_4(1/2), which pulls in the rest."""
+    return PeriodTable({2}, rows=[sy.Symbol("li", 4, Fraction(1, 2))])
 
 
 P3_CHOICE = (Fraction(-2), Fraction(3))  # arguments whose Li_3 spans P_3(Z[1/6])
@@ -258,17 +258,14 @@ P3_CHOICE = (Fraction(-2), Fraction(3))  # arguments whose Li_3 spans P_3(Z[1/6]
 def build_table_z_sixth():
     """Period table over Z' = Z[1/6] feeding the Z[1/3] pipeline.
 
-    P_3(Z') is pinned to span{Li_3(-2), Li_3(3)} (their zeta-coefficients
-    vanish by this basis choice, which is what defines sigma_3 here), so the
-    choice is ensured before the rows Li_4(3) and Li_4(9) pull in the rest;
-    Li_3(9) then carries the one genuinely unknown coefficient.
+    P_3(Z') is pinned to span{Li_3(-2), Li_3(3)}: their zeta-coefficients
+    vanish by this basis choice, which is what defines sigma_3 here.  The
+    rows Li_4(3) and Li_4(9) pull in the rest, and Li_3(9) carries the one
+    genuinely unknown coefficient.
     """
-    t = PeriodTable({2, 3})
-    for z in P3_CHOICE:
-        t.ensure(sy.Symbol("li", 3, z), (Fraction(0), "P_3 basis choice (defines sigma_3)"))
-    t.ensure(sy.Symbol("li", 4, Fraction(3)))
-    t.ensure(sy.Symbol("li", 4, Fraction(9)))
-    return t
+    choice = (Fraction(0), "P_3 basis choice (defines sigma_3)")
+    return PeriodTable({2, 3}, rows=[sy.Symbol("li", 4, Fraction(z)) for z in (3, 9)],
+                       choice={sy.Symbol("li", 3, z): choice for z in P3_CHOICE})
 
 
 def basis_certificate_deg3():
@@ -325,7 +322,7 @@ TABLED_S = tuple((ell,) for ell in TABLED)  # the bases whose f_{sigma tau} is t
 def f_sigma_tau_expression(S, table):
     """The period expression of the coordinate f_{sigma tau} over Z[1/ell].
 
-    The rows are the table's Li_4 entries, in symbol order; the unknowns are
+    The rows are the table's rows, in symbol order; the unknowns are
     the pure-period coordinates sigma_3 tau_ell and, for each other prime q
     of the table, the weight-one-tail word tau_q tau_ell^3.  Solves that
     linear system exactly, as in half-weight 4.
@@ -338,9 +335,8 @@ def f_sigma_tau_expression(S, table):
     gs = table.genset
     unknowns = [(sigma_id(3), tau_id(ell))] + [(tau_id(q),) + (tau_id(ell),) * 3
                                                for q in table.S if q != ell]
-    pts = sorted(s for s in table.entries if s.kind == "li" and s.n == 4)
     rows = []
-    for s in pts:
+    for s in table.rows:
         form = table.full_form(s)
         known = sy.Expression.sym(s)
         coeffs = [form.coefficient(w) for w in unknowns]
@@ -351,7 +347,7 @@ def f_sigma_tau_expression(S, table):
     _, det = wd.row_reduce(rows, len(unknowns))
     if not det:
         raise ValueError("the Li_4 rows %s do not determine the words %s"
-                         % (", ".join(map(repr, pts)),
+                         % (", ".join(map(repr, table.rows)),
                             ", ".join(" ".join(w) for w in unknowns)))
     return rows[0][-1]
 

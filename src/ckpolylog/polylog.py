@@ -20,12 +20,12 @@ t_k(theta) = (1 - p^{-k}) Li_k(theta).  That value is claimed only to the
 point's precision plus the least coefficient valuation, below the series'
 own claim, so each t_k is reduced once modulo p^(claim - scale) and its
 top coefficients that vanish there are dropped: at p = 31 a Horner runs
-over about 690 of 1,554 of them, to the same value and claim.  Two
-shortcuts spare most of these Horners.  Li_1(theta) = -log(1 - theta)
-directly, so t_1 is evaluated only by the truncation guard at z = 0.  And
-theta_(1/a) = 1/theta_a with log theta = 0 on the Iwasawa branch, so
-Li_k(1/theta) = (-1)^(k+1) Li_k(theta): of each pair of inverse disks a,
-a^-1 only the first one asked for runs a Horner.
+over about 690 of 1,554 of them, to the same value and claim.  Only
+t_2..t_n are untwisted there: a disk's Li_1 series starts from
+-log(1 - a) itself, so t_1 is evaluated only by the truncation guard at
+z = 0.  And theta_(1/a) = 1/theta_a with log theta = 0 on the Iwasawa
+branch, so Li_k(1/theta) = (-1)^(k+1) Li_k(theta): of each pair of inverse
+disks a, a^-1 only the first one asked for runs a Horner.
 
 The series keep workprec + 4 digits (_gsprec), and the degree is sized
 from that.  Every t_k is integral (least coefficient valuation 0), so a
@@ -506,12 +506,11 @@ class PolylogEngine:
         return PadicNumber(self.p, 0, t, self.workprec)
 
     def values_at_teichmuller(self, a):
-        """Li_k(theta_a) for k = 1..max_weight (theta_a != 1 required).
+        """Li_k(theta_a) for k = 2..max_weight (theta_a != 1 required).
 
-        Li_1(theta) = -log(1 - theta); Li_k for k >= 2 untwists the Horner
-        value of t_k.  theta_(1/a) = 1/theta_a and log theta_a = 0, so once
-        the disk of a^-1 has its values, Li_k(theta_a) = (-1)^(k+1)
-        Li_k(theta_(1/a)) costs no Horner at all.
+        Each Li_k untwists the Horner value of t_k.  theta_(1/a) = 1/theta_a
+        and log theta_a = 0, so once the disk of a^-1 has its values,
+        Li_k(theta_a) = (-1)^(k+1) Li_k(theta_(1/a)) costs no Horner at all.
         """
         a = a % self.p
         if a in (0, 1):
@@ -526,7 +525,7 @@ class PolylogEngine:
             theta = self.teichmuller_point(a)
             w = 1 / (theta - 1)
             series = self.twisted_series()
-            vals = {1: -iwasawa_log(1 - theta)}
+            vals = {}
             for k in range(2, self.max_weight + 1):
                 tk = series[k - 1].evaluate(w)
                 # t_k(theta) = (1 - p^{-k}) Li_k(theta); clamp the claimed

@@ -11,8 +11,9 @@ The residue-disk series rebuilt as lists of PadicNumbers (one object per
 coefficient, each operation claiming precision by PadicNumber's own rules)
 are the reference for the engine's integer disk tables, Coleman local
 series and root-search shifts; the oracle table of a disk a is expanded
-about theta_a first and Horner-evaluated at a for its constants, a route
-the engine no longer takes.  log and Li_1 about a center, summed as
+about theta_a first, from Li_1(theta_a) = -log(1 - theta_a) and the
+engine's Li_k(theta_a), and Horner-evaluated at a for its constants, a
+route the engine no longer takes.  log and Li_1 about a center, summed as
 integer geometric series, are the references for the engine's one
 integration step, and IntSeries.integral reading every coefficient's
 valuation is the reference for the one reading those at p | j only.
@@ -286,11 +287,17 @@ def disk_series(eng, center, values_at_center):
     return table
 
 
+def teichmuller_values(eng, a):
+    """Li_1..Li_n at theta_a: Li_1 = -log(1 - theta_a), the rest the engine's."""
+    theta = eng.teichmuller_point(a)
+    return {1: -iwasawa_log(1 - theta), **eng.values_at_teichmuller(a)}
+
+
 def disk_table(eng, a):
     """The engine's disk table for a, rebuilt on PadicNumber lists."""
     p = eng.p
     theta = eng.teichmuller_point(a)
-    theta_table = disk_series(eng, theta, eng.values_at_teichmuller(a))
+    theta_table = disk_series(eng, theta, teichmuller_values(eng, a))
     a_pn = PadicNumber.from_rational(p, a, eng.workprec)
     shift = (a_pn - theta) / p
     center_vals = {k: series_eval(theta_table["li%d" % k], shift)

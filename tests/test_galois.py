@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -46,10 +47,9 @@ def test_li3_half_expansion_with_resolved_coefficient(table_z_half):
 
 
 def test_li3_half_supplied_coefficient_matches_numeric(table_z_half):
-    table = G.PeriodTable({2}, max_weight=4)
-    table.ensure(sy.Symbol("log", 1, F(2)))
     sym = sym_li(3, F(1, 2))
-    entry = table.ensure(sym, (F(7, 8), "supplied"))
+    table = G.PeriodTable({2}, choice={sym: (F(7, 8), "supplied")}, max_weight=4)
+    entry = table.ensure(sym)
     assert (entry.prim, entry.provenance) == (F(7, 8), "supplied")
     assert table.full_form(sym).coefficient(("sigma_3",)) == F(7, 8)
     assert table.full_form(sym) == table_z_half.full_form(sym)
@@ -130,21 +130,50 @@ def test_table_z_sixth_holds_its_rows_its_choice_and_what_they_pull_in(table_z_s
     assert sorted(map(repr, table_z_sixth.entries)) == [
         "Li2(-2)", "Li2(3)", "Li2(9)", "Li3(-2)", "Li3(3)", "Li3(9)", "Li4(3)", "Li4(9)",
         "log(2)", "log(3)", "zeta(3)"]
-    # the choice is ensured before the rows; a row ensured first pulls
-    # Li_3(3) in with no choice, and no period span then holds its coefficient
+    # the choice belongs to the table, so a row that pulls Li_3(3) in finds it
     for z in G.P3_CHOICE:
         entry = table_z_sixth.entries[sym_li(3, z)]
         assert (entry.prim, entry.provenance) == (0, "P_3 basis choice (defines sigma_3)")
 
 
 def test_f_sigma_tau_names_rows_and_words_of_an_underdetermined_table():
-    table = G.PeriodTable({2, 3})
-    for z in G.P3_CHOICE:
-        table.ensure(sym_li(3, z), (F(0), "P_3 basis choice (defines sigma_3)"))
-    table.ensure(sym_li(4, 3))
+    table = G.PeriodTable({2, 3}, rows=[sym_li(4, 3)],
+                          choice={sym_li(3, z): (F(0), "P_3 basis choice (defines sigma_3)")
+                                  for z in G.P3_CHOICE})
     with pytest.raises(ValueError, match=r"Li_4 rows Li4\(3\) do not determine the words "
                                          r"sigma_3 tau_3, tau_2 tau_3 tau_3 tau_3"):
         G.f_sigma_tau_expression((3,), table)
+
+
+def test_a_table_is_its_description_in_any_order(table_z_sixth):
+    # rows and choice entries given in either order build the same table
+    rows = [sym_li(4, 3), sym_li(4, 9)]
+    choice = [(sym_li(3, z), (F(0), "P_3 basis choice (defines sigma_3)")) for z in G.P3_CHOICE]
+    for order in (list, lambda xs: xs[::-1]):
+        table = G.PeriodTable({2, 3}, rows=order(rows), choice=dict(order(choice)))
+        assert table.rows == table_z_sixth.rows == tuple(rows)
+        assert table.to_json() == table_z_sixth.to_json()
+        for s in table_z_sixth.entries:
+            assert table.full_form(s) == table_z_sixth.full_form(s), s
+        assert (G.f_sigma_tau_expression((3,), table)
+                == G.f_sigma_tau_expression((3,), table_z_sixth))
+
+
+def test_f_sigma_tau_solves_from_the_rows_only():
+    # an Li_4 entry that is not a row does not enter the solve
+    table = G.build_table_z_sixth()
+    table.ensure(sym_li(4, -3))
+    fst = G.f_sigma_tau_expression((3,), table)
+    assert fst == sy.li_u(4, F(3)).scale(F(18, 13)) + sy.li_u(4, F(9)).scale(F(-3, 52))
+    assert sym_li(4, -3) not in table.rows
+
+
+def test_tabled_tables_json_is_pinned(table_z_half, table_z_sixth):
+    # both builders' tables, byte for byte, whatever route builds their rows
+    digests = [hashlib.sha256(json.dumps(t.to_json(), sort_keys=True).encode()).hexdigest()
+               for t in (table_z_half, table_z_sixth)]
+    assert digests == ["a5bd0d6cafa51f8300b3fff71edb6a984b08885b6e5cee241f9f9ee73cd72718",
+                       "3ca031bebfe0112b9bf17ec546bb00745d22f0d7425889bc997e2a31df30f3b5"]
 
 
 def test_f_sigma_tau_rejects_an_untabled_base(table_z_sixth):

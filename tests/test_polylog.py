@@ -10,7 +10,7 @@ import ckpolylog.symbols as sy
 
 from oracles import (washington_lp, generalized_bernoulli, bernoulli_list, disk_series,
                      dz_over_z_series, geometric_log_series, integral_reading_every_valuation,
-                     twisted_horner, twisted_series_by_log)
+                     teichmuller_values, twisted_horner, twisted_series_by_log)
 
 
 def test_engine_rejects_small_or_composite_primes():
@@ -169,15 +169,17 @@ def test_untwist_at_teichmuller_against_log(p, policy):
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])
 def test_teichmuller_values_equal_direct_horner(p, policy):
-    # every value, Li_1 by log and the disks whose value came from the disk
-    # of a^-1 by Li_k(1/theta) = (-1)^(k+1) Li_k(theta) included, equals the
-    # untwisted Horner at theta_a itself, digits and claim
+    # every value, the disks whose value came from the disk of a^-1 by
+    # Li_k(1/theta) = (-1)^(k+1) Li_k(theta) included, and Li_1 by log equal
+    # the untwisted Horner at theta_a itself, digits and claim
     eng = PolylogEngine(p, policy)
     for a in range(2, p):
         vals = eng.values_at_teichmuller(a)
-        assert sorted(vals) == [1, 2, 3, 4]
+        assert sorted(vals) == [2, 3, 4]
         for k, v in vals.items():
             assert v == _untwisted_horner(eng, a, k), (a, k)
+        theta = eng.teichmuller_point(a)
+        assert -iwasawa_log(1 - theta) == _untwisted_horner(eng, a, 1), (a, 1)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -233,7 +235,7 @@ def test_dz_over_z_recurrence_equals_dense_product(p, policy):
     for a in range(2, p):
         theta = eng.teichmuller_point(a)
         apn = PadicNumber.from_rational(p, a, policy.workprec())
-        theta_table = disk_series(eng, theta, eng.values_at_teichmuller(a))
+        theta_table = disk_series(eng, theta, teichmuller_values(eng, a))
         tables = {"theta": (theta, {name: IntSeries.from_padics(p, series)
                                     for name, series in theta_table.items()}),
                   "integer": (apn, eng.disk_table(a))}

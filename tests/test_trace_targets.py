@@ -63,28 +63,32 @@ def test_every_tabled_builder_is_a_table_build_target():
     assert set(galois.TABLED.values()) <= targets
 
 
-def test_traced_ideal_fires_the_table_spans(tmp_path):
-    # what a traced certify-small pass needs of `ideal`: the builder and the
-    # resolver run wrapped, so their spans fire
+def _fired_spans(tmp_path, *argv):
+    """The span names a traced run of one command fires."""
     spans_file = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
     run = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans_file), "0",
-                          "--", "ideal", "--S", "2"], capture_output=True, text=True, env=env)
+                          "--"] + list(argv), capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    fired = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
+    return {span[0] for span in json.loads(spans_file.read_text())["spans"]}
+
+
+def test_traced_ideal_fires_the_table_spans(tmp_path):
+    # what a traced certify-small pass needs of `ideal`: the builder and the
+    # resolver run wrapped, so their spans fire
+    fired = _fired_spans(tmp_path, "ideal", "--S", "2")
     assert {"galois.table_build", "galois.resolve", "galois.f_sigma_tau"} <= fired
 
 
 def test_traced_verify_hopf_fires_the_coproduct_spans(tmp_path):
     # the tables no longer take Goncharov's coproduct; verify hopf checks their
     # rows against it, so a traced certify-small pass still sees these spans
-    spans_file = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
-    run = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans_file), "0",
-                          "--", "verify", "hopf", "--p", "5"],
-                         capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    fired = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
+    fired = _fired_spans(tmp_path, "verify", "hopf", "--p", "5")
     assert {"symbols.reduced_coproduct", "words.cobar_square", "galois.table_build"} <= fired
+
+
+def test_traced_locus_fires_the_locus_spans(tmp_path):
+    # what a traced locus-large-p pass needs, on its smallest prime's command
+    fired = _fired_spans(tmp_path, "locus", "--S", "3", "--p", "5")
+    assert set(workloads.WORKLOADS["locus-large-p"].expected_spans) <= fired
