@@ -67,22 +67,15 @@ class Poly(words.LinearCombination):
 
     __slots__ = ("ring",)
     _context = "ring"
+    _key = tuple
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = Fraction(c)
+        super().__init__(terms and {e: Fraction(c) for e, c in terms.items()})
 
     @classmethod
     def zero(cls, ring):
         return cls(ring)
-
-    @classmethod
-    def const(cls, ring, c):
-        return cls(ring, {(0,) * len(ring): c})
 
     @classmethod
     def var(cls, ring, name):
@@ -93,19 +86,6 @@ class Poly(words.LinearCombination):
     @staticmethod
     def _mul_keys(e1, e2):
         return tuple(map(add, e1, e2))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._product(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = Poly.const(self.ring, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def leading(self):
         e = max(self.terms)  # lex on exponent tuples

@@ -65,7 +65,8 @@ class PeriodTable:
     """Expansion table for one open integer scheme Spec Z[1/S].
 
     rows are Li symbols; choice, the basis choice, maps odd Li symbols to
-    (value, provenance) pairs that fix their zeta-coefficients.  The chosen
+    (value, provenance) pairs that fix their zeta-coefficients (a choice
+    of another symbol is rejected before any entry is built).  The chosen
     symbols are ensured first, then the rows, each in symbol order.  Entries
     are complete when created: a Li entry is its point's cocycle plus, in odd
     weight, a zeta-coefficient from the choice or `numeric_primitive_resolver`.
@@ -76,6 +77,10 @@ class PeriodTable:
         self.max_weight = max_weight
         self.genset = standard_genset(self.S, max_weight)
         self.choice = dict(choice or {})
+        for symbol in self.choice:
+            if symbol.kind != "li" or not self.has_sigma(symbol.n):
+                raise ValueError("a choice for %r fixes no zeta-coefficient: only Li_n "
+                                 "with odd 3 <= n <= %d has one" % (symbol, max_weight))
         self.rows = tuple(sorted(rows))
         self.entries = {}
         for symbol in sorted(self.choice) + list(self.rows):
@@ -150,7 +155,7 @@ class PeriodTable:
         for mono, c in expr.terms.items():
             el = ShuffleElement.one(self.genset).scale(c)
             for s in mono:
-                el = wd.shuffle_product(el, self.full_form(s))
+                el = el * self.full_form(s)
             out = out + el
         return out
 

@@ -636,12 +636,16 @@ class PolylogEngine:
         return self._zeta_cache[k]
 
     def zeta_nonzero(self, k):
-        """zeta_p(k) with the irregular-zero guard for divisions."""
+        """zeta_p(k) for a division: PrecisionError at even k, where it is 0,
+        and once its valuation reaches the equality threshold M - g."""
+        if k % 2 == 0:
+            raise PrecisionError("zeta_%d(%d) is 0: %d is even" % (self.p, k, k))
         z = self.zeta(k)
-        if k % 2 == 0 or z.val_lower_bound() >= self.policy.equality_threshold:
+        v, bound = z.val_lower_bound(), self.policy.equality_threshold
+        if v >= bound:
             raise PrecisionError(
-                "zeta_%d(%d) vanishes to working precision: possible irregular-zero"
-                % (self.p, k))
+                "zeta_%d(%d) has valuation %s%d, at or above the threshold M - g = %d"
+                % (self.p, k, ">= " if z.is_zeroish() else "", v, bound))
         return z
 
     # -- period map -----------------------------------------------------------

@@ -9,7 +9,8 @@ n >= 3; everything else reduces eagerly:
 
 Expressions are polynomials in symbols with exact rational coefficients,
 graded by half-weight; they and their tensors are words.LinearCombination
-subclasses keyed by sorted symbol tuples.  The reduced coproduct of Li_n(z) is the Goncharov
+subclasses keyed by sorted symbol tuples, which build, add, multiply and
+raise to powers there.  The reduced coproduct of Li_n(z) is the Goncharov
 formula sum_i Li_{n-i}(z) (x) log(z)^i / i!; log and zeta symbols are
 primitive.
 """
@@ -59,12 +60,9 @@ class Expression(LinearCombination):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[tuple(sorted(m))] = c
+    @staticmethod
+    def _key(m):
+        return tuple(sorted(m))
 
     @classmethod
     def zero(cls):
@@ -84,19 +82,6 @@ class Expression(LinearCombination):
     @staticmethod
     def _mul_keys(m1, m2):
         return tuple(sorted(m1 + m2))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._product(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = Expression.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: (len(mc[0]), repr(mc[0])))
@@ -150,19 +135,9 @@ class TensorExpr(LinearCombination):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
-
     @staticmethod
     def _mul_keys(k1, k2):
         return (tuple(sorted(k1[0] + k2[0])), tuple(sorted(k1[1] + k2[1])))
-
-    def __mul__(self, other):
-        return self._product(other)
 
     def bidegree_part(self, i, j):
         return self._new({

@@ -10,8 +10,10 @@ coproduct is read off the cuts term by term, with no two terms to add.
 The package's two exact cores live here: LinearCombination (with
 add_term), the one implementation of sparse exact combinations behind
 ShuffleElement, TensorElement, symbols.Expression, symbols.TensorExpr
-and elimination.Poly; and the exact row reduction (row_reduce,
-solve_columns), the one linear-algebra core.
+and elimination.Poly, which builds, adds, scales, multiplies (*) and
+raises to powers (**) for all of them (the shuffle is ShuffleElement's *);
+and the exact row reduction (row_reduce, solve_columns), the one
+linear-algebra core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -147,15 +149,26 @@ def add_term(terms, key, c):
 class LinearCombination:
     """Finite combination {key: nonzero coefficient} with exact coefficients.
 
-    A subclass names the slot holding its context (_context: a generator
-    set or a ring; None when there is none), keeps a public constructor
-    that normalizes outside input, and, when keys multiply, says how
-    (_mul_keys).  Results built here take their terms as given.
-    Combinations in different contexts are unequal and do not add.
+    The base owns construction, sums, scaling, products and powers; a
+    subclass states only its keys: the slot holding its context (_context:
+    a generator set or a ring, set by its constructor; None when there is
+    none), how an input key normalizes (_key) and, when keys multiply, how
+    (_mul_keys).  The constructor adds the terms of keys that normalize
+    alike and drops zeros; results built here (_new) take their terms as
+    given.  Combinations in different contexts are unequal and do not add.
     """
 
     __slots__ = ("terms",)
     _context = None
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for k, c in (terms or {}).items():
+            add_term(self.terms, self._key(k), c)
+
+    @staticmethod
+    def _key(k):
+        return k
 
     def _new(self, terms):
         out = object.__new__(type(self))
@@ -200,6 +213,23 @@ class LinearCombination:
             return self._new({})
         return self._new({k: c * x for k, x in self.terms.items()})
 
+    def __mul__(self, other):
+        """An int or Fraction scales; anything else takes the product."""
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """self * ... * self, k >= 1 factors; self ** 1 is self."""
+        if k < 1:
+            raise ValueError("power %r of a combination: k >= 1 needed" % (k,))
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
     def _product(self, other):
         """Bilinear extension of _mul_keys over the two term dicts."""
         self._check(other)
@@ -212,18 +242,18 @@ class LinearCombination:
 
 
 class ShuffleElement(LinearCombination):
-    """Finite linear combination of basis words f_w with exact coefficients."""
+    """Finite linear combination of basis words f_w; its product * is the shuffle."""
 
     __slots__ = ("genset",)
     _context = "genset"
+    _key = tuple
 
     def __init__(self, genset, terms=None):
         self.genset = genset
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[tuple(w)] = c
+        super().__init__(terms)
+
+    def _product(self, other):
+        return shuffle_product(self, other)
 
     @classmethod
     def word(cls, genset, word, coeff=Fraction(1)):
@@ -236,12 +266,6 @@ class ShuffleElement(LinearCombination):
     @classmethod
     def one(cls, genset):
         return cls(genset, {(): Fraction(1)})
-
-    def shuffle_pow(self, n):
-        out = ShuffleElement.one(self.genset)
-        for _ in range(n):
-            out = shuffle_product(out, self)
-        return out
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), Fraction(0))
@@ -282,11 +306,11 @@ class TensorElement(LinearCombination):
 
     def __init__(self, genset, terms=None):
         self.genset = genset
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[(tuple(k[0]), tuple(k[1]))] = c
+        super().__init__(terms)
+
+    @staticmethod
+    def _key(k):
+        return (tuple(k[0]), tuple(k[1]))
 
     def __repr__(self):
         if not self.terms:
@@ -391,7 +415,7 @@ def _lyndon_poly(genset, word):
         return {tuple(factors): Fraction(1)}
     product = ShuffleElement.one(genset)
     for lw in factors:
-        product = shuffle_product(product, ShuffleElement.word(genset, lw))
+        product = product * ShuffleElement.word(genset, lw)
     c = product.terms.pop(word)
     poly = {tuple(sorted(factors)): Fraction(1)}
     for u, d in product.terms.items():

@@ -131,7 +131,7 @@ def goncharov_rhs(out, n, gs):
     logc = out["log"]
     for i in range(1, n):
         left = out["li%d" % (n - i)]
-        right = logc.shuffle_pow(i).scale(F(1, math.factorial(i)))
+        right = (logc ** i).scale(F(1, math.factorial(i)))
         for wl, cl in left.terms.items():
             for wr, cr in right.terms.items():
                 k = (wl, wr)

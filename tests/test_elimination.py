@@ -177,10 +177,9 @@ def test_split_reassembles_each_polynomial():
     for poly in polys:
         total = Poly.zero(prob.ring)
         for key, coeff in prob.split(poly).items():
-            mono = Poly.const(prob.ring, 1)
             for name, k in key:
-                mono = mono * Poly.var(prob.ring, name) ** k
-            total = total + mono * coeff
+                coeff = coeff * Poly.var(prob.ring, name) ** k
+            total = total + coeff
         assert total == poly
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -53,6 +54,20 @@ def test_li3_half_supplied_coefficient_matches_numeric(table_z_half):
     assert (entry.prim, entry.provenance) == (F(7, 8), "supplied")
     assert table.full_form(sym).coefficient(("sigma_3",)) == F(7, 8)
     assert table.full_form(sym) == table_z_half.full_form(sym)
+
+
+@pytest.mark.parametrize("symbol", [sym_li(2, 3), sym_li(5, 3), sy.Symbol("li", 1, F(3)),
+                                    sy.Symbol("log", 1, F(3)), sy.Symbol("zeta", 3, F(0))],
+                         ids=repr)
+def test_a_choice_without_a_zeta_coefficient_is_rejected(symbol, monkeypatch):
+    # rejected before any entry is built: Li4(9)'s row would resolve Li3(9) numerically
+    def resolver():
+        raise AssertionError("an entry was built before the choice was checked")
+
+    monkeypatch.setattr(G, "numeric_primitive_resolver", resolver)
+    with pytest.raises(ValueError, match=r"a choice for %s fixes no zeta-coefficient"
+                       % re.escape(repr(symbol))):
+        G.PeriodTable({2, 3}, rows=[sym_li(4, 9)], choice={symbol: (F(5), "chosen")})
 
 
 def test_li4_half_tabled_form(table_z_half):

@@ -372,9 +372,18 @@ def test_zeta_values(eng5, policy):
     z3 = eng5.zeta(3)
     li3 = eng5.polylog(3, F(-1))
     assert (z3 * (F(2) ** (-2) - 1) - li3).val_lower_bound() >= 20
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match=r"^zeta_5\(2\) is 0: 2 is even$"):
         eng5.zeta_nonzero(2)
     assert eng5.zeta_nonzero(3) is z3
+
+
+def test_zeta_guard_names_the_valuation_and_the_threshold():
+    # zeta_7(9) is nonzero, to 14 relative digits, but its valuation 9 reaches M - g = 9
+    eng = get_engine(7, PrecisionPolicy(), max_weight=9)
+    assert (eng.zeta(9).valuation(), eng.zeta(9).rel) == (9, 14)
+    with pytest.raises(PrecisionError) as err:
+        eng.zeta_nonzero(9)
+    assert str(err.value) == "zeta_7(9) has valuation 9, at or above the threshold M - g = 9"
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +41,7 @@ def test_shuffle_symmetric_square():
 def test_shuffle_power_of_letter_is_factorial(i):
     import math
     t = w(GS1, "tau")
-    assert t.shuffle_pow(i).terms == {("tau",) * i: F(math.factorial(i))}
+    assert (t ** i).terms == {("tau",) * i: F(math.factorial(i))}
 
 
 def test_shuffle_requires_same_genset():
@@ -390,6 +392,12 @@ def test_linear_combination_core(name):
     twin = _CORE[min(set(_CORE) - {name})][0](None, a, b)
     twin.terms = dict(x.terms)
     assert x != twin  # same terms, another class
+    assert 2 * x == x * 2 == x.scale(2) and F(1, 3) * x == x * F(1, 3) == x.scale(F(1, 3))
+    if name != "TensorElement":  # its keys do not multiply
+        assert x ** 3 == x * x * x and x ** 2 != x and x ** 1 == x
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                x ** k
     if name in ("ShuffleElement", "TensorElement"):
         ef = ExprFraction(Expression.sym(_L2), Expression.sym(_L3))
         y = x.scale(ef)
@@ -411,6 +419,44 @@ def test_linear_combination_core(name):
     else:
         with pytest.raises(TypeError):
             hash(x)
+
+
+def test_constructors_normalize_keys_and_add_what_normalizes_alike():
+    assert Expression({(_L3, _L2): F(1), (_L2, _L3): F(2)}).terms == {(_L2, _L3): F(3)}
+    assert Expression({(_L3, _L2): F(1), (_L2, _L3): F(-1)}).is_zero()
+    poly = Poly(("x",), {(1,): 2, (0,): F(0)})
+    assert poly.terms == {(1,): F(2)} and type(poly.terms[(1,)]) is F
+
+
+def test_shuffle_is_the_product_of_shuffle_elements():
+    x = w(GS, "tau_2") + w(GS, "sigma_3", "tau_3").scale(F(1, 2))
+    y = w(GS, "tau_3").scale(3)
+    assert x * y == shuffle_product(x, y) == y * x
+    assert x * ShuffleElement.one(GS) == x
+
+
+def test_no_combination_in_src_defines_its_own_constructor_loop_products_or_powers():
+    # LinearCombination builds, multiplies and raises to powers; a subclass
+    # states its keys (_key, _mul_keys) and hands its terms to the base
+    found = {}
+    for path in sorted(Path(wd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ClassDef)
+                    and any(ast.unparse(b).endswith("LinearCombination") for b in node.bases)):
+                found[node.name] = node
+    assert set(found) == {"ShuffleElement", "TensorElement", "Expression", "TensorExpr", "Poly"}
+    for name, node in found.items():
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                defined = [item.name]
+            elif isinstance(item, ast.Assign):
+                defined = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            assert not {"__mul__", "__rmul__", "__pow__"} & set(defined), (name, defined)
+            if defined == ["__init__"]:
+                assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(item)), name
+                assert "super().__init__(" in ast.unparse(item), name
 
 
 @pytest.mark.parametrize("name", ["ShuffleElement", "TensorElement"])
