@@ -96,7 +96,7 @@ def cocycle_apply(values, genset, n):
                          % (sorted(names - values.keys()), sorted(values.keys() - names)))
     out = {}
     for tgt, poly in images.items():
-        acc = ShuffleElement.zero(genset)
+        acc = ShuffleElement(genset)
         for mono, fel in poly.items():
             val = values[mono[0]]
             for name in mono[1:]:

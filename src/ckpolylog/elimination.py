@@ -74,10 +74,6 @@ class Poly(words.LinearCombination):
         super().__init__(terms and {e: Fraction(c) for e, c in terms.items()})
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring)
-
-    @classmethod
     def var(cls, ring, name):
         e = [0] * len(ring)
         e[ring.index(name)] = 1
@@ -86,6 +82,9 @@ class Poly(words.LinearCombination):
     @staticmethod
     def _mul_keys(e1, e2):
         return tuple(map(add, e1, e2))
+
+    def _factors(self, e):
+        return [v for v, k in zip(self.ring, e) for _ in range(k)]
 
     def leading(self):
         e = max(self.terms)  # lex on exponent tuples
@@ -272,7 +271,7 @@ class SubstitutionProblem:
     def substitute(self, poly):
         """Replace each target variable by its image (verify_vanishing core):
         the sum over Li-monomials of coefficient * prod image^power."""
-        out = Poly.zero(self.ring)
+        out = Poly(self.ring)
         for key, coeff in self.split(poly).items():
             for name, k in key:
                 coeff = coeff * self.image_polys[name] ** k
@@ -427,25 +426,19 @@ def _nullspace(mat, ncols):
 
 
 def specialize_coefficients(element, assignment):
-    """Replace the Galois coordinates of an IdealElement by period expressions.
+    """The period specialization: the ring map sending each Galois coordinate
+    of an IdealElement's coefficients to its period expression.
 
     assignment maps Lyndon-word tuples to motivic Expressions; raises
     naming any missing coordinate.  Returns {Li-monomial: Expression}.
     """
     from .symbols import Expression
     named = {f_var_name(k): v for k, v in assignment.items()}
-    out = {}
-    ring = element.problem.ring
-    for key, coeff in element.problem.split(element.poly).items():
-        acc = Expression.zero()
-        for e, c in coeff.terms.items():
-            term = Expression.const(c)
-            for name, k in zip(ring, e):
-                if not k:
-                    continue
-                if name not in named:
-                    raise KeyError("no period assignment for coordinate %s" % name)
-                term = term * named[name] ** k
-            acc = acc + term
-        out[key] = acc
-    return out
+
+    def image(name):
+        if name not in named:
+            raise KeyError("no period assignment for coordinate %s" % name)
+        return named[name]
+
+    return {key: coeff.evaluate(image, Expression.const)
+            for key, coeff in element.problem.split(element.poly).items()}

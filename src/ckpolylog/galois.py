@@ -113,7 +113,7 @@ class PeriodTable:
             if not self.has_sigma(symbol.n):
                 raise ValueError("zeta(%d) has no generator under weight bound %d"
                                  % (symbol.n, self.max_weight))
-            entry = TableEntry(ShuffleElement.zero(self.genset), Fraction(1),
+            entry = TableEntry(ShuffleElement(self.genset), Fraction(1),
                                "dual generator")
         else:
             entry = self._expand_li(symbol)
@@ -151,13 +151,9 @@ class PeriodTable:
     # -- expressions <-> words ---------------------------------------------------
 
     def expression_to_words(self, expr):
-        out = ShuffleElement.zero(self.genset)
-        for mono, c in expr.terms.items():
-            el = ShuffleElement.one(self.genset).scale(c)
-            for s in mono:
-                el = el * self.full_form(s)
-            out = out + el
-        return out
+        """The f-alphabet decomposition: the ring map sending each symbol to
+        its complete f-basis form (full_form)."""
+        return expr.evaluate(self.full_form, ShuffleElement.one(self.genset).scale)
 
     def tensor_to_words(self, tens):
         out = TensorElement(self.genset, {})
@@ -175,7 +171,7 @@ class PeriodTable:
         Solves, weight by weight, for a combination of products of complete
         table entries (and zeta in odd weight) with the same word form.
         """
-        out = sy.Expression.zero()
+        out = sy.Expression()
         for m in el.weights():
             span = self._spanning_products(m)
             vec = wd.solve_columns([form.terms for _, form in span],

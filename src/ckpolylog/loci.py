@@ -390,7 +390,7 @@ def counterexample_cocycle(ell, n, p, policy):
     tau = galois.tau_id(ell)
     minus_one = Fraction(-1)
     coords = {
-        cocycles.coordinate_name(tau): sy.ExprFraction.zero(),
+        cocycles.coordinate_name(tau): sy.ExprFraction(sy.Expression()),
         cocycles.coordinate_name(tau, 1): sy.ExprFraction(sy.li_u(1, minus_one),
                                                           sy.log_u(ell)),
     }

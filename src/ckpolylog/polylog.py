@@ -651,18 +651,15 @@ class PolylogEngine:
     # -- period map -----------------------------------------------------------
 
     def period(self, expr):
-        """Ring homomorphism sending motivic symbols to their Coleman values."""
+        """The p-adic period map: the ring map sending each motivic symbol
+        to its Coleman value."""
         if not isinstance(expr, Expression):
             raise TypeError("period map wants a motivic Expression")
-        acc = PadicNumber.exact_zero(self.p)
-        for mono, coeff in expr.terms.items():
-            val = PadicNumber.from_rational(self.p, coeff, self.workprec)
-            for s in mono:
-                val = val * (self.log(s.z) if s.kind == "log" else
-                             self.zeta(s.n) if s.kind == "zeta" else
-                             self.polylog(s.n, s.z))
-            acc = acc + val
-        return acc
+        return expr.evaluate(
+            lambda s: (self.log(s.z) if s.kind == "log" else
+                       self.zeta(s.n) if s.kind == "zeta" else
+                       self.polylog(s.n, s.z)),
+            lambda c: PadicNumber.from_rational(self.p, c, self.workprec))
 
     # -- appendix check ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ graded by half-weight; they and their tensors are words.LinearCombination
 subclasses keyed by sorted symbol tuples, which build, add, multiply and
 raise to powers there.  The reduced coproduct of Li_n(z) is the Goncharov
 formula sum_i Li_{n-i}(z) (x) log(z)^i / i!; log and zeta symbols are
-primitive.
+primitive, and coproduct is the ring map (evaluate) extending them.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class Expression(LinearCombination):
     @staticmethod
     def _key(m):
         return tuple(sorted(m))
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def const(cls, c):
@@ -126,7 +122,7 @@ def zeta_u(n):
     if n < 2:
         raise ValueError("zeta index must be >= 2")
     if n % 2 == 0:
-        return Expression.zero()
+        return Expression()
     return Expression.sym(Symbol("zeta", n, Fraction(0)))
 
 
@@ -179,14 +175,8 @@ def _symbol_coproduct(s):
 
 
 def coproduct(expr):
-    """Multiplicative extension of the Goncharov coproduct to expressions."""
-    out = TensorExpr()
-    for m, c in expr.terms.items():
-        t = TensorExpr({((), ()): Fraction(1)})
-        for s in m:
-            t = t * _symbol_coproduct(s)
-        out = out + t.scale(c)
-    return out
+    """The Goncharov coproduct: the ring map extending _symbol_coproduct."""
+    return expr.evaluate(_symbol_coproduct, TensorExpr({((), ()): Fraction(1)}).scale)
 
 
 def reduced_coproduct(expr):
@@ -210,10 +200,6 @@ class ExprFraction:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def zero(cls):
-        return cls(Expression.zero())
 
     def is_zero(self):
         return self.num.is_zero()

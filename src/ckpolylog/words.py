@@ -11,9 +11,11 @@ The package's two exact cores live here: LinearCombination (with
 add_term), the one implementation of sparse exact combinations behind
 ShuffleElement, TensorElement, symbols.Expression, symbols.TensorExpr
 and elimination.Poly, which builds, adds, scales, multiplies (*) and
-raises to powers (**) for all of them (the shuffle is ShuffleElement's *);
-and the exact row reduction (row_reduce, solve_columns), the one
-linear-algebra core.
+raises to powers (**) for all of them (the shuffle is ShuffleElement's *)
+and owns the one ring map out of a polynomial ring (evaluate): the p-adic
+period map, the f-alphabet decomposition, the Goncharov coproduct and the
+period specialization; and the exact row reduction (row_reduce,
+solve_columns), the one linear-algebra core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -149,13 +151,15 @@ def add_term(terms, key, c):
 class LinearCombination:
     """Finite combination {key: nonzero coefficient} with exact coefficients.
 
-    The base owns construction, sums, scaling, products and powers; a
-    subclass states only its keys: the slot holding its context (_context:
-    a generator set or a ring, set by its constructor; None when there is
-    none), how an input key normalizes (_key) and, when keys multiply, how
-    (_mul_keys).  The constructor adds the terms of keys that normalize
-    alike and drops zeros; results built here (_new) take their terms as
-    given.  Combinations in different contexts are unequal and do not add.
+    The base owns construction, sums, scaling, products, powers and the
+    ring map (evaluate); a subclass states only its keys: the slot holding
+    its context (_context: a generator set or a ring, set by its
+    constructor; None when there is none), how an input key normalizes
+    (_key), when keys multiply, how (_mul_keys) and, when they name
+    products of atoms, which atoms (_factors).  The constructor adds the
+    terms of keys that normalize alike and drops zeros; results built here
+    (_new) take their terms as given.  Combinations in different contexts
+    are unequal and do not add.
     """
 
     __slots__ = ("terms",)
@@ -230,6 +234,22 @@ class LinearCombination:
             out = out * self
         return out
 
+    def evaluate(self, image, const):
+        """The ring map sending each atom a to image(a) and each scalar c to
+        const(c): const(0) plus, term by term, const(c) * image(a1) *
+        image(a2) * ... over the atoms the key names (_factors), with repeats."""
+        out = const(0)
+        for k, c in self.terms.items():
+            t = const(c)
+            for a in self._factors(k):
+                t = t * image(a)
+            out = out + t
+        return out
+
+    @staticmethod
+    def _factors(k):
+        return k
+
     def _product(self, other):
         """Bilinear extension of _mul_keys over the two term dicts."""
         self._check(other)
@@ -258,10 +278,6 @@ class ShuffleElement(LinearCombination):
     @classmethod
     def word(cls, genset, word, coeff=Fraction(1)):
         return cls(genset, {tuple(word): coeff})
-
-    @classmethod
-    def zero(cls, genset):
-        return cls(genset, {})
 
     @classmethod
     def one(cls, genset):

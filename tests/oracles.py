@@ -622,7 +622,7 @@ def kummer_degree_one(z, S, genset=None):
     if z == 0:
         raise ValueError("log of zero")
     genset = genset or standard_genset(S, 1)
-    el = ShuffleElement.zero(genset)
+    el = ShuffleElement(genset)
     rest = abs(z)
     for ell in sorted(S):
         v, rest = valuation(rest, ell)

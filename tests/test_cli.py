@@ -414,6 +414,20 @@ def test_counterexample_fails_when_zeta_vanishes_to_working_precision(p, M, caps
     assert row["passed"] is True and code == 0
 
 
+@pytest.mark.parametrize("p, n, prec, code", [
+    (5, 10, None, 0), (5, 11, None, 1), (7, 8, None, 0), (7, 9, None, 1),
+    (7, 9, 40, 0), (7, 10, 40, 0), (11, 8, None, 0), (11, 9, None, 1),
+    (13, 8, None, 0), (13, 9, None, 1)])
+def test_counterexample_zeta_guard_edges(p, n, prec, code, capsys):
+    # the guard fails once an odd k <= n has val zeta_p(k) >= M - g = 9 (the
+    # default): zeta_5(11) has valuation 11 and zeta_p(9) valuation 9 at
+    # p = 7, 11 and 13; --prec 40 lifts p = 7 past n = 10
+    argv = ["verify", "counterexample", "--S", "3", "--p", str(p), "--n", str(n)]
+    got, data = run_cli(capsys, *argv, *(("--prec", str(prec)) if prec else ()))
+    (row,) = data["suites"]["counterexample"]
+    assert (got, row["zetaNonzeroGuard"], row["passed"]) == (code, code == 0, code == 0)
+
+
 def test_verify_suite_flag_spelling(capsys):
     code, data = run_cli(capsys, "verify", "--suite", "hopf", "--p", "5")
     assert code == 0 and "hopf" in data["suites"]

@@ -48,7 +48,7 @@ def test_verify_vanishing_examples():
     # Li_2 alone does not vanish
     li2 = E.IdealElement(prob, Poly.var(prob.ring, "li2"))
     assert not E.verify_vanishing(li2)
-    zero = E.IdealElement(prob, Poly.zero(prob.ring))
+    zero = E.IdealElement(prob, Poly(prob.ring))
     assert E.verify_vanishing(zero)
 
 
@@ -65,7 +65,7 @@ def test_content_normalize_clears_denominators_and_content():
     f = Poly(ring, {(2, 0): F(-3, 4), (1, 1): F(9, 10), (0, 0): F(3, 2)})
     assert f.content_normalize().terms == {(2, 0): 5, (1, 1): -6, (0, 0): -10}
     assert Poly(ring, {(0, 1): F(-7, 3)}).content_normalize().terms == {(0, 1): 1}
-    assert Poly.zero(ring).content_normalize().terms == {}
+    assert Poly(ring).content_normalize().terms == {}
 
 
 def test_soundness_all_outputs_vanish():
@@ -175,7 +175,7 @@ def test_split_reassembles_each_polynomial():
     prob, short = E.structured_shortcut_generators({3})
     polys = [g.poly for g in short] + prob.graph_ideal()
     for poly in polys:
-        total = Poly.zero(prob.ring)
+        total = Poly(prob.ring)
         for key, coeff in prob.split(poly).items():
             for name, k in key:
                 coeff = coeff * Poly.var(prob.ring, name) ** k

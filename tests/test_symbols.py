@@ -96,4 +96,4 @@ def test_expr_fraction_cancellation():
     assert (ratio * ExprFraction(z3)).equals_expression(li3)
     assert (ratio - ratio).is_zero()
     with pytest.raises(ZeroDivisionError):
-        ExprFraction(li3, Expression.zero())
+        ExprFraction(li3, Expression())

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import ckpolylog.elimination as E
 from ckpolylog.elimination import Poly, _nullspace
 from ckpolylog.symbols import Expression, ExprFraction, Symbol, TensorExpr, log_u
 from ckpolylog.words import (
@@ -13,7 +14,7 @@ from ckpolylog.words import (
     solve_columns, word_as_lyndon_poly,
 )
 import ckpolylog.words as wd
-from ckpolylog.galois import standard_genset
+from ckpolylog.galois import specialization_assignment, standard_genset
 from oracles import (cobar_square_by_terms, deconcat_by_accumulation, expr_fraction_equals,
                      is_lyndon, lyndon_decomposition_dense, reduced_by_accumulation,
                      solve_delta_prime, solve_delta_prime_dense)
@@ -203,7 +204,7 @@ def test_lyndon_decomposition_round_trip():
     for n in range(1, 6):
         for word in GS.words_of_weight(n):
             poly = word_as_lyndon_poly(GS, word)
-            acc = ShuffleElement.zero(GS)
+            acc = ShuffleElement(GS)
             for mono, c in poly.items():
                 el = ShuffleElement.one(GS).scale(c)
                 for lw in mono:
@@ -415,7 +416,7 @@ def test_linear_combination_core(name):
     elif name == "Expression":
         y = build(None, b, a) + x - build(None, b, a)
         assert y == x and hash(y) == hash(x)
-        assert hash(x - x) == hash(Expression.zero())
+        assert hash(x - x) == hash(Expression())
     else:
         with pytest.raises(TypeError):
             hash(x)
@@ -457,6 +458,70 @@ def test_no_combination_in_src_defines_its_own_constructor_loop_products_or_powe
             if defined == ["__init__"]:
                 assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(item)), name
                 assert "super().__init__(" in ast.unparse(item), name
+
+
+def test_ring_map_is_written_once():
+    # the period map, the f-alphabet decomposition, the Goncharov coproduct
+    # and the period specialization each hand their atoms to evaluate
+    src = Path(wd.__file__).parent
+    want = {("polylog.py", "period"), ("galois.py", "expression_to_words"),
+            ("symbols.py", "coproduct"), ("elimination.py", "specialize_coefficients")}
+    found = set()
+    for module, name in want:
+        for node in ast.walk(ast.parse((src / module).read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                found.add((module, name))
+                assert not any(isinstance(n, ast.For) for n in ast.walk(node)), name
+                assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                           and n.func.attr == "evaluate" for n in ast.walk(node)), name
+    assert found == want
+
+
+def _random_expression(rng, atoms, size=4, degree=2):
+    return Expression({tuple(rng.sample(atoms, rng.randint(0, degree))):
+                       F(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for _ in range(size)})
+
+
+def _random_poly(rng, ring, free, size=4):
+    return Poly(ring, {tuple(rng.randint(0, 2) if i in free else 0 for i in range(len(ring))):
+                       F(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for _ in range(size)})
+
+
+def test_evaluate_on_own_atoms_is_the_identity_and_constants_go_through_const(rng):
+    atoms = [_L2, _L3, Symbol("zeta", 3, F(0))]
+    ring = ("x", "y", "z")
+    for _ in range(10):
+        x = _random_expression(rng, atoms)
+        assert x.evaluate(Expression.sym, Expression.const) == x
+        p = _random_poly(rng, ring, range(3))
+        assert p.evaluate(lambda v: Poly.var(ring, v), lambda c: Poly(ring, {(0, 0, 0): c})) == p
+    for empty in (Expression(), Poly(ring)):
+        assert empty.evaluate(None, lambda c: ("const", c)) == ("const", 0)
+    c = F(-7, 3)
+    assert Expression.const(c).evaluate(None, F) == c
+    assert Poly(ring, {(0, 0, 0): c}).evaluate(None, F) == c
+    assert Poly(ring, {(2, 0, 1): c})._factors((2, 0, 1)) == ["x", "x", "z"]
+
+
+def test_expression_to_words_is_multiplicative(table_z_sixth, rng):
+    atoms = sorted(table_z_sixth.entries)
+    to_words = table_z_sixth.expression_to_words
+    for _ in range(8):
+        a, b = (_random_expression(rng, atoms, degree=1) for _ in "ab")
+        assert to_words(a * b) == to_words(a) * to_words(b)
+
+
+def test_specialize_coefficients_is_multiplicative(rng):
+    prob, _ = E.structured_shortcut_generators({3})
+    assignment = specialization_assignment((3,))
+    f_block = range(len(prob.phi_names) + len(prob.li_names), len(prob.ring))
+    for _ in range(6):
+        # a has Li-monomials, b only Galois coordinates, so the keys of a * b are a's
+        a = _random_poly(rng, prob.ring, set(prob.li_index) | set(f_block))
+        b = _random_poly(rng, prob.ring, f_block)
+        spec_a, spec_b, spec_ab = (
+            E.specialize_coefficients(E.IdealElement(prob, x), assignment) for x in (a, b, a * b))
+        assert set(spec_b) == {()} and spec_ab == {k: v * spec_b[()] for k, v in spec_a.items()}
 
 
 @pytest.mark.parametrize("name", ["ShuffleElement", "TensorElement"])
