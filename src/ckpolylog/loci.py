@@ -4,19 +4,21 @@ A Coleman function here is a polynomial in log, Li_1..Li_n with p-adic
 coefficients.  Zero finding composes the residue-disk power series of the
 polylogarithms, bounds roots per disk by Strassmann's theorem (the largest
 index of least valuation among the known coefficients of the truncated
-series), isolates them by exhaustive digit refinement and certifies simple
-roots by Hensel's criterion; anything uncertifiable is reported loudly as a
+series), isolates them by exhaustive digit refinement and certifies a
+root by Hensel's lemma when the derivative is a unit at its residue, which
+makes it the only root of that residue class; every other root of the known
+part is found too, and one that cannot be certified is reported loudly as a
 candidate, never dropped.
 
 Root isolation runs on integer vectors (polylog.IntSeries with one claim
 per coefficient).  The Strassmann bound reads the coefficient valuations; the
 content is stripped by moving the power-of-p scale
-(IntSeries.without_content); and once every claim is at least 3, the
-residue test needs only the coefficients mod p (IntSeries.residues), so the
-p candidate residues of a disk cost small-integer Horner steps.  Only a
-surviving residue is evaluated with full claims for Hensel's test and
-Newton refinement, and the recentering S(r + p s) (IntSeries.recentered)
-claims each coefficient as the PadicNumber sum would.
+(IntSeries.without_content); and once every claim is at least 3, Hensel's
+lemma is decided mod p: S(r) and S'(r) mod p need only the coefficients mod
+p (IntSeries.residues), so the p candidate residues of a disk cost
+small-integer Horner steps.  Only a Hensel root is evaluated with full
+claims, by Newton refinement, and the recentering S(r + p s)
+(IntSeries.recentered) claims each coefficient as the PadicNumber sum would.
 
 locus_for isolates the roots of its second function only in the residue
 classes of the running locus: on a disk a, only the residues r = t mod p
@@ -172,11 +174,13 @@ def _roots_in_unit_disk(series, policy, depth, residues=None):
     """Exhaustive digit search for roots t in Z_p; returns (t, certified) pairs.
 
     Each level strips the p-power content so that the residue test
-    branches on the nonzero reduction mod p (at most deg-many residues),
-    then certifies simple roots by Hensel and refines by recentering.
-    Given residues (ascending), only roots with t mod p among them are
-    sought: the result is the full search's roots in those classes, in the
-    same order.
+    branches on the nonzero reduction mod p (at most deg-many residues).
+    A residue r with S(r) = 0 mod p is closed by Hensel's lemma only when
+    S'(r) is a unit: then the class t = r mod p holds exactly one root, and
+    Newton refines it.  Every other such residue is recentered and searched
+    again, so no root of the known part is dropped.  Given residues
+    (ascending), only roots with t mod p among them are sought: the result
+    is the full search's roots in those classes, in the same order.
     """
     p, workprec = series.p, policy.workprec()
     candidates = range(p) if residues is None else residues
@@ -188,28 +192,30 @@ def _roots_in_unit_disk(series, policy, depth, residues=None):
         # not enough honest digits left to separate roots
         return [(PadicNumber.from_rational(p, 0, workprec), False)] if 0 in candidates else []
     deriv = stripped.derivative()
-    # every claim is at least window >= 3, so val S(r) >= 1 iff S(r) = 0 mod p
-    top_first = stripped.residues()[::-1]
-    found = []
-    for r in candidates:
+    # every claim is at least window >= 3, so S(r) and S'(r) mod p are read
+    # off the coefficients mod p, by small-integer Horner steps
+    series_top_first = stripped.residues()[::-1]
+    deriv_top_first = deriv.residues()[::-1]
+
+    def mod_p(top_first, r):
         acc = 0
         for c in top_first:
             acc = (acc * r + c) % p
-        if acc:
+        return acc
+
+    found = []
+    for r in candidates:
+        if mod_p(series_top_first, r):
             continue
         rv = PadicNumber.from_rational(p, r, workprec)
-        v = _series_eval(stripped, rv)
-        d = _series_eval(deriv, rv)
-        if d.unit != 0 and v.val_lower_bound() > 2 * d.valuation():
-            t = _newton_refine(stripped, deriv, rv, workprec)
-            found.append((t, True))
-            continue
-        if depth <= 0:
+        if mod_p(deriv_top_first, r):
+            found.append((_newton_refine(stripped, deriv, rv, workprec), True))
+        elif depth <= 0:
             found.append((rv, False))
-            continue
-        shifted = stripped.recentered(r, workprec)
-        for (s, ok) in _roots_in_unit_disk(shifted, policy, depth - 1):
-            found.append((rv + p * s, ok))
+        else:
+            shifted = stripped.recentered(r, workprec)
+            found.extend((rv + p * s, ok)
+                         for s, ok in _roots_in_unit_disk(shifted, policy, depth - 1))
     return found
 
 
@@ -233,7 +239,8 @@ def _residue_classes(locus):
 def find_zeros(F, within=None):
     """All zeros of F on X(Z_p), disk by disk, with certificates at F.policy.
 
-    Given a locus within, roots are isolated only in the residue classes
+    A certified zero is a Hensel root at a unit derivative, the only root
+    of its residue class.  Given a locus within, roots are isolated only in the residue classes
     of its points, which leaves intersect_loci(within, result) unchanged.
     """
     p, policy = F.p, F.policy
@@ -322,30 +329,23 @@ def locus_for(p, S, n, policy, symmetrize=False):
 
 
 def s3_images(z):
-    one = 1
-    return (z, one - z, one / z, one / (one - z), z / (z - one), (z - one) / z)
+    """z, 1 - z and (z - 1)/z: the S3 orbit of z up to z -> 1/z."""
+    return (z, 1 - z, (z - 1) / z)
 
 
 def s3_symmetrize(locus):
     """Intersection of the locus with its six Moebius translates.
 
-    A point survives iff its entire orbit stays inside the locus, each
-    image matching a locus point by _same_point; orbit images that leave
-    the good disks are compared against every locus point before being
-    discarded (they can never match, since locus points are units with
-    unit 1-z).  Points match at the locus's own policy.
+    The locus must be closed under z -> 1/z, as every locus_for locus is:
+    each generator is odd under inversion (log p = 0, zeta_p(even) = 0),
+    and the root search is complete.  The other three images are then
+    inverses of s3_images, so a point survives iff each of its three
+    images matches a locus point by _same_point, at the locus's policy.
     """
     policy = locus.policy
     pts = [z.z for z in locus.zeros]
-    keep = []
-    for zr in locus.zeros:
-        ok = True
-        for img in s3_images(zr.z):
-            if not any(_same_point(img, q, policy) for q in pts):
-                ok = False
-                break
-        if ok:
-            keep.append(zr)
+    keep = [zr for zr in locus.zeros
+            if all(any(_same_point(img, q, policy) for q in pts) for img in s3_images(zr.z))]
     return Locus(locus.p, policy, keep, list(locus.functions) + ["s3"],
                  dict(locus.newton_bounds))
 

@@ -134,12 +134,6 @@ class PadicNumber:
     def is_zeroish(self):
         return self.unit == 0
 
-    def valuation(self):
-        """Exact valuation; raises on (tracked or exact) zero."""
-        if self.unit == 0:
-            raise PrecisionError("valuation of a zero value is not finite")
-        return self.val
-
     def val_lower_bound(self):
         return self.val
 

@@ -18,7 +18,8 @@ integer geometric series, are the references for the engine's one
 integration step, and IntSeries.integral reading every coefficient's
 valuation is the reference for the one reading those at p | j only.
 The lower convex hull of a series' coefficient valuations (the Newton
-polygon) is the reference for the Strassmann root bound of loci, and
+polygon) is the reference for the Strassmann root bound of loci, the
+orbit test over all six Moebius images for s3_symmetrize's three, and
 t -> t^p iterated until fixed for the closed-form Teichmueller lift.
 The Iwasawa logarithm summed on PadicNumbers is the reference for the
 integer one.  The coproducts
@@ -335,7 +336,7 @@ def series_shift(series, r, p, workprec):
     return out
 
 
-# -- root count by the Newton polygon, Teichmueller lift by iteration ------------
+# -- root count by the Newton polygon, S3 orbits by six images, Teichmueller -----
 
 
 def newton_polygon_root_count(series, threshold):
@@ -365,6 +366,22 @@ def _lower_hull(pts):
                 break
         hull.append(pt)
     return hull
+
+
+def s3_symmetrize_by_six_images(locus):
+    """The points of a locus whose whole S3 orbit stays in it: each of the
+    six Moebius images matches a locus point (loci._same_point).  Needs no
+    closure under z -> 1/z."""
+    from ckpolylog.loci import Locus, _same_point
+
+    def images(z):
+        return (z, 1 - z, 1 / z, 1 / (1 - z), z / (z - 1), (z - 1) / z)
+
+    pts = [zr.z for zr in locus.zeros]
+    keep = [zr for zr in locus.zeros
+            if all(any(_same_point(img, q, locus.policy) for q in pts) for img in images(zr.z))]
+    return Locus(locus.p, locus.policy, keep, list(locus.functions) + ["s3"],
+                 dict(locus.newton_bounds))
 
 
 def teichmuller_by_iteration(a, p, abs_prec):

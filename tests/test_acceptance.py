@@ -110,7 +110,8 @@ def test_criterion_6_weight4_filter(policy):
         f4 = L.weight4_function(p, S=(3,), policy=policy)
         # the weight-4 period coefficients share a p-power content (val zeta_p(3) = 3);
         # thresholds apply to content-normalized valuations (see ledger)
-        content = min(c.valuation() for c in f4.coeffs.values())
+        assert not any(c.is_zeroish() for c in f4.coeffs.values())
+        content = min(c.val for c in f4.coeffs.values())
         nz = {z: coleman_evaluate(f4, F(z)).val_lower_bound() - content
               for z in (2, F(1, 2))}
         at_m1 = coleman_evaluate(f4, F(-1)).val_lower_bound() - content

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -72,6 +73,42 @@ def test_soundness_all_outputs_vanish():
     for n in (2, 3, 4):
         for g in E.ck_ideal_generators(n, {3}):
             assert E.verify_vanishing(g)
+
+
+def inverted(element):
+    """An ideal element after z -> 1/z: log -> -log and
+    Li_k -> (-1)^(k-1) Li_k - (-1)^k log^k / k!, Coleman's inversion formula
+    with log p = 0 and zeta_p(even) = 0; every other variable is fixed."""
+    ring = element.poly.ring
+    log = Poly.var(ring, "log")
+
+    def image(name):
+        if name == "log":
+            return -log
+        if name in element.problem.li_names:
+            k = int(name[2:])
+            return (-1) ** (k - 1) * Poly.var(ring, name) - F((-1) ** k, factorial(k)) * log ** k
+        return Poly.var(ring, name)
+
+    return element.poly.evaluate(image, lambda c: Poly(ring, {(0,) * len(ring): c}))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_shortcut_generators_are_odd_under_inversion(ell):
+    prob, gens = E.structured_shortcut_generators({ell})
+    for g in gens:
+        assert inverted(g) == -g.poly, g
+    # an element that is not odd: Li_1 goes to Li_1 + log
+    li1 = E.IdealElement(prob, Poly.var(prob.ring, "li1"))
+    assert inverted(li1) == li1.poly + Poly.var(prob.ring, "log")
+
+
+@pytest.mark.parametrize("S, n", [({2}, 4), ({3}, 5), ({5}, 5), ({2}, 5)])
+def test_ideal_generators_are_odd_under_inversion(S, n):
+    gens = E.ck_ideal_generators(n, S)
+    assert gens
+    for g in gens:
+        assert inverted(g) == -g.poly, g
 
 
 def _span_dimension_at_weight(prob, gens, m):

@@ -133,7 +133,8 @@ def test_strassmann_bound_is_the_newton_polygon_count(policy):
 @pytest.mark.parametrize("p", [5, 7])
 def test_weight4_filter_values(p, policy):
     f4 = L.weight4_function(p, S=(3,), policy=policy)
-    content = min(c.valuation() for c in f4.coeffs.values())
+    assert not any(c.is_zeroish() for c in f4.coeffs.values())
+    content = min(c.val for c in f4.coeffs.values())
     for z in (F(2), F(1, 2)):
         v = oracles.coleman_evaluate(f4, z)
         assert v.val_lower_bound() - content <= policy.M - 6
@@ -236,7 +237,8 @@ def test_weight4_over_z_half_vanishes_on_integral_points(p, policy):
     weight-4 function must vanish at all of them and the full locus must
     recover exactly that set."""
     f4 = L.weight4_function(p, S=(2,), policy=policy)
-    content = min(c.valuation() for c in f4.coeffs.values())
+    assert not any(c.is_zeroish() for c in f4.coeffs.values())
+    content = min(c.val for c in f4.coeffs.values())
     for z in (F(2), F(1, 2), F(-1)):
         assert oracles.coleman_evaluate(f4, z).val_lower_bound() - content >= policy.M
     locus = L.locus_for(p, (2,), 4, policy)
@@ -468,6 +470,85 @@ def test_restricted_root_search_is_the_full_search_in_those_classes(policy):
                 [(t.digits(), ok) for t, ok in full if t.lift() % p in residues]
 
 
+def test_hensel_root_closes_its_class_only_at_a_unit_derivative():
+    """The weight-4 function over Z[1/2] at p = 5 has the root z = 2 on disk
+    2, where S'(t) vanishes mod p; its class t = 0 mod 5 holds a second root,
+    the inverse of a disk-3 root, which a Hensel root closing its whole
+    class would drop."""
+    locus = L.find_zeros(L.weight4_function(5, S=(2,), policy=PrecisionPolicy()))
+    on_two = [z for z in locus.zeros if z.disk == 2]
+    assert len(on_two) == 3 and all(z.certified for z in on_two)
+    assert inversion_defect(locus) is None
+
+
+def inversion_defect(locus):
+    """None when a locus is closed under z -> 1/z disk by disk, else what breaks.
+
+    Disks a and b = 1/a mod p must have the same Strassmann bound and as
+    many zeros, and the inverse of each zero on a must match (by
+    _same_point) exactly one zero on b, with the same certificate.
+    """
+    p, policy = locus.p, locus.policy
+    on = {a: [z for z in locus.zeros if z.disk == a] for a in range(2, p)}
+    for a in range(2, p):
+        b = pow(a, -1, p)
+        if locus.newton_bounds[a] != locus.newton_bounds[b]:
+            return "Strassmann bound %d on disk %d, %d on disk %d" % (
+                locus.newton_bounds[a], a, locus.newton_bounds[b], b)
+        if len(on[a]) != len(on[b]):
+            return "disk %d holds %d zeros, disk %d holds %d" % (a, len(on[a]), b, len(on[b]))
+        for z in on[a]:
+            inverse = 1 / z.z
+            matches = [w for w in on[b] if L._same_point(inverse, w.z, policy)]
+            if [w.certified for w in matches] != [z.certified]:
+                return "the inverse of the zero %s on disk %d" % (z.z.digits(policy.M), a)
+    return None
+
+
+def inversion_mismatch(p, S, policy):
+    """The precondition of s3_symmetrize's three images, at one (p, S).
+
+    The full searches of the weight-2 and weight-4 functions must be closed
+    under z -> 1/z (inversion_defect), and s3_symmetrize of the weight-2
+    and weight-4 loci must equal the six-image reference.  Returns None
+    when they are, else a one-line description of the first failure.
+    """
+    where = "S=%s p=%d" % (S, p)
+    searches = [L.find_zeros(L.weight2_function(p, S, policy)),
+                L.find_zeros(L.weight4_function(p, S=S, policy=policy))]
+    for locus in searches:
+        bad = inversion_defect(locus)
+        if bad:
+            return "%s %s: %s" % (where, locus.functions[0], bad)
+    for n, locus in ((2, searches[0]), (4, L.locus_for(p, S, 4, policy))):
+        got = L.s3_symmetrize(locus).to_json()
+        want = oracles.s3_symmetrize_by_six_images(locus).to_json()
+        if got != want:
+            return "%s n=%d: s3_symmetrize %r != six images %r" % (where, n, got, want)
+    return None
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("S", [(2,), (3,)])
+def test_three_s3_images_suffice(S, p, policy):
+    """tests/check_locus_inversion.py runs every prime up to 101."""
+    assert inversion_mismatch(p, S, policy) is None
+
+
+def test_inversion_defect_sees_a_missing_inverse(policy):
+    locus = L.find_zeros(L.weight2_function(5, (3,), policy))
+    assert inversion_defect(locus) is None
+    bounds = locus.newton_bounds
+    two = [z for z in locus.zeros if z.rational_guess == F(2)]
+    assert inversion_defect(L.Locus(5, policy, two, ["f"], bounds)) == \
+        "disk 2 holds 1 zeros, disk 3 holds 0"
+    three = L.Zero(3, PadicNumber.from_rational(5, 3, policy.workprec()), True, 1)
+    assert inversion_defect(L.Locus(5, policy, two + [three], ["f"], bounds)) == \
+        "the inverse of the zero %s on disk 2" % two[0].z.digits(policy.M)
+    assert inversion_defect(L.Locus(5, policy, locus.zeros, ["f"], {**bounds, 2: 9})) == \
+        "Strassmann bound 9 on disk 2, 1 on disk 3"
+
+
 def locus_story(locus, M):
     """What a locus certificate claims to M digits: zeros and Newton bounds."""
     zeros = sorted((z.disk, z.z.val, tuple(z.z.digits(M)), z.certified)
@@ -530,3 +611,8 @@ def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
     assert sorted(z.disk for z in kept.zeros) == [2, 16, 30]
     near = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1) + p ** 4))
     assert near.zeros == []
+    # closed under z -> 1/z, but 2/3 = (3 - 1)/3 and its inverse are
+    # missing: only the third image drops 3 and -2
+    closed = locus(F(3), F(1, 3), F(-2), F(-1, 2))
+    assert L.s3_symmetrize(closed).zeros == []
+    assert oracles.s3_symmetrize_by_six_images(closed).zeros == []

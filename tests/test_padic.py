@@ -13,7 +13,7 @@ def test_from_rational_and_lift():
     x = PadicNumber.from_rational(5, F(7, 8), 10)
     assert (x.lift() * 8 - 7) % 5 ** 10 == 0
     y = PadicNumber.from_rational(5, 50, 6)
-    assert y.valuation() == 2 and y.unit == 2
+    assert y.val == 2 and y.unit == 2
 
 
 def test_arithmetic_precision_semantics():
@@ -24,13 +24,15 @@ def test_arithmetic_precision_semantics():
     assert (a * b).rel == 4
     c = PadicNumber(p, 2, 3, 6)
     d = PadicNumber(p, -1, 2, 6)
-    assert (c * d).valuation() == 1
-    assert (c / d).valuation() == 3
+    prod, quot = c * d, c / d
+    assert not prod.is_zeroish() and prod.val == 1
+    assert not quot.is_zeroish() and quot.val == 3
     # subtraction to zero leaves a tracked zero at the joint precision
     z = a - PadicNumber.from_rational(p, 2, 8)
     assert z.unit == 0 and z.val_lower_bound() == 8
     # powers take exponents k >= 0; a negative one is refused, not looped on
-    assert (c ** 3).valuation() == 6 and (c ** 0).lift() == 1
+    cube = c ** 3
+    assert not cube.is_zeroish() and cube.val == 6 and (c ** 0).lift() == 1
     with pytest.raises(ValueError, match="negative exponent"):
         c ** -2
 
@@ -62,7 +64,7 @@ def test_truncate_abs_never_claims_beyond_its_bound():
     y = PadicNumber(7, 47, 2, 10).truncate_abs(47)
     assert y.is_zeroish() and y.abs_precision() == 47
     z = PadicNumber(7, 45, 2 + 3 * 7, 10).truncate_abs(47)
-    assert z.valuation() == 45 and z.abs_precision() == 47 and z.unit == 23
+    assert z.val == 45 and z.abs_precision() == 47 and z.unit == 23
 
 
 def test_tracked_zero_propagation():
@@ -95,9 +97,9 @@ def test_shift_and_truncate():
 
 def test_negative_valuation_arithmetic():
     x = PadicNumber.from_rational(5, F(1, 5), 8)
-    assert x.valuation() == -1
-    assert (x * 5).valuation() == 0
-    assert (x + x).valuation() == -1
+    assert not x.is_zeroish() and x.val == -1
+    assert not (x * 5).is_zeroish() and (x * 5).val == 0
+    assert not (x + x).is_zeroish() and (x + x).val == -1
 
 
 def test_rational_reconstruct_small_height_target():
@@ -215,7 +217,7 @@ def test_log_2_against_series_oracle():
         acc = acc + (c if m % 2 == 1 else -c)
         power = power * fifteen
     log2 = iwasawa_log(PadicNumber.from_rational(p, 2, N + 4))
-    assert log2.valuation() >= 1
+    assert not log2.is_zeroish() and log2.val >= 1
     assert (log2 - acc / 4).val_lower_bound() >= N
 
 

@@ -32,10 +32,11 @@ def test_twisted_series_against_direct_values(p, policy):
     w = 1 / (z - 1)
 
     def li_small(k, zz):
+        assert not zz.is_zeroish()
         acc = PadicNumber.exact_zero(p)
         power = zz
         m = 1
-        while m * zz.valuation() <= W + 6:
+        while m * zz.val <= W + 6:
             acc = acc + power / F(m) ** k
             m += 1
             power = power * zz
@@ -380,7 +381,7 @@ def test_zeta_values(eng5, policy):
 def test_zeta_guard_names_the_valuation_and_the_threshold():
     # zeta_7(9) is nonzero, to 14 relative digits, but its valuation 9 reaches M - g = 9
     eng = get_engine(7, PrecisionPolicy(), max_weight=9)
-    assert (eng.zeta(9).valuation(), eng.zeta(9).rel) == (9, 14)
+    assert (eng.zeta(9).val, eng.zeta(9).rel) == (9, 14)  # rel 14: not a zero
     with pytest.raises(PrecisionError) as err:
         eng.zeta_nonzero(9)
     assert str(err.value) == "zeta_7(9) has valuation 9, at or above the threshold M - g = 9"
@@ -391,9 +392,9 @@ def test_zeta_against_washington_oracle(p, policy):
     """zeta_p(3) carries the Euler factor: (1 - p^{-3}) zeta_p(3) = L_p(3, w^{-2})."""
     eng = get_engine(p, policy)
     z3 = eng.zeta(3)
-    assert z3.valuation() == 3  # val = k, from the (1 - p^{-k}) factor
+    assert not z3.is_zeroish() and z3.val == 3  # val = k, from the (1 - p^{-k}) factor
     L = washington_lp(p, 3, (1 - 3) % (p - 1))
-    assert L.valuation() == 0
+    assert not L.is_zeroish() and L.val == 0
     bridged = L / (1 - F(1, p ** 3))
     assert (z3 - bridged).val_lower_bound() >= 8 + 3  # >= precision p^8 rel
 
