@@ -13,7 +13,11 @@ RECOGNITION_PRIME, and cached with provenance.  The tests and
 
 A period table is its description, S, a basis choice and its rows, all
 given to the constructor; each row pulls in every lower entry its cocycle
-reads, and `f_sigma_tau_expression` solves from the rows.
+reads.  The f-alphabet is a free polynomial ring on its Lyndon words
+(Radford), so an f-element reads as periods through its Lyndon
+coordinates: `coordinate_period` solves for one coordinate from the linear
+Lyndon parts of the described entries of its weight, and
+`f_sigma_tau_expression` is the coordinate sigma_3 tau_ell.
 """
 
 from __future__ import annotations
@@ -66,10 +70,12 @@ class PeriodTable:
 
     rows are Li symbols; choice, the basis choice, maps odd Li symbols to
     (value, provenance) pairs that fix their zeta-coefficients (a choice
-    of another symbol is rejected before any entry is built).  The chosen
-    symbols are ensured first, then the rows, each in symbol order.  Entries
-    are complete when created: a Li entry is its point's cocycle plus, in odd
-    weight, a zeta-coefficient from the choice or `numeric_primitive_resolver`.
+    of another symbol is rejected before any entry is built).  The zeta(k)
+    duals are ensured first, then the chosen symbols, then the rows, each in
+    symbol order; these described entries alone answer coordinate_period.
+    Entries are complete when created: a Li entry is its point's cocycle
+    plus, in odd weight, a zeta-coefficient from the choice or
+    `numeric_primitive_resolver`.
     """
 
     def __init__(self, S, rows=(), choice=None, max_weight=4):
@@ -83,8 +89,13 @@ class PeriodTable:
                                  "with odd 3 <= n <= %d has one" % (symbol, max_weight))
         self.rows = tuple(sorted(rows))
         self.entries = {}
-        for symbol in sorted(self.choice) + list(self.rows):
+        # the solves read the entries built so far while the description is
+        # built, then those alone: an entry ensured later changes no answer
+        self._described = self.entries
+        zetas = [sy.Symbol("zeta", k, Fraction(0)) for k in range(3, max_weight + 1, 2)]
+        for symbol in zetas + sorted(self.choice) + list(self.rows):
             self.ensure(symbol)
+        self._described = dict(self.entries)
 
     def has_sigma(self, n):
         return n % 2 == 1 and n >= 3 and n <= self.max_weight
@@ -166,36 +177,35 @@ class PeriodTable:
         return out
 
     def period_expression_of(self, el):
-        """Rewrite an f-word element as a polynomial in tabled period symbols.
+        """Rewrite an f-word element as a polynomial in tabled period symbols:
+        its Lyndon polynomial, each coordinate f_w read as coordinate_period(w)."""
+        return self._lyndon_period(wd.element_as_lyndon_poly(el))
 
-        Solves, weight by weight, for a combination of products of complete
-        table entries (and zeta in odd weight) with the same word form.
+    def _lyndon_period(self, poly):
+        return wd.LinearCombination(poly).evaluate(self.coordinate_period,
+                                                   sy.Expression.const)
+
+    def coordinate_period(self, word):
+        """The period expression of the Lyndon coordinate f_word.
+
+        Solves for a combination of the described entries of word's weight
+        whose linear Lyndon parts sum to f_word; the nonlinear part of each
+        entry is a polynomial in lower-weight coordinates, read through them.
         """
+        m = self.genset.word_weight(word)
+        built = sorted(s for s in self._described if s.weight == m)
+        polys = [wd.element_as_lyndon_poly(self.full_form(s)) for s in built]
+        x = wd.solve_columns([{mono: c for mono, c in poly.items() if len(mono) == 1}
+                              for poly in polys], {(word,): Fraction(1)})
+        if x is None:
+            raise ValueError("the weight-%d entries %s do not determine the coordinate %s"
+                             % (m, ", ".join(map(repr, built)) or "(none)", " ".join(word)))
         out = sy.Expression()
-        for m in el.weights():
-            span = self._spanning_products(m)
-            vec = wd.solve_columns([form.terms for _, form in span],
-                                   el.graded_part(m).terms)
-            if vec is None:
-                raise ValueError("element of weight %d is outside the period span" % m)
-            for c, (expr, _) in zip(vec, span):
-                if c:
-                    out = out + expr.scale(c)
+        for c, s, poly in zip(x, built, polys):
+            if c:
+                nonlinear = {mono: d for mono, d in poly.items() if len(mono) > 1}
+                out = out + (sy.Expression.sym(s) - self._lyndon_period(nonlinear)).scale(c)
         return out
-
-    def _spanning_products(self, m):
-        # zeta atoms come for free from the generator duals
-        for k in range(3, m + 1, 2):
-            if self.has_sigma(k):
-                self.ensure(sy.Symbol("zeta", k, Fraction(0)))
-        atoms = sorted(s for s in self.entries if s.weight <= m)
-        span = []
-        for e in wd.monomials([a.weight for a in atoms], m):
-            # atoms are sorted, so each product's atoms come out sorted
-            mono = tuple(a for a, k in zip(atoms, e) for _ in range(k))
-            expr = sy.Expression({mono: Fraction(1)})
-            span.append((expr, self.expression_to_words(expr)))
-        return span
 
     # -- reporting ----------------------------------------------------------------
 
@@ -321,36 +331,14 @@ TABLED_S = tuple((ell,) for ell in TABLED)  # the bases whose f_{sigma tau} is t
 
 
 def f_sigma_tau_expression(S, table):
-    """The period expression of the coordinate f_{sigma tau} over Z[1/ell].
-
-    The rows are the table's rows, in symbol order; the unknowns are
-    the pure-period coordinates sigma_3 tau_ell and, for each other prime q
-    of the table, the weight-one-tail word tau_q tau_ell^3.  Solves that
-    linear system exactly, as in half-weight 4.
-    """
+    """The period expression of the coordinate f_{sigma tau} over Z[1/ell]:
+    the table's coordinate_period of the Lyndon word sigma_3 tau_ell."""
     S = tuple(sorted(S))
     if S not in TABLED_S:
         raise ValueError("f_sigma_tau is tabled for %s only"
                          % " and ".join("S={%d}" % ell for ell in TABLED))
     (ell,) = S
-    gs = table.genset
-    unknowns = [(sigma_id(3), tau_id(ell))] + [(tau_id(q),) + (tau_id(ell),) * 3
-                                               for q in table.S if q != ell]
-    rows = []
-    for s in table.rows:
-        form = table.full_form(s)
-        known = sy.Expression.sym(s)
-        coeffs = [form.coefficient(w) for w in unknowns]
-        leftover = form - ShuffleElement(gs, dict(zip(unknowns, coeffs)))
-        if leftover:
-            known = known - table.period_expression_of(leftover)
-        rows.append(coeffs + [known])
-    _, det = wd.row_reduce(rows, len(unknowns))
-    if not det:
-        raise ValueError("the Li_4 rows %s do not determine the words %s"
-                         % (", ".join(map(repr, table.rows)),
-                            ", ".join(" ".join(w) for w in unknowns)))
-    return rows[0][-1]
+    return table.coordinate_period((sigma_id(3), tau_id(ell)))
 
 
 # ell -> its period table, built once per process; the builder is looked up by

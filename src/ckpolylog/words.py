@@ -4,18 +4,21 @@ Words in a graded alphabet, the shuffle product, the reduced
 deconcatenation coproduct and its cobar square, plus the Lyndon-word
 polynomial decomposition (Duval's factorization, then Radford's
 recursion) used to present the algebra as a free commutative polynomial
-ring, and monomials, the one enumerator of monomials of a given weight
-in weighted variables.  A cut (u, v) determines its word uv, so the
-coproduct is read off the cuts term by term, with no two terms to add.
-The package's two exact cores live here: LinearCombination (with
-add_term), the one implementation of sparse exact combinations behind
-ShuffleElement, TensorElement, symbols.Expression, symbols.TensorExpr
-and elimination.Poly, which builds, adds, scales, multiplies (*) and
-raises to powers (**) for all of them (the shuffle is ShuffleElement's *)
-and owns the one ring map out of a polynomial ring (evaluate): the p-adic
-period map, the f-alphabet decomposition, the Goncharov coproduct and the
-period specialization; and the exact row reduction (row_reduce,
-solve_columns), the one linear-algebra core.
+ring (galois reads an f-element as periods through these Lyndon
+coordinates, elimination names its f-variables by them), and monomials,
+the one enumerator of monomials of a given weight in weighted variables.
+A cut (u, v) determines its word uv, so the coproduct is read off the
+cuts term by term, with no two terms to add.  The package's two exact
+cores live here: LinearCombination (with add_term), the one
+implementation of sparse exact combinations behind ShuffleElement,
+TensorElement, symbols.Expression, symbols.TensorExpr and
+elimination.Poly, which builds, adds, scales, multiplies (*) and raises
+to powers (**) for all of them (the shuffle is ShuffleElement's *) and
+owns the one ring map out of a polynomial ring (evaluate): the p-adic
+period map, the f-alphabet decomposition, the Goncharov coproduct, the
+period specialization and the reading of Lyndon coordinates as periods;
+and the exact row reduction (row_reduce, solve_columns), the one
+linear-algebra core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -87,8 +90,7 @@ def monomials(weights, total):
 
     The weights are positive.  The vectors come in lexicographic order,
     fewest copies of the first variable first.  This is the one enumerator
-    of weighted monomials: the period products in galois, the Li- and
-    f-monomials in elimination.
+    of weighted monomials: the Li- and f-monomials in elimination.
     """
     if total == 0:
         yield (0,) * len(weights)
@@ -286,10 +288,6 @@ class ShuffleElement(LinearCombination):
     def coefficient(self, word):
         return self.terms.get(tuple(word), Fraction(0))
 
-    def graded_part(self, n):
-        return self._new({
-            w: c for w, c in self.terms.items() if self.genset.word_weight(w) == n})
-
     def weights(self):
         return sorted({self.genset.word_weight(w) for w in self.terms})
 
@@ -456,16 +454,16 @@ def element_as_lyndon_poly(el):
 # -- exact row reduction ----------------------------------------------------
 #
 # The one Gauss-Jordan elimination behind every exact linear solve: the
-# period-span rewrite, basis determinant and f_{sigma tau} system in
-# galois, and the graded kernel in elimination.
+# coordinate solve and basis determinant in galois, and the graded kernel
+# in elimination.
 
 
 def row_reduce(rows, ncols):
     """Gauss-Jordan elimination of the first ncols columns of rows, in place.
 
     Coefficients in those columns are Fractions.  Entries past them (the
-    right-hand sides) only need x * Fraction and x - Fraction * y, so they
-    may be Fractions or symbols.Expression values.  Returns
+    right-hand sides) are Fractions at every caller; they need only
+    x * Fraction and x - Fraction * y.  Returns
     ({pivot column: row index}, det): pivot rows come first, in column
     order, each scaled to a leading 1 with zeros above and below.  For a
     square block, det is the signed product of the pivots, and 0 when the

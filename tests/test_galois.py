@@ -155,8 +155,8 @@ def test_f_sigma_tau_names_rows_and_words_of_an_underdetermined_table():
     table = G.PeriodTable({2, 3}, rows=[sym_li(4, 3)],
                           choice={sym_li(3, z): (F(0), "P_3 basis choice (defines sigma_3)")
                                   for z in G.P3_CHOICE})
-    with pytest.raises(ValueError, match=r"Li_4 rows Li4\(3\) do not determine the words "
-                                         r"sigma_3 tau_3, tau_2 tau_3 tau_3 tau_3"):
+    with pytest.raises(ValueError, match=r"the weight-4 entries Li4\(3\) do not determine "
+                                         r"the coordinate sigma_3 tau_3"):
         G.f_sigma_tau_expression((3,), table)
 
 
@@ -293,8 +293,29 @@ def test_period_expression_round_trip(table_z_sixth, eng5):
     assert (eng5.period(expr) - direct).val_lower_bound() >= 20
 
 
+@pytest.mark.parametrize("build, count, extra", [
+    ("build_table_z_half", 10, [sym_li(4, -1), sym_li(2, -1)]),
+    ("build_table_z_sixth", 34, [sym_li(4, -3), sym_li(2, -3)]),
+])
+def test_period_expressions_read_back_and_ignore_later_entries(build, count, extra):
+    # every entry and every product of two within the weight bound reads back
+    # to its words exactly, and entries ensured afterwards change no answer
+    table = getattr(G, build)()
+    atoms = sorted(table.entries)
+    els = [table.full_form(s) for s in atoms]
+    els += [table.full_form(s) * table.full_form(t) for i, s in enumerate(atoms)
+            for t in atoms[i:] if s.weight + t.weight <= table.max_weight]
+    assert len(els) == count
+    exprs = [table.period_expression_of(el) for el in els]
+    for el, expr in zip(els, exprs):
+        assert table.expression_to_words(expr) == el, el
+    for s in extra:
+        table.ensure(s)
+    assert [table.period_expression_of(el) for el in els] == exprs
+
+
 def test_period_expression_of_a_constant_term(table_z_sixth):
-    # the weight-0 part solves through the empty product, to the constant
+    # the constant term is the empty Lyndon monomial, read as the constant
     one = wd.ShuffleElement.one(table_z_sixth.genset)
     assert table_z_sixth.period_expression_of(one.scale(F(5, 2))).terms == {(): F(5, 2)}
     el = table_z_sixth.full_form(sym_li(3, 9))

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -349,6 +350,26 @@ def test_dilog_reflection_identity(p, policy, rng):
         resid = (eng.polylog(2, z) + eng.polylog(2, 1 - z)
                  + eng.log(z) * eng.log(1 - z))
         assert resid.val_lower_bound() >= policy.M
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_coleman_inversion_on_every_good_disk(p, policy):
+    # log(1/z) = -log z and, with log p = 0 and zeta_p(even) = 0,
+    # Li_k(1/z) = (-1)^(k-1) Li_k(z) - (-1)^k log(z)^k / k! (Coleman 1982):
+    # at the Teichmueller point and at integers and small fractions of each disk
+    eng = get_engine(p, policy)
+    for a in range(2, p):
+        points = [eng.teichmuller_point(a)]
+        for d in (1, 2, 3):
+            n = a * d % p
+            points += [F(n, d), F(n + p, d), F(n - p, d)]
+        for z in points:
+            lg = eng.log(z)
+            assert (eng.log(1 / z) + lg).val_lower_bound() >= policy.equality_threshold, z
+            for k in range(1, 5):
+                want = (-1) ** (k - 1) * eng.polylog(k, z) - (-1) ** k * lg ** k / factorial(k)
+                assert ((eng.polylog(k, 1 / z) - want).val_lower_bound()
+                        >= policy.equality_threshold), (z, k)
 
 
 @pytest.mark.parametrize("p", [5, 7])

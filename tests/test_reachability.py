@@ -33,6 +33,7 @@ SEEDS = {
     "elimination._li_monomials": "a helper of graded_kernel_dimension (ROADMAP item 3)",
     "elimination._f_monomials": "a helper of graded_kernel_dimension (ROADMAP item 3)",
     "elimination._nullspace": "a helper of graded_kernel_dimension (ROADMAP item 3)",
+    "words.monomials": "a helper of graded_kernel_dimension (ROADMAP item 3)",
     "galois.PeriodTable.to_json": "the shape of the shipped zeta table (ROADMAP item 4)",
     "words.ShuffleElement.to_json": "serializes the zeta table's entries (ROADMAP item 4)",
     "words.ShuffleElement.sorted_terms": "orders the zeta table's terms (ROADMAP item 4)",
@@ -49,6 +50,8 @@ VALUE_SEMANTICS = {
     "padic.PrecisionPolicy.__eq__": "equal policies built apart must compare equal",
     "padic.PrecisionPolicy.__hash__": "a policy that defines __eq__ must stay hashable",
     "symbols.Expression.__hash__": "an Expression that defines __eq__ must stay hashable",
+    "words.LinearCombination.__bool__": "test_linear_combination_core asserts the "
+                                        "truthiness of combinations",
     **dict.fromkeys(["symbols.ExprFraction.%s" % name
                      for name in ("__add__", "__sub__", "__neg__", "is_zero")],
                     "test_exprfraction_coefficients_negate_and_cancel adds, subtracts "

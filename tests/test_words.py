@@ -259,8 +259,10 @@ def test_solve_delta_prime_matches_dense_solve(table_z_half, table_z_sixth, rng)
         for n in range(1, 5):
             words = gs.words_of_weight(n)
             targets = [reduced_coproduct(ShuffleElement.word(gs, wd)) for wd in words]
-            targets += [reduced_coproduct(random_combination(gs, rng, n, len(words)).graded_part(n))
-                        for _ in range(3)]
+            for _ in range(3):
+                el = random_combination(gs, rng, n, len(words))
+                targets.append(reduced_coproduct(ShuffleElement(gs, {
+                    w: c for w, c in el.terms.items() if gs.word_weight(w) == n})))
             for target in targets:
                 x = solve_delta_prime(gs, n, target)
                 assert x == solve_delta_prime_dense(gs, n, target)
