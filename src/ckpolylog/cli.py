@@ -160,8 +160,7 @@ def _suite_appendix(args, policy):
 
 def _suite_counterexample(args, policy):
     (ell,) = args.S
-    rep = loci.counterexample_cocycle(ell, args.n, args.p, policy)
-    return [rep.to_json(policy)]
+    return [loci.counterexample_cocycle(ell, args.n, args.p, policy)]
 
 
 def _suite_hopf(args, policy):

@@ -18,15 +18,17 @@ log and Li_k are polynomials in the coordinates with f-word coefficients,
 and cocycle_apply evaluates a cocycle by substituting into them.
 
 Coordinate values may live in any commutative coefficient object with
-+, *, and truthiness (exact rationals, p-adics, expression fractions,
-polynomials), so the same code serves the geometric step, the field-valued
-counterexample cocycle and each period-table row: Li_n(z) at the cocycle
-of an S-unit point z, whose tau coordinates are kappa_coordinates.
++, * (by ints and rationals too) and truthiness (exact rationals, p-adics,
+expression fractions, polynomials), so the same code serves the geometric
+step, the field-valued counterexample cocycle and each period-table row:
+Li_n(z) at the cocycle of an S-unit point z, whose tau coordinates are
+kappa_coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .padic import valuation
@@ -88,6 +90,7 @@ def cocycle_apply(values, genset, n):
     Implements Li_lambda(c) = sum_w phi^w_lambda(c) f_w over words of the
     matching weight by substituting c into the images of eval_universal:
     by the structure theorem those are the only words with a nonzero entry.
+    Each image term is its f-word combination scaled by its monomial's value.
     """
     images = eval_universal(n, genset)
     names = {name for poly in images.values() for mono in poly for name in mono}
@@ -98,10 +101,6 @@ def cocycle_apply(values, genset, n):
     for tgt, poly in images.items():
         acc = ShuffleElement(genset)
         for mono, fel in poly.items():
-            val = values[mono[0]]
-            for name in mono[1:]:
-                val = val * values[name]
-            if val:
-                acc = acc + ShuffleElement(genset, {w: cf * val for w, cf in fel.terms.items()})
+            acc = acc + fel.scale(math.prod(values[name] for name in mono))
         out[tgt] = acc
     return out

@@ -353,66 +353,36 @@ def s3_symmetrize(locus):
 # -- the counterexample cocycle ------------------------------------------------
 
 
-class CounterexampleReport:
-    """Symbolic checks and numeric valuations of the counterexample cocycle."""
-
-    def __init__(self, ell, n, p, symbolic, numeric, zeta_guard):
-        self.ell, self.n, self.p = ell, n, p
-        self.symbolic, self.numeric = symbolic, numeric
-        self.zeta_guard = zeta_guard
-
-    def passed(self, policy):
-        return (self.zeta_guard and all(self.symbolic.values())
-                and all(v >= policy.equality_threshold for v in self.numeric.values()))
-
-    def to_json(self, policy):
-        return {
-            "ell": self.ell, "n": self.n, "p": self.p,
-            "symbolic": self.symbolic,
-            "numericValuations": self.numeric,
-            "zetaNonzeroGuard": self.zeta_guard,
-            "passed": self.passed(policy),
-        }
-
-
 def counterexample_cocycle(ell, n, p, policy):
     """Verify that -1 lies in the weight-n polylogarithmic locus over Z[1/ell].
 
-    Builds the field-valued cocycle with Phi^tau_{e0} = 0,
-    Phi^tau_{e1} = Li_1(-1)/log(ell) and Phi^sigma_k_{e1 e0^(k-1)} =
-    Li_k(-1)/zeta(k) for odd k >= 3; checks symbolically that its evaluation
-    has zero log and even Li components and Li_k(-1) odd components, then
-    numerically that the p-adic realization agrees with the image of -1.
+    Each odd k <= n has a head word and a dual, (tau, log ell) at k = 1 and
+    (sigma_k, zeta(k)) for k >= 3.  The field-valued cocycle has
+    Phi^tau_{e0} = 0 and Phi^head_{li k} = Li_k(-1)/dual.  Symbolically its
+    log and even Li_k vanish and each odd Li_k(alpha) is its head word alone,
+    with coefficient * dual = Li_k(-1); numerically the p-adic log and even
+    Li_k vanish at -1, and zeta_p(k) does not vanish to working precision.
+    Returns the certificate row, passed when every check holds at policy.
     """
     if (reason := unsupported_prime(p)) or p == ell:
         raise ValueError(reason or "need p different from ell")
     genset = galois.standard_genset({ell}, n)
     tau = galois.tau_id(ell)
     minus_one = Fraction(-1)
-    coords = {
-        cocycles.coordinate_name(tau): sy.ExprFraction(sy.Expression()),
-        cocycles.coordinate_name(tau, 1): sy.ExprFraction(sy.li_u(1, minus_one),
-                                                          sy.log_u(ell)),
-    }
-    for k in range(3, n + 1, 2):
-        coords[cocycles.coordinate_name(galois.sigma_id(k), k)] = sy.ExprFraction(
-            sy.li_u(k, minus_one), sy.zeta_u(k))
+    heads = {k: (tau, sy.log_u(ell)) if k == 1 else (galois.sigma_id(k), sy.zeta_u(k))
+             for k in range(1, n + 1, 2)}
+    coords = {cocycles.coordinate_name(tau): sy.ExprFraction(sy.Expression())}
+    for k, (head, dual) in heads.items():
+        coords[cocycles.coordinate_name(head, k)] = sy.ExprFraction(sy.li_u(k, minus_one), dual)
     applied = cocycles.cocycle_apply(coords, genset, n)
 
-    symbolic = {}
-    symbolic["log(alpha) = 0"] = applied["log"].is_zero()
+    symbolic = {"log(alpha) = 0": applied["log"].is_zero()}
     for k in range(2, n + 1, 2):
         symbolic["Li%d(alpha) = 0" % k] = applied["li%d" % k].is_zero()
-    for k in range(1, n + 1, 2):
-        el = applied["li%d" % k]
-        target = sy.li_u(k, minus_one)
-        dual = sy.log_u(ell) if k == 1 else sy.zeta_u(k)
-        word = (tau,) if k == 1 else (galois.sigma_id(k),)
-        ok = set(el.terms) == {word}
-        if ok:
-            val = el.terms[word]
-            ok = (val * sy.ExprFraction(dual)).equals_expression(target)
-        symbolic["Li%d(alpha) = Li%d(-1)" % (k, k)] = ok
+    for k, (head, dual) in heads.items():
+        terms = applied["li%d" % k].terms
+        symbolic["Li%d(alpha) = Li%d(-1)" % (k, k)] = terms.keys() == {(head,)} and (
+            terms[(head,)] * sy.ExprFraction(dual)).equals_expression(sy.li_u(k, minus_one))
 
     eng = get_engine(p, policy, max_weight=max(4, n))
     numeric = {"log_p(-1)": eng.log(minus_one).val_lower_bound()}
@@ -424,4 +394,7 @@ def counterexample_cocycle(ell, n, p, policy):
             eng.zeta_nonzero(k)
     except PrecisionError:
         guard = False
-    return CounterexampleReport(ell, n, p, symbolic, numeric, guard)
+    passed = (guard and all(symbolic.values())
+              and all(v >= policy.equality_threshold for v in numeric.values()))
+    return {"ell": ell, "n": n, "p": p, "symbolic": symbolic, "numericValuations": numeric,
+            "zetaNonzeroGuard": guard, "passed": passed}

@@ -8,6 +8,7 @@ import ckpolylog.words as wd
 from ckpolylog.cocycles import (
     cocycle_apply, coordinate_name, eval_universal, kappa_coordinates,
 )
+from ckpolylog.padic import PadicNumber
 from oracles import brown_entry, extract_coordinates
 
 GS1 = G.standard_genset({3}, 4)       # tau_3, sigma_3
@@ -162,6 +163,24 @@ def test_psi_round_trip(genset, count, rng):
         out = cocycle_apply(c, genset, 4)
         recovered = extract_coordinates(out, genset)
         assert recovered == c
+
+
+def test_cocycle_apply_padic_values_match_rationals(rng):
+    # the same cocycle as 7-adic values with 20 digits: each coefficient
+    # agrees with its rational counterpart to the precision it claims
+    p = 7
+    for _ in range(6):
+        vals = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
+        c = rational_coords(GS2, 4, vals)
+        exact = cocycle_apply(c, GS2, 4)
+        padic = cocycle_apply({name: PadicNumber.from_rational(p, x, 20)
+                               for name, x in c.items()}, GS2, 4)
+        assert padic.keys() == exact.keys()
+        for tgt, el in padic.items():
+            assert el.terms.keys() == exact[tgt].terms.keys()
+            for w, x in el.terms.items():
+                assert x.rel > 0
+                assert (x - exact[tgt].terms[w]).val_lower_bound() >= x.abs_precision()
 
 
 @pytest.mark.parametrize("genset,count", [(GS1, 3), (GS2, 5)])

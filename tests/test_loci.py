@@ -221,14 +221,14 @@ def test_locus_json_deterministic(policy, wt2_locus_5):
 
 def test_counterexample_cocycle_report(policy):
     rep = L.counterexample_cocycle(3, 4, 5, policy)
-    assert rep.passed(policy)
-    assert rep.symbolic["log(alpha) = 0"]
-    assert rep.symbolic["Li2(alpha) = 0"]
-    assert rep.symbolic["Li4(alpha) = 0"]
-    assert rep.symbolic["Li3(alpha) = Li3(-1)"]
-    assert rep.numeric["Li_2(-1)"] >= policy.M - policy.g
-    assert rep.numeric["Li_4(-1)"] >= policy.M - policy.g
-    assert rep.zeta_guard
+    assert rep["passed"]
+    assert rep["symbolic"]["log(alpha) = 0"]
+    assert rep["symbolic"]["Li2(alpha) = 0"]
+    assert rep["symbolic"]["Li4(alpha) = 0"]
+    assert rep["symbolic"]["Li3(alpha) = Li3(-1)"]
+    assert rep["numericValuations"]["Li_2(-1)"] >= policy.M - policy.g
+    assert rep["numericValuations"]["Li_4(-1)"] >= policy.M - policy.g
+    assert rep["zetaNonzeroGuard"]
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -288,10 +288,10 @@ def test_weight4_coefficients_are_periods(policy, eng5):
 
 def test_counterexample_weight6(policy):
     rep = L.counterexample_cocycle(3, 6, 5, policy)
-    assert rep.passed(policy)
-    assert rep.symbolic["Li6(alpha) = 0"]
-    assert rep.symbolic["Li5(alpha) = Li5(-1)"]
-    assert rep.numeric["Li_6(-1)"] >= policy.M - policy.g
+    assert rep["passed"]
+    assert rep["symbolic"]["Li6(alpha) = 0"]
+    assert rep["symbolic"]["Li5(alpha) = Li5(-1)"]
+    assert rep["numericValuations"]["Li_6(-1)"] >= policy.M - policy.g
 
 
 def test_counterexample_zeta_guard_catches_only_precision_errors(policy, monkeypatch):
@@ -301,7 +301,7 @@ def test_counterexample_zeta_guard_catches_only_precision_errors(policy, monkeyp
         raise PrecisionError("zeta_5(%d) vanishes to working precision" % k)
 
     monkeypatch.setattr(engine, "zeta_nonzero", vanishing)
-    assert not L.counterexample_cocycle(3, 4, 5, policy).zeta_guard
+    assert not L.counterexample_cocycle(3, 4, 5, policy)["zetaNonzeroGuard"]
 
     def broken(self, k):
         raise ValueError("a bug, not a vanishing zeta value")
@@ -335,14 +335,21 @@ def _assert_matches_oracle(got, ref, where):
 ORACLE_DISKS = {31: (2, 16, 3, 30)}
 
 
-@pytest.mark.parametrize("p", [5, 7, 13, 31])
-def test_disk_series_against_padic_oracle(p, policy):
+@pytest.mark.parametrize("p, M", [(5, None), (7, None), (13, None), (31, None), (31, 30)],
+                         ids=["5", "7", "13", "31", "31-M30"])
+def test_disk_series_against_padic_oracle(p, M, policy):
     """Disk tables, Coleman local series (and their Horner values) and
     root-search shifts on integer vectors against the same series built as
     PadicNumber lists.  The engine builds each table about a and takes its
     constants Li_k(a) from Li_k(theta_a); the oracle builds the table about
-    theta_a and Horner-evaluates it at a."""
+    theta_a and Horner-evaluates it at a.  M = 30 at p = 31 (the grid's
+    `locus --S 3 --p 31 --prec 30`) runs the series past degree p, so
+    integrating them divides by p at each p | j."""
+    if M:
+        policy = PrecisionPolicy(M, 3)
     eng = get_engine(p, policy)
+    if M:
+        assert eng.local_degree > p
     fns = [L.weight2_function(p, (3,), policy),
            L.weight4_function(p, S=(3,), policy=policy)]
     t = PadicNumber.from_rational(p, F(2 + p, 3), policy.workprec() - 5)
