@@ -34,8 +34,6 @@ def _series(k, x):
 
 def li2_re(x):
     """Re Li_2 on the real line, x not in {1} handled everywhere else."""
-    if x == 0.0:
-        return 0.0
     if x == 1.0:
         return PI2_6
     if abs(x) <= 0.5:
@@ -52,8 +50,6 @@ def li2_re(x):
 
 def li3_re(x):
     """Re Li_3 on the real line."""
-    if x == 0.0:
-        return 0.0
     if x == 1.0:
         return zeta3()
     if abs(x) <= 0.5:

@@ -7,16 +7,17 @@ is its point's cocycle, `cocycles.cocycle_apply` at the Kummer coordinates
 of z and the zeta-coefficients of its lower odd Li_k(z).  In odd weight the
 row's own zeta-coefficient is left open: a basis choice fixes it, or it is
 recognized numerically through the p-adic period map at one prime,
-RECOGNITION_PRIME, and cached with provenance.  The tests and
+RECOGNITION_PRIME, and recorded with its provenance.  The tests and
 `verify identities` recognize the same coefficients at other primes, and
 `verify hopf` checks each row against Goncharov's symbol coproduct.
 
 A period table is its description, S, a basis choice and its rows, all
 given to the constructor; each row pulls in every lower entry its cocycle
-reads.  The f-alphabet is a free polynomial ring on its Lyndon words
-(Radford), so an f-element reads as periods through its Lyndon
-coordinates: `coordinate_period` solves for one coordinate from the linear
-Lyndon parts of the described entries of its weight, and
+reads, and the table is complete when built: each entry is its symbol's
+whole f-basis form, sigma word included.  The f-alphabet is a free
+polynomial ring on its Lyndon words (Radford), so an f-element reads as
+periods through its Lyndon coordinates: `coordinate_period` solves for one
+coordinate from the linear Lyndon parts of the entries of its weight, and
 `f_sigma_tau_expression` is the coordinate sigma_3 tau_ell.
 """
 
@@ -56,26 +57,18 @@ def _is_s_unit(q, S):
     return abs(rest) == 1
 
 
-class TableEntry:
-    __slots__ = ("word_form", "prim", "provenance")
-
-    def __init__(self, word_form, prim, provenance):
-        self.word_form = word_form
-        self.prim = prim
-        self.provenance = provenance
-
-
 class PeriodTable:
     """Expansion table for one open integer scheme Spec Z[1/S].
 
     rows are Li symbols; choice, the basis choice, maps odd Li symbols to
     (value, provenance) pairs that fix their zeta-coefficients (a choice
-    of another symbol is rejected before any entry is built).  The zeta(k)
-    duals are ensured first, then the chosen symbols, then the rows, each in
-    symbol order; these described entries alone answer coordinate_period.
-    Entries are complete when created: a Li entry is its point's cocycle
-    plus, in odd weight, a zeta-coefficient from the choice or
-    `numeric_primitive_resolver`.
+    of another symbol is rejected before any entry is built).  The
+    constructor builds the zeta(k) duals, then the chosen symbols, then the
+    rows, each in symbol order, and every entry a row's cocycle reads;
+    once it returns the table never grows.  entries maps each symbol to its
+    complete f-basis form: a Li entry is its point's cocycle plus, in odd
+    weight, the sigma word of a zeta-coefficient from the choice or
+    `numeric_primitive_resolver`, and provenance says where that came from.
     """
 
     def __init__(self, S, rows=(), choice=None, max_weight=4):
@@ -89,47 +82,34 @@ class PeriodTable:
                                  "with odd 3 <= n <= %d has one" % (symbol, max_weight))
         self.rows = tuple(sorted(rows))
         self.entries = {}
-        # the solves read the entries built so far while the description is
-        # built, then those alone: an entry ensured later changes no answer
-        self._described = self.entries
+        self.provenance = {}
         zetas = [sy.Symbol("zeta", k, Fraction(0)) for k in range(3, max_weight + 1, 2)]
         for symbol in zetas + sorted(self.choice) + list(self.rows):
-            self.ensure(symbol)
-        self._described = dict(self.entries)
+            self._ensure(symbol)
 
     def has_sigma(self, n):
         return n % 2 == 1 and n >= 3 and n <= self.max_weight
 
-    def full_form(self, symbol):
-        """Complete f-basis form: the word form plus the zeta-coefficient's sigma word."""
-        e = self.ensure(symbol)
-        out = e.word_form
-        if e.prim:
-            out = out + ShuffleElement.word(self.genset, (sigma_id(symbol.weight),), e.prim)
-        return out
-
     # -- expansion -------------------------------------------------------------
 
-    def ensure(self, symbol):
-        """The entry of symbol, created on first use."""
+    def _ensure(self, symbol):
+        """Build the entry of symbol unless it is built."""
         if symbol in self.entries:
-            return self.entries[symbol]
+            return
         if symbol.kind == "log":
             ell = int(symbol.z)
             if ell not in self.S:
                 raise ValueError("log(%d) is ramified outside S=%s" % (ell, list(self.S)))
-            entry = TableEntry(ShuffleElement.word(self.genset, (tau_id(ell),)),
-                               Fraction(0), "Kummer")
+            form, source = ShuffleElement.word(self.genset, (tau_id(ell),)), "Kummer"
         elif symbol.kind == "zeta":
             if not self.has_sigma(symbol.n):
                 raise ValueError("zeta(%d) has no generator under weight bound %d"
                                  % (symbol.n, self.max_weight))
-            entry = TableEntry(ShuffleElement(self.genset), Fraction(1),
-                               "dual generator")
+            form, source = ShuffleElement.word(self.genset, (sigma_id(symbol.n),)), "dual generator"
         else:
-            entry = self._expand_li(symbol)
-        self.entries[symbol] = entry
-        return entry
+            form, source = self._expand_li(symbol)
+        self.entries[symbol] = form
+        self.provenance[symbol] = source
 
     def _expand_li(self, symbol):
         n, z = symbol.n, symbol.z
@@ -139,32 +119,33 @@ class PeriodTable:
             raise ValueError("Li_%d(%s) is not an S-point symbol for S=%s"
                              % (n, z, list(self.S)))
         kappa = {ell: cocycles.kappa_coordinates(z, ell) for ell in self.S}
-        # ensure the entries the cocycle reads: Li_k(z) below n, log ell for ell | z(1 - z)
+        # build the entries the cocycle reads: Li_k(z) below n, log ell for ell | z(1 - z)
         for k in range(2, n):
-            self.ensure(sy.Symbol("li", k, z))
+            self._ensure(sy.Symbol("li", k, z))
         for ell, e in kappa.items():
             if any(e):
-                self.ensure(sy.Symbol("log", 1, Fraction(ell)))
+                self._ensure(sy.Symbol("log", 1, Fraction(ell)))
         values = {cocycles.coordinate_name(tau_id(ell), k): e[k]
                   for ell, e in kappa.items() for k in (0, 1)}
         for k in range(3, n + 1, 2):
-            lower = self.entries[sy.Symbol("li", k, z)].prim if k < n else 0
+            lower = self.entries[sy.Symbol("li", k, z)].coefficient((sigma_id(k),)) if k < n else 0
             values[cocycles.coordinate_name(sigma_id(k), k)] = lower
         dec = cocycles.cocycle_apply(values, self.genset, n)["li%d" % n]
-        if n % 2 == 0 or n == 1:
-            return TableEntry(dec, Fraction(0), "coproduct (no primitives)")
+        if not self.has_sigma(n):
+            return dec, "coproduct (no primitives)"
         choice = self.choice.get(symbol)
         if choice is None:
             # looked up per call, so a wrapper installed on the factory is the one that runs
             choice = numeric_primitive_resolver()(symbol, self.period_expression_of(dec))
-        return TableEntry(dec, *choice)
+        prim, source = choice
+        return dec + ShuffleElement.word(self.genset, (sigma_id(n),), prim), source
 
     # -- expressions <-> words ---------------------------------------------------
 
     def expression_to_words(self, expr):
         """The f-alphabet decomposition: the ring map sending each symbol to
-        its complete f-basis form (full_form)."""
-        return expr.evaluate(self.full_form, ShuffleElement.one(self.genset).scale)
+        its entry, its complete f-basis form."""
+        return expr.evaluate(self.entries.__getitem__, ShuffleElement.one(self.genset).scale)
 
     def tensor_to_words(self, tens):
         out = TensorElement(self.genset, {})
@@ -188,13 +169,13 @@ class PeriodTable:
     def coordinate_period(self, word):
         """The period expression of the Lyndon coordinate f_word.
 
-        Solves for a combination of the described entries of word's weight
-        whose linear Lyndon parts sum to f_word; the nonlinear part of each
-        entry is a polynomial in lower-weight coordinates, read through them.
+        Solves for a combination of the entries of word's weight whose
+        linear Lyndon parts sum to f_word; the nonlinear part of each entry
+        is a polynomial in lower-weight coordinates, read through them.
         """
         m = self.genset.word_weight(word)
-        built = sorted(s for s in self._described if s.weight == m)
-        polys = [wd.element_as_lyndon_poly(self.full_form(s)) for s in built]
+        built = sorted(s for s in self.entries if s.weight == m)
+        polys = [wd.element_as_lyndon_poly(self.entries[s]) for s in built]
         x = wd.solve_columns([{mono: c for mono, c in poly.items() if len(mono) == 1}
                               for poly in polys], {(word,): Fraction(1)})
         if x is None:
@@ -210,14 +191,18 @@ class PeriodTable:
     # -- reporting ----------------------------------------------------------------
 
     def to_json(self):
+        """One row per entry: its form split into the sigma word of its
+        weight (primitiveCoefficient) and the rest (basisForm)."""
         rows = []
-        for s, e in sorted(self.entries.items(), key=lambda kv: (kv[0].weight, repr(kv[0]))):
+        for s, form in sorted(self.entries.items(), key=lambda kv: (kv[0].weight, repr(kv[0]))):
+            sigma = (sigma_id(s.weight),)
+            prim = form.coefficient(sigma)
             rows.append({
                 "symbol": repr(s),
                 "Z": "Z[1/%s]" % ",".join(str(x) for x in self.S),
-                "basisForm": e.word_form.to_json(),
-                "primitiveCoefficient": wd._frac_str(e.prim),
-                "provenance": e.provenance,
+                "basisForm": (form - ShuffleElement.word(self.genset, sigma, prim)).to_json(),
+                "primitiveCoefficient": wd._frac_str(prim),
+                "provenance": self.provenance[s],
             })
         return rows
 

@@ -47,7 +47,7 @@ import ckpolylog.symbols as sy
 import ckpolylog.words as wd
 from ckpolylog.archimedean import complex_P3
 from ckpolylog.cocycles import coordinate_name
-from ckpolylog.galois import standard_genset, tau_id
+from ckpolylog.galois import sigma_id, standard_genset, tau_id
 from ckpolylog.padic import EXACT, PadicNumber, iwasawa_log, log_floor, teichmuller, valuation
 from ckpolylog.polylog import IntSeries, _power_tables, _top
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
@@ -659,5 +659,7 @@ def expand_in_basis(table, symbol):
         if len(mono) != 1 or len(mono[0]) != 1 or symbol.terms[mono[0]] != 1:
             raise ValueError("expand_in_basis wants a single symbol")
         symbol = mono[0][0]
-    e = table.ensure(symbol)
-    return e.word_form, e.prim
+    form = table.entries[symbol]
+    sigma = (sigma_id(symbol.weight),)
+    prim = form.coefficient(sigma)
+    return form - ShuffleElement.word(table.genset, sigma, prim), prim

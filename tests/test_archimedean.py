@@ -16,12 +16,14 @@ def test_zeta3_value():
 
 
 def test_li2_known_values():
+    assert li2_re(0.0) == 0.0
     assert abs(li2_re(0.5) - (PI ** 2 / 12 - LN2 ** 2 / 2)) < 1e-12
     assert abs(li2_re(-1.0) + PI ** 2 / 12) < 1e-12
     assert abs(li2_re(1.0) - PI ** 2 / 6) < 1e-12
 
 
 def test_li3_known_values():
+    assert li3_re(0.0) == 0.0
     want = 7 * zeta3() / 8 - PI ** 2 * LN2 / 12 + LN2 ** 3 / 6
     assert abs(li3_re(0.5) - want) < 1e-12
     assert abs(li3_re(-1.0) + 0.75 * zeta3()) < 1e-12

@@ -103,8 +103,8 @@ def test_cocycle_apply_kappa_half_matches_table(table_z_half):
     c = {coordinate_name("tau_2"): F(e0), coordinate_name("tau_2", 1): F(e1),
          coordinate_name("sigma_3", 3): F(7, 8)}
     out = cocycle_apply(c, gs, 4)
-    li3 = table_z_half.full_form(G.sy.Symbol("li", 3, F(1, 2)))
-    li4 = table_z_half.full_form(G.sy.Symbol("li", 4, F(1, 2)))
+    li3 = table_z_half.entries[G.sy.Symbol("li", 3, F(1, 2))]
+    li4 = table_z_half.entries[G.sy.Symbol("li", 4, F(1, 2))]
     assert out["li3"] == li3
     assert out["li4"] == li4
     assert out["log"] == wd.ShuffleElement.word(gs, ("tau_2",), F(-1))

@@ -43,6 +43,38 @@ def test_weight4_other_base_prime():
     assert [canonical_form(g) for g in gens] == [canonical_form(s) for s in short]
 
 
+def test_a_generator_in_the_ideal_of_the_earlier_ones_is_dropped(monkeypatch):
+    # no command hands the filter a redundant generator; the graph ideal's
+    # basis here also holds g_2 * Li_1, which the filter must drop
+    want = E.ck_ideal_generators(4, {3})
+    g2 = E.structured_shortcut_generators({3})[1][0].poly
+    real_groebner, real_member = E.groebner, E.ideal_member
+    calls, answers = [], []
+
+    def padded(gens):
+        gb = real_groebner(gens)
+        if not calls:
+            gb.append(g2 * Poly.var(g2.ring, "li1"))
+        calls.append(gens)
+        return gb
+
+    def member(f, basis_gens):
+        answers.append(real_member(f, basis_gens))
+        return answers[-1]
+
+    monkeypatch.setattr(E, "groebner", padded)
+    monkeypatch.setattr(E, "ideal_member", member)
+    got = E.ck_ideal_generators(4, {3})
+    assert answers.count(True) == 1
+    assert [(g.weight, g.poly) for g in got] == [(g.weight, g.poly) for g in want]
+
+
+@pytest.mark.parametrize("S", [(), (2, 3)])
+def test_shortcut_requires_one_prime(S):
+    with pytest.raises(ValueError, match=r"shortcut requires \|S\| = 1"):
+        E.structured_shortcut_generators(S)
+
+
 def test_verify_vanishing_examples():
     prob, short = E.structured_shortcut_generators({3})
     assert E.verify_vanishing(short[1])

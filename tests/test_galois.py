@@ -36,24 +36,24 @@ def test_kummer_names_offending_prime():
 
 def test_li2_minus2_exact_expansion(table_z_sixth):
     # dim E_2 = 0: the expansion is complete with no zeta ambiguity
-    form = table_z_sixth.full_form(sym_li(2, -2))
+    form = table_z_sixth.entries[sym_li(2, -2)]
     assert form.terms == {("tau_3", "tau_2"): F(-1)}
 
 
 def test_li3_half_expansion_with_resolved_coefficient(table_z_half):
-    entry = table_z_half.ensure(sym_li(3, F(1, 2)))
-    assert entry.word_form.terms == {("tau_2",) * 3: F(1)}
-    assert entry.prim == F(7, 8)
-    assert entry.provenance == "numerically recognized at p=5"
+    sym = sym_li(3, F(1, 2))
+    form, _ = expand_in_basis(table_z_half, sym)
+    assert form.terms == {("tau_2",) * 3: F(1)}
+    assert table_z_half.entries[sym].coefficient(("sigma_3",)) == F(7, 8)
+    assert table_z_half.provenance[sym] == "numerically recognized at p=5"
 
 
 def test_li3_half_supplied_coefficient_matches_numeric(table_z_half):
     sym = sym_li(3, F(1, 2))
     table = G.PeriodTable({2}, choice={sym: (F(7, 8), "supplied")}, max_weight=4)
-    entry = table.ensure(sym)
-    assert (entry.prim, entry.provenance) == (F(7, 8), "supplied")
-    assert table.full_form(sym).coefficient(("sigma_3",)) == F(7, 8)
-    assert table.full_form(sym) == table_z_half.full_form(sym)
+    assert (table.entries[sym].coefficient(("sigma_3",)), table.provenance[sym]) == (
+        F(7, 8), "supplied")
+    assert table.entries[sym] == table_z_half.entries[sym]
 
 
 @pytest.mark.parametrize("symbol", [sym_li(2, 3), sym_li(5, 3), sy.Symbol("li", 1, F(3)),
@@ -71,7 +71,7 @@ def test_a_choice_without_a_zeta_coefficient_is_rejected(symbol, monkeypatch):
 
 
 def test_li4_half_tabled_form(table_z_half):
-    form = table_z_half.full_form(sym_li(4, F(1, 2)))
+    form = table_z_half.entries[sym_li(4, F(1, 2))]
     assert form.terms == {
         ("tau_2",) * 4: F(-1),
         ("sigma_3", "tau_2"): F(-7, 8),
@@ -88,16 +88,16 @@ def test_expand_in_basis_surface(table_z_half, table_z_sixth):
 
 
 def test_li3_nine_minus_12_li3_three_is_primitive(table_z_sixth):
-    dec9 = table_z_sixth.ensure(sym_li(3, 9)).word_form
-    dec3 = table_z_sixth.ensure(sym_li(3, 3)).word_form
+    dec9, _ = expand_in_basis(table_z_sixth, sym_li(3, 9))
+    dec3, _ = expand_in_basis(table_z_sixth, sym_li(3, 3))
     assert (dec9 - dec3.scale(12)).is_zero()
-    assert table_z_sixth.ensure(sym_li(3, 9)).prim == F(-26, 3)
+    assert table_z_sixth.entries[sym_li(3, 9)].coefficient(("sigma_3",)) == F(-26, 3)
 
 
 def test_weight4_table_values(table_z_sixth):
-    li43 = table_z_sixth.full_form(sym_li(4, 3))
+    li43 = table_z_sixth.entries[sym_li(4, 3)]
     assert li43.terms == {("tau_2", "tau_3", "tau_3", "tau_3"): F(-1)}
-    li49 = table_z_sixth.full_form(sym_li(4, 9))
+    li49 = table_z_sixth.entries[sym_li(4, 9)]
     assert li49.terms == {
         ("sigma_3", "tau_3"): 2 * F(-26, 3),
         ("tau_2", "tau_3", "tau_3", "tau_3"): F(-24),
@@ -147,8 +147,9 @@ def test_table_z_sixth_holds_its_rows_its_choice_and_what_they_pull_in(table_z_s
         "log(2)", "log(3)", "zeta(3)"]
     # the choice belongs to the table, so a row that pulls Li_3(3) in finds it
     for z in G.P3_CHOICE:
-        entry = table_z_sixth.entries[sym_li(3, z)]
-        assert (entry.prim, entry.provenance) == (0, "P_3 basis choice (defines sigma_3)")
+        s = sym_li(3, z)
+        assert (table_z_sixth.entries[s].coefficient(("sigma_3",)), table_z_sixth.provenance[s]) \
+            == (0, "P_3 basis choice (defines sigma_3)")
 
 
 def test_f_sigma_tau_names_rows_and_words_of_an_underdetermined_table():
@@ -169,18 +170,24 @@ def test_a_table_is_its_description_in_any_order(table_z_sixth):
         assert table.rows == table_z_sixth.rows == tuple(rows)
         assert table.to_json() == table_z_sixth.to_json()
         for s in table_z_sixth.entries:
-            assert table.full_form(s) == table_z_sixth.full_form(s), s
+            assert table.entries[s] == table_z_sixth.entries[s], s
         assert (G.f_sigma_tau_expression((3,), table)
                 == G.f_sigma_tau_expression((3,), table_z_sixth))
 
 
-def test_f_sigma_tau_solves_from_the_rows_only():
-    # an Li_4 entry that is not a row does not enter the solve
-    table = G.build_table_z_sixth()
-    table.ensure(sym_li(4, -3))
-    fst = G.f_sigma_tau_expression((3,), table)
+def test_f_sigma_tau_solves_from_the_rows_only(table_z_half, table_z_sixth):
+    # a built table never grows: a symbol outside its description has no
+    # entry, the decomposition refuses it, and the solve does not change
+    for table, ell, extra in [(table_z_half, 2, [sym_li(4, -1), sym_li(2, -1)]),
+                              (table_z_sixth, 3, [sym_li(4, -3), sym_li(2, -3)])]:
+        fst = G.f_sigma_tau_expression((ell,), table)
+        for s in extra:
+            with pytest.raises(KeyError):
+                table.entries[s]
+            with pytest.raises(KeyError):
+                table.expression_to_words(sy.Expression.sym(s))
+        assert G.f_sigma_tau_expression((ell,), table) == fst
     assert fst == sy.li_u(4, F(3)).scale(F(18, 13)) + sy.li_u(4, F(9)).scale(F(-3, 52))
-    assert sym_li(4, -3) not in table.rows
 
 
 def test_tabled_tables_json_is_pinned(table_z_half, table_z_sixth):
@@ -200,7 +207,7 @@ def test_full_forms_reproduce_goncharov_coproducts(table_z_sixth):
     # Delta' of the word form equals the substituted Goncharov coproduct
     for s in [sym_li(2, -2), sym_li(2, 3), sym_li(3, 3), sym_li(3, 9),
               sym_li(4, 3), sym_li(4, 9)]:
-        lhs = wd.reduced_coproduct(table_z_sixth.full_form(s))
+        lhs = wd.reduced_coproduct(table_z_sixth.entries[s])
         rhs = table_z_sixth.tensor_to_words(
             sy.reduced_coproduct(sy.Expression.sym(s)))
         assert lhs == rhs
@@ -220,9 +227,9 @@ def test_product_rule_expansion(table_z_sixth):
     assert solved == via_product  # weight 3, sigma-coefficient zero on both
 
 
-def test_expansion_rejects_non_s_unit_points(table_z_sixth):
-    with pytest.raises(ValueError):
-        table_z_sixth.ensure(sym_li(2, 5))
+def test_expansion_rejects_non_s_unit_points():
+    with pytest.raises(ValueError, match=r"Li_2\(5\) is not an S-point symbol"):
+        G.PeriodTable({2, 3}, rows=[sym_li(2, 5)])
 
 
 def test_a_wrong_row_fails_its_goncharov_check_in_verify_hopf(monkeypatch, capsys):
@@ -231,7 +238,7 @@ def test_a_wrong_row_fails_its_goncharov_check_in_verify_hopf(monkeypatch, capsy
 
     def corrupt():
         table = real()
-        table.entries[sym_li(4, 3)].word_form = wd.ShuffleElement.word(
+        table.entries[sym_li(4, 3)] = wd.ShuffleElement.word(
             table.genset, ("tau_3", "tau_3", "tau_3", "tau_2"))  # wrong on purpose
         return table
 
@@ -251,16 +258,17 @@ def test_li_rows_are_their_delta_prime_solves(table_z_half, table_z_sixth):
             target = table.tensor_to_words(sy.reduced_coproduct(sy.Expression.sym(s)))
             form = solve_delta_prime(table.genset, s.n, target)
             if table.has_sigma(s.n):
-                form = form + wd.ShuffleElement.word(table.genset, (G.sigma_id(s.n),),
-                                                     table.entries[s].prim)
-            assert table.full_form(s) == form, s
+                sigma = (G.sigma_id(s.n),)
+                form = form + wd.ShuffleElement.word(table.genset, sigma,
+                                                     table.entries[s].coefficient(sigma))
+            assert table.entries[s] == form, s
 
 
 def test_li1_row_is_minus_log_of_one_minus_z():
     # its cocycle coordinate Phi[tau;li1] is -ord(1 - z); Delta' of Li_1 is 0
-    table = G.PeriodTable({2, 3})
-    assert table.full_form(sym_li(1, -2)).terms == {("tau_3",): F(-1)}
-    assert table.full_form(sym_li(1, 3)).terms == {("tau_2",): F(-1)}
+    table = G.PeriodTable({2, 3}, rows=[sym_li(1, -2), sym_li(1, 3)])
+    assert table.entries[sym_li(1, -2)].terms == {("tau_3",): F(-1)}
+    assert table.entries[sym_li(1, 3)].terms == {("tau_2",): F(-1)}
 
 
 def test_tables_and_commands_need_no_goncharov_coproduct(monkeypatch, capsys):
@@ -287,38 +295,34 @@ def test_period_table_json(table_z_half):
 
 def test_period_expression_round_trip(table_z_sixth, eng5):
     # re-expressing a word form through tabled symbols preserves periods
-    el = table_z_sixth.full_form(sym_li(3, 9))
+    el = table_z_sixth.entries[sym_li(3, 9)]
     expr = table_z_sixth.period_expression_of(el)
     direct = eng5.period(sy.Expression.sym(sym_li(3, 9)))
     assert (eng5.period(expr) - direct).val_lower_bound() >= 20
 
 
-@pytest.mark.parametrize("build, count, extra", [
-    ("build_table_z_half", 10, [sym_li(4, -1), sym_li(2, -1)]),
-    ("build_table_z_sixth", 34, [sym_li(4, -3), sym_li(2, -3)]),
+@pytest.mark.parametrize("build, count", [
+    ("build_table_z_half", 10),
+    ("build_table_z_sixth", 34),
 ])
-def test_period_expressions_read_back_and_ignore_later_entries(build, count, extra):
+def test_period_expressions_read_back(build, count):
     # every entry and every product of two within the weight bound reads back
-    # to its words exactly, and entries ensured afterwards change no answer
+    # to its words exactly
     table = getattr(G, build)()
     atoms = sorted(table.entries)
-    els = [table.full_form(s) for s in atoms]
-    els += [table.full_form(s) * table.full_form(t) for i, s in enumerate(atoms)
+    els = [table.entries[s] for s in atoms]
+    els += [table.entries[s] * table.entries[t] for i, s in enumerate(atoms)
             for t in atoms[i:] if s.weight + t.weight <= table.max_weight]
     assert len(els) == count
-    exprs = [table.period_expression_of(el) for el in els]
-    for el, expr in zip(els, exprs):
-        assert table.expression_to_words(expr) == el, el
-    for s in extra:
-        table.ensure(s)
-    assert [table.period_expression_of(el) for el in els] == exprs
+    for el in els:
+        assert table.expression_to_words(table.period_expression_of(el)) == el, el
 
 
 def test_period_expression_of_a_constant_term(table_z_sixth):
     # the constant term is the empty Lyndon monomial, read as the constant
     one = wd.ShuffleElement.one(table_z_sixth.genset)
     assert table_z_sixth.period_expression_of(one.scale(F(5, 2))).terms == {(): F(5, 2)}
-    el = table_z_sixth.full_form(sym_li(3, 9))
+    el = table_z_sixth.entries[sym_li(3, 9)]
     with_constant = table_z_sixth.period_expression_of(el + one.scale(F(-3)))
     assert with_constant.terms == {**table_z_sixth.period_expression_of(el).terms, (): F(-3)}
 

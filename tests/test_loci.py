@@ -311,6 +311,12 @@ def test_counterexample_zeta_guard_catches_only_precision_errors(policy, monkeyp
         L.counterexample_cocycle(3, 4, 5, policy)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_locus_for_needs_weight_two(n, policy):
+    with pytest.raises(ValueError, match="no Chabauty-Kim functions below weight 2"):
+        L.locus_for(5, (3,), n, policy)
+
+
 def test_counterexample_requires_good_prime(policy):
     with pytest.raises(ValueError):
         L.counterexample_cocycle(3, 4, 3, policy)

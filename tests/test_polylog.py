@@ -150,6 +150,22 @@ def test_twisted_series_tail_guard_fires(policy, monkeypatch):
         eng.twisted_series()
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_twisted_series_vanishing_guard_fires(p, policy):
+    # t_2 off by one in its w^1 coefficient moves its value at w = -1 (z = 0)
+    # by a unit and leaves the tail alone: the z = 0 guard must catch it
+    eng = get_engine(p, policy)
+    series = eng.twisted_series()
+    eng._check_twisted(series)
+    t2 = series[1]
+    coeffs = list(t2.coeffs)
+    coeffs[1] += p ** -t2.scale
+    bad = list(series)
+    bad[1] = IntSeries(p, coeffs, t2.scale, t2.claims)
+    with pytest.raises(PrecisionError, match="fails vanishing at z=0"):
+        eng._check_twisted(bad)
+
+
 def _untwisted_horner(eng, a, k):
     # (p^k / (p^k - 1)) t_k(theta_a) by the unreduced Horner, at workprec
     p = eng.p
