@@ -33,8 +33,9 @@ entry, a non-prime --p, --n below the first Chabauty-Kim weight, a locus
 over more than one prime, --S or --n given to a verify suite that does
 not read them (only counterexample and all do), --p, --prec or --guard
 given to ideal (it computes exactly over Z[1/S]), a verify suite below the
---prec it needs, an --out path that cannot be written, or an ideal
-computation that outgrows the elimination guard.
+--prec it needs, a --p or --prec too large for the numerics to build
+(--p 1000003, or --prec 100000), an --out path that cannot be written, or
+an ideal computation that outgrows the elimination guard.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from types import SimpleNamespace
 from . import archimedean, elimination, galois, loci, symbols
 from . import words as wd
 from .padic import PrecisionPolicy, is_prime, log_floor
-from .polylog import get_engine, padic_L3_check, unsupported_prime
+from .polylog import get_engine, padic_L3_check, unsupported_prime, unsupported_size
 
 
 class UsageError(ValueError):
@@ -351,7 +352,7 @@ def _unsupported(args):
         if ignored and args.suite not in ("counterexample", "all"):
             return ("verify %s takes no %s: only counterexample and all read --S and --n"
                     % (args.suite, ignored))
-    if reason := unsupported_prime(args.p):
+    if reason := unsupported_prime(args.p) or unsupported_size(args.p, _policy(args)):
         return reason
     if args.p in args.S:
         return "working prime must avoid S"

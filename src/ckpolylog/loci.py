@@ -20,13 +20,13 @@ small-integer Horner steps.  Only a Hensel root is evaluated with full
 claims, by Newton refinement, and the recentering S(r + p s)
 (IntSeries.recentered) claims each coefficient as the PadicNumber sum would.
 
-locus_for isolates the roots of its second function only in the residue
-classes of the running locus: on a disk a, only the residues r = t mod p
-of the locus points a + p t.  Two points agree when val(z - z') >= M - g,
-which from 2 up needs the same disk and the same t mod p, and the
-restricted search returns the full one's roots in those classes in the
-same order, so the intersection is unchanged.  Every disk still gets its
-local series, Strassmann bound and flatness check.
+Every function gets the same complete search, but a zero z = a + p t
+keeps its residue r = t mod p, which the digit search knows before any
+Newton step, and a Hensel root is refined only when its z or rational
+guess is first read.  Two points agree when val(z - z') >= M - g, which
+from 2 up needs the same disk and the same residue, so intersect_loci
+reads only such pairs: of the weight-4 roots, only those in the classes
+of the weight-2 locus are refined.
 
 A locus holds at one PrecisionPolicy (M, g): the function builders take
 it, find_zeros reads it off the ColemanFunction, s3_symmetrize off the
@@ -35,6 +35,7 @@ Locus, and intersect_loci rejects two loci at different policies.
 
 from __future__ import annotations
 
+from functools import cached_property, partial
 from fractions import Fraction
 
 from . import cocycles, galois
@@ -103,13 +104,24 @@ def weight4_function(p, S, policy):
 
 
 class Zero:
-    """A zero z = disk + p t of a Coleman function, with its certificate."""
+    """A zero z = disk + p t of a Coleman function, with its certificate.
 
-    def __init__(self, disk, z, certified, multiplicity_bound, rational_guess=None):
-        self.disk, self.z = disk, z
+    residue is t mod p.  locate() returns z and its rational guess (or
+    None); it runs once, when either is first read.
+    """
+
+    def __init__(self, disk, residue, certified, multiplicity_bound, locate):
+        self.disk, self.residue = disk, residue
         self.certified = certified
         self.multiplicity_bound = multiplicity_bound
-        self.rational_guess = rational_guess
+        self._locate = locate
+
+    @cached_property
+    def _point(self):
+        return self._locate()
+
+    z = property(lambda self: self._point[0])
+    rational_guess = property(lambda self: self._point[1])
 
     def to_json(self, digit_count):
         return {
@@ -170,27 +182,25 @@ def _newton_refine(series, deriv, t0, workprec):
     return t
 
 
-def _roots_in_unit_disk(series, policy, depth, residues=None):
-    """Exhaustive digit search for roots t in Z_p; returns (t, certified) pairs.
+def _roots_in_unit_disk(series, policy, depth):
+    """Exhaustive digit search for roots t in Z_p; returns (r, root,
+    certified) triples, r = t mod p and root() computing t.
 
     Each level strips the p-power content so that the residue test
     branches on the nonzero reduction mod p (at most deg-many residues).
     A residue r with S(r) = 0 mod p is closed by Hensel's lemma only when
     S'(r) is a unit: then the class t = r mod p holds exactly one root, and
-    Newton refines it.  Every other such residue is recentered and searched
-    again, so no root of the known part is dropped.  Given residues
-    (ascending), only roots with t mod p among them are sought: the result
-    is the full search's roots in those classes, in the same order.
+    root() refines it by Newton.  Every other such residue is recentered
+    and searched again, so no root of the known part is dropped.
     """
     p, workprec = series.p, policy.workprec()
-    candidates = range(p) if residues is None else residues
     stripped = series.without_content()
     if stripped is None:
-        return [(PadicNumber.from_rational(p, r, workprec), False) for r in candidates]
+        return [(r, partial(PadicNumber.from_rational, p, r, workprec), False) for r in range(p)]
     window = min(stripped.claims)
     if window <= policy.g + 2:
         # not enough honest digits left to separate roots
-        return [(PadicNumber.from_rational(p, 0, workprec), False)] if 0 in candidates else []
+        return [(0, partial(PadicNumber.from_rational, p, 0, workprec), False)]
     deriv = stripped.derivative()
     # every claim is at least window >= 3, so S(r) and S'(r) mod p are read
     # off the coefficients mod p, by small-integer Horner steps
@@ -204,48 +214,38 @@ def _roots_in_unit_disk(series, policy, depth, residues=None):
         return acc
 
     found = []
-    for r in candidates:
+    for r in range(p):
         if mod_p(series_top_first, r):
             continue
         rv = PadicNumber.from_rational(p, r, workprec)
         if mod_p(deriv_top_first, r):
-            found.append((_newton_refine(stripped, deriv, rv, workprec), True))
+            found.append((r, partial(_newton_refine, stripped, deriv, rv, workprec), True))
         elif depth <= 0:
-            found.append((rv, False))
+            found.append((r, lambda rv=rv: rv, False))
         else:
             shifted = stripped.recentered(r, workprec)
-            found.extend((rv + p * s, ok)
-                         for s, ok in _roots_in_unit_disk(shifted, policy, depth - 1))
+            found.extend((r, lambda rv=rv, s=s: rv + p * s(), ok)
+                         for _, s, ok in _roots_in_unit_disk(shifted, policy, depth - 1))
     return found
 
 
-def _residue_classes(locus):
-    """disk -> ascending residues t mod p of the locus's points on it, or None.
-
-    A zero z = a + p t can agree with a locus point only if val(z - z') >=
-    M - g; from 2 up that needs the same disk and the same t mod p.  (A
-    point known to fewer than two digits agrees with nothing.)  Below 2
-    every class can agree: None.
-    """
-    if locus.policy.equality_threshold < 2:
-        return None
-    p = locus.p
-    classes = {}
-    for zero in locus.zeros:
-        classes.setdefault(zero.disk, set()).add(zero.z.lift() // p % p)
-    return {a: sorted(rs) for a, rs in classes.items()}
+def _locate(p, a, root, workprec):
+    """z = a + p t for a root t on disk a, and its rational guess or None."""
+    z = a + p * root()
+    try:
+        return z, rational_reconstruct(z.truncate_abs(workprec), 1000, 1000)
+    except ValueError:
+        return z, None
 
 
-def find_zeros(F, within=None):
+def find_zeros(F):
     """All zeros of F on X(Z_p), disk by disk, with certificates at F.policy.
 
     A certified zero is a Hensel root at a unit derivative, the only root
-    of its residue class.  Given a locus within, roots are isolated only in the residue classes
-    of its points, which leaves intersect_loci(within, result) unchanged.
+    of its residue class; it is refined only when first read.
     """
     p, policy = F.p, F.policy
     threshold = policy.workprec() - policy.g
-    classes = None if within is None else _residue_classes(within)
     zeros = []
     bounds = {}
     for a in range(2, p):
@@ -256,19 +256,11 @@ def find_zeros(F, within=None):
                 "function %s is zero to working precision on disk %d"
                 % (F.label or "<anon>", a))
         bounds[a] = bound
-        residues = None if classes is None else classes.get(a, [])
-        if bound == 0 or residues == []:
+        if bound == 0:
             continue
-        roots = _roots_in_unit_disk(series, policy, depth=policy.M, residues=residues)
-        for t, certified in roots:
-            z = a + p * t
-            guess = None
-            try:
-                guess = rational_reconstruct(z.truncate_abs(policy.workprec()), 1000, 1000)
-            except ValueError:
-                pass
-            zeros.append(Zero(a, z, certified,
-                              1 if certified else bound, guess))
+        for r, root, certified in _roots_in_unit_disk(series, policy, depth=policy.M):
+            zeros.append(Zero(a, r, certified, 1 if certified else bound,
+                              partial(_locate, p, a, root, policy.workprec())))
     return Locus(p, policy, zeros, [F.label] if F.label else [], bounds)
 
 
@@ -282,19 +274,22 @@ def intersect_loci(l1, l2):
 
     A merged zero is certified when both roots are: each function has a
     Hensel root there and the two roots agree on every digit both claim.
-    That does not prove the two roots equal.
+    That does not prove the two roots equal.  From M - g >= 2 on, only
+    zeros on the same disk and residue are compared, so no other is refined.
     """
     if (l1.p, l1.policy) != (l2.p, l2.policy):
         raise ValueError("loci at different primes or policies")
     policy = l1.policy
+    any_class = policy.equality_threshold < 2
     zeros = []
     for z1 in l1.zeros:
         for z2 in l2.zeros:
-            if _same_point(z1.z, z2.z, policy):
-                zeros.append(Zero(z1.disk, z1.z,
-                                  z1.certified and z2.certified,
+            if (any_class or (z1.disk, z1.residue) == (z2.disk, z2.residue)) and \
+                    _same_point(z1.z, z2.z, policy):
+                point = z1.z, z1.rational_guess or z2.rational_guess
+                zeros.append(Zero(z1.disk, z1.residue, z1.certified and z2.certified,
                                   min(z1.multiplicity_bound, z2.multiplicity_bound),
-                                  z1.rational_guess or z2.rational_guess))
+                                  lambda point=point: point))
                 break
     merged = {}
     for z in zeros:
@@ -322,7 +317,7 @@ def locus_for(p, S, n, policy, symmetrize=False):
         raise ValueError("no Chabauty-Kim functions below weight 2")
     locus = find_zeros(fns[0])
     for f in fns[1:]:
-        locus = intersect_loci(locus, find_zeros(f, within=locus))
+        locus = intersect_loci(locus, find_zeros(f))
     if symmetrize:
         locus = s3_symmetrize(locus)
     return locus

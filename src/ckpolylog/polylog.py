@@ -423,6 +423,35 @@ def unsupported_prime(p):
     return None
 
 
+# the largest twisted series an engine builds, as D (p + G) G for degree D
+# at G digits: the lambda'/lambda recurrence takes D p steps on G-digit
+# integers, and the series arithmetic about D more G-digit products.  Near
+# the bound locus takes 13-30 s on 2 CPUs (p = 601; p = 13 at --prec 400)
+MAX_SERIES_COST = 5 * 10 ** 8
+
+
+def _series_digits(policy):
+    """The absolute precision every twisted series keeps (module docstring)."""
+    return policy.workprec() + 4
+
+
+def _series_degree(p, G):
+    """The truncation degree of the twisted series kept to G digits."""
+    # the least logterm with p^logterm >= (p - 1)(G + 14)
+    logterm = log_floor((p - 1) * (G + 14) - 1, p) + 1
+    return (p - 1) * (G + 4 * logterm + 12) + 24
+
+
+def unsupported_size(p, policy):
+    """Why an engine at (p, policy) is too large to build, or None."""
+    G = _series_digits(policy)
+    D = _series_degree(p, G)
+    if D * (p + G) * G > MAX_SERIES_COST:
+        return ("--p %d at --prec %d is too large for the numerics: its twisted "
+                "series would have degree %d at %d digits" % (p, policy.M, D, G))
+    return None
+
+
 class PolylogEngine:
     """All p-adic polylogarithm numerics for one prime and one policy."""
 
@@ -436,7 +465,7 @@ class PolylogEngine:
         # absolute precision every global twisted series keeps (see the
         # module docstring); the truncation degree _twist_degree() is sized
         # from it
-        self._gsprec = self.workprec + 4
+        self._gsprec = _series_digits(policy)
         self._twisted = None
         self._teich_values = {}
         self._disk_tables = {}
@@ -465,10 +494,7 @@ class PolylogEngine:
     # -- Frobenius-twisted global series ----------------------------------
 
     def _twist_degree(self):
-        p, W = self.p, self._gsprec
-        # the least logterm with p^logterm >= (p - 1)(W + 14)
-        logterm = log_floor((p - 1) * (W + 14) - 1, p) + 1
-        return (p - 1) * (W + 4 * logterm + 12) + 24
+        return _series_degree(self.p, self._gsprec)
 
     def twisted_series(self):
         """t_1..t_max_weight as IntSeries in w, truncated at _twist_degree()."""

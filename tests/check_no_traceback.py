@@ -23,7 +23,9 @@ past what the goldens pin:
     {(1, 0), (4, 3), (7, 3)}; and ``verify hopf --p 5 --prec 1 --guard 0``;
   * ideals whose elimination outgrows its guard, each rejected in one line
     and never hung: ``ideal --S 3 --n 20``, ``ideal --S 2 --n 30`` and
-    ``ideal --S 2,3 --n 8``.
+    ``ideal --S 2,3 --n 8``;
+  * loci whose numerics are too large to build, rejected the same way:
+    ``locus --S 3 --p 1000003`` and ``locus --S 3 --p 5 --prec 100000``.
 
 Each run's exit status and the sha256 of its stdout must also match its
 line of GRID, ``tests/golden/no_traceback_grid.txt``, so a change of any
@@ -70,6 +72,8 @@ def commands():
     yield "ideal --S 3 --n 20"
     yield "ideal --S 2 --n 30"
     yield "ideal --S 2,3 --n 8"
+    yield "locus --S 3 --p 1000003"
+    yield "locus --S 3 --p 5 --prec 100000"
 
 
 def fault(run):

@@ -305,6 +305,12 @@ UNSUPPORTED_INPUT = [
     # an empty --out names no file; it once printed the certificate to stdout
     (("ideal", "--S", "3", "--n", "2", "--out="), "--out needs a file name"),
     (("ideal", "--S", "3", "--n", "2", "--out", ""), "--out needs a file name"),
+    # a twisted series too large to build is refused before any engine is
+    # built; building it would run for hours
+    (("locus", "--S", "3", "--p", "1000003"),
+     "--p 1000003 at --prec 12 is too large for the numerics"),
+    (("locus", "--S", "3", "--p", "5", "--prec", "100000"),
+     "--p 5 at --prec 100000 is too large for the numerics"),
 ]
 
 

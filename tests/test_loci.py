@@ -14,6 +14,12 @@ def rational_points(locus):
     return sorted(str(z.rational_guess) for z in locus.zeros)
 
 
+def known_zero(z, certified=True, bound=1, guess=None):
+    """A Zero at the given point z = disk + p t."""
+    p, n = z.p, z.lift()
+    return L.Zero(n % p, n // p % p, certified, bound, lambda: (z, guess))
+
+
 @pytest.fixture(scope="module")
 def wt2_locus_5(policy):
     return L.find_zeros(L.weight2_function(5, (3,), policy))
@@ -153,8 +159,8 @@ def test_intersection_set_logic(wt2_locus_5, policy):
     junk = PadicNumber.from_rational(5, 123456, policy.workprec())
     minus_one = PadicNumber.from_rational(5, -1, policy.workprec())
     other = L.Locus(5, policy, [
-        L.Zero(4, minus_one, True, 1, F(-1)),
-        L.Zero(2, junk, False, 2, None),
+        known_zero(minus_one, guess=F(-1)),
+        known_zero(junk, certified=False, bound=2),
     ], ["other"])
     both = L.intersect_loci(wt2_locus_5, other)
     assert rational_points(both) == ["-1"]
@@ -162,6 +168,19 @@ def test_intersection_set_logic(wt2_locus_5, policy):
     # L cap L = L
     self_cap = L.intersect_loci(wt2_locus_5, wt2_locus_5)
     assert rational_points(self_cap) == rational_points(wt2_locus_5)
+
+
+def test_intersection_below_two_digits_compares_every_class():
+    # at M - g = 1 a point known to one digit agrees with every point of its
+    # disk, whatever their residues; from 2 on it agrees with none
+    p = 5
+    coarse = known_zero(PadicNumber.from_rational(p, 2, 1))
+    sharp = known_zero(PadicNumber.from_rational(p, 17, 20))
+    assert (coarse.disk, sharp.disk) == (2, 2) and coarse.residue != sharp.residue
+    for policy, merged in ((PrecisionPolicy(4, 3), 1), (PrecisionPolicy(5, 3), 0)):
+        both = L.intersect_loci(L.Locus(p, policy, [coarse], ["f"]),
+                                L.Locus(p, policy, [sharp], ["g"]))
+        assert len(both.zeros) == merged, policy
 
 
 def test_intersection_rejects_loci_at_different_policies(wt2_locus_5, policy):
@@ -419,34 +438,42 @@ def test_series_kernels_on_mixed_claims_against_padic_oracle():
 
 @pytest.mark.parametrize("p, S", [(5, (3,)), (7, (3,)), (13, (3,)), (5, (2,)), (19, (2,))])
 def test_locus_for_equals_intersection_of_full_searches(p, S, policy):
-    """locus_for isolates the weight-4 roots only in the residue classes of
-    the weight-2 locus; the certificate equals the one from two full searches."""
     f2 = L.weight2_function(p, S, policy)
     f4 = L.weight4_function(p, S=S, policy=policy)
-    l2 = L.find_zeros(f2)
-    full = L.intersect_loci(l2, L.find_zeros(f4))
+    full = L.intersect_loci(L.find_zeros(f2), L.find_zeros(f4))
     for symmetrize in (False, True):
         want = L.s3_symmetrize(full) if symmetrize else full
         got = L.locus_for(p, S, 4, policy, symmetrize=symmetrize)
         assert got.to_json() == want.to_json(), symmetrize
-    within = L.find_zeros(f4, within=l2)
-    assert within.newton_bounds == L.find_zeros(f4).newton_bounds
-    if p == 13:
-        # the restriction is what saves the work: fewer weight-4 zeros isolated
-        assert len(within.zeros) < len(L.find_zeros(f4).zeros)
 
 
-def test_locus_for_restricts_the_second_search_only(policy, monkeypatch):
-    seen = []
-    real = L.find_zeros
+@pytest.mark.parametrize("S, p, refined", [((3,), 13, 2), ((3,), 31, 2),
+                                           ((2,), 13, 6), ((2,), 31, 14)])
+def test_locus_for_refines_only_the_roots_it_reads(S, p, refined, policy, monkeypatch):
+    """Of the Hensel roots of both complete searches, Newton refines only
+    those intersect_loci compares: the weight-2 roots it reads and the
+    weight-4 roots on their disks and residues."""
+    calls = []
+    real = L._newton_refine
 
-    def spy(f, within=None):
-        seen.append(within)
-        return real(f, within=within)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(L, "find_zeros", spy)
-    L.locus_for(5, (3,), 4, policy)
-    assert seen[0] is None and isinstance(seen[1], L.Locus)
+    monkeypatch.setattr(L, "_newton_refine", spy)
+    locus = L.locus_for(p, S, 4, policy)
+    assert len(calls) == refined
+    locus.to_json()
+    assert len(calls) == refined
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+@pytest.mark.parametrize("S", [(2,), (3,)])
+def test_zero_residue_is_its_second_digit(S, p, policy):
+    """Each zero z = disk + p t keeps residue = t mod p before any Newton step."""
+    for f in (L.weight2_function(p, S, policy), L.weight4_function(p, S=S, policy=policy)):
+        for zero in L.find_zeros(f).zeros:
+            assert zero.residue == zero.z.lift() // p % p, (f.label, zero.disk)
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -459,28 +486,16 @@ def test_locus_for_at_equality_threshold_one(p):
     assert L.locus_for(p, (3,), 4, policy).to_json() == full.to_json()
 
 
-def test_restricted_root_search_is_the_full_search_in_those_classes(policy):
-    p = 13
-    f4 = L.weight4_function(p, S=(3,), policy=policy)
-    for a in range(2, p):
-        series = f4.local_series(a)
-        full = L._roots_in_unit_disk(series, policy, depth=policy.M)
-        for residues in ([], [0], [1, 5, 12], list(range(p))):
-            got = L._roots_in_unit_disk(series, policy, depth=policy.M,
-                                        residues=residues)
-            want = [(t, ok) for t, ok in full if t.lift() % p in residues]
-            assert [(t.digits(), t.val, ok) for t, ok in got] == \
-                [(t.digits(), t.val, ok) for t, ok in want], (a, residues)
-    # a series flat to its precision, and one with too few honest digits
+def test_root_search_on_a_flat_or_coarse_series(policy):
+    """A series flat to its precision leaves every class a candidate, one
+    with too few honest digits the one candidate t = 0; none certified."""
+    p, workprec = 13, policy.workprec()
     flat = IntSeries.from_padics(p, [PadicNumber.zero_to(p, 9)] * 4)
     coarse = IntSeries.from_padics(p, [PadicNumber.from_rational(p, c, 3) for c in (1, 2, 1)])
-    for series in (flat, coarse):
-        full = L._roots_in_unit_disk(series, policy, depth=policy.M)
-        for residues in ([], [0], [1, 5, 12]):
-            got = L._roots_in_unit_disk(series, policy, depth=policy.M,
-                                        residues=residues)
-            assert [(t.digits(), ok) for t, ok in got] == \
-                [(t.digits(), ok) for t, ok in full if t.lift() % p in residues]
+    for series, want in ((flat, range(p)), (coarse, [0])):
+        roots = L._roots_in_unit_disk(series, policy, depth=policy.M)
+        assert [(r, root().digits(), ok) for r, root, ok in roots] == \
+            [(r, PadicNumber.from_rational(p, r, workprec).digits(), False) for r in want]
 
 
 def test_hensel_root_closes_its_class_only_at_a_unit_derivative():
@@ -555,7 +570,7 @@ def test_inversion_defect_sees_a_missing_inverse(policy):
     two = [z for z in locus.zeros if z.rational_guess == F(2)]
     assert inversion_defect(L.Locus(5, policy, two, ["f"], bounds)) == \
         "disk 2 holds 1 zeros, disk 3 holds 0"
-    three = L.Zero(3, PadicNumber.from_rational(5, 3, policy.workprec()), True, 1)
+    three = known_zero(PadicNumber.from_rational(5, 3, policy.workprec()))
     assert inversion_defect(L.Locus(5, policy, two + [three], ["f"], bounds)) == \
         "the inverse of the zero %s on disk 2" % two[0].z.digits(policy.M)
     assert inversion_defect(L.Locus(5, policy, locus.zeros, ["f"], {**bounds, 2: 9})) == \
@@ -616,8 +631,7 @@ def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
     def locus(*points):
         zeros = []
         for q in points:
-            z = PadicNumber.from_rational(p, q, 16)
-            zeros.append(L.Zero(z.lift() % p, z, True, 1))
+            zeros.append(known_zero(PadicNumber.from_rational(p, q, 16)))
         return L.Locus(p, policy, zeros, ["f"])
 
     kept = L.s3_symmetrize(locus(F(2), F(1, 2), F(-1)))
