@@ -33,9 +33,10 @@ entry, a non-prime --p, --n below the first Chabauty-Kim weight, a locus
 over more than one prime, --S or --n given to a verify suite that does
 not read them (only counterexample and all do), --p, --prec or --guard
 given to ideal (it computes exactly over Z[1/S]), a verify suite below the
---prec it needs, a --p or --prec too large for the numerics to build
-(--p 1000003, or --prec 100000), an --out path that cannot be written, or
-an ideal computation that outgrows the elimination guard.
+--prec it needs, a --p, --prec or verify counterexample --n too large for
+the numerics to build (--p 1000003, --prec 100000, or --n 10000), an --out
+path that cannot be written, or an ideal computation that outgrows the
+elimination guard.
 """
 
 from __future__ import annotations
@@ -93,26 +94,26 @@ def _emit(payload, out_path):
 def cmd_ideal(args):
     S = args.S
     try:
-        gens = elimination.ck_ideal_generators(args.n, set(S))
+        prob, gens = elimination.ck_ideal_generators(args.n, set(S))
     except elimination.EliminationGuard as exc:
         print("ideal --S %s --n %d is unsupported: %s"
               % (",".join(map(str, S)), args.n, exc), file=sys.stderr)
         return 2
-    failures = [g for g in gens if not elimination.verify_vanishing(g)]
+    failures = [g for g in gens if not elimination.verify_vanishing(prob, g)]
     payload = {
         "command": "ideal",
         "S": list(S),
         "n": args.n,
         "certified": args.n <= 4 and len(S) == 1 and not failures,
-        "generators": [g.to_json() for g in gens],
+        "generators": [prob.to_json(g) for g in gens],
     }
     if gens and S in galois.TABLED_S and not args.abstract_only:
         assignment = galois.specialization_assignment(S)
         rows = []
         for g in gens:
-            spec = elimination.specialize_coefficients(g, assignment)
+            spec = elimination.specialize_coefficients(prob, g, assignment)
             rows.append({
-                "weight": g.weight,
+                "weight": prob.weight(g),
                 "coefficients": {
                     "*".join("%s^%d" % nk if nk[1] > 1 else nk[0] for nk in mono) or "1":
                         repr(expr)
@@ -352,7 +353,9 @@ def _unsupported(args):
         if ignored and args.suite not in ("counterexample", "all"):
             return ("verify %s takes no %s: only counterexample and all read --S and --n"
                     % (args.suite, ignored))
-    if reason := unsupported_prime(args.p) or unsupported_size(args.p, _policy(args)):
+    # verify counterexample builds its engine through weight max(4, --n)
+    weight = max(4, args.n) if args.suite in ("counterexample", "all") else 4
+    if reason := unsupported_prime(args.p) or unsupported_size(args.p, _policy(args), weight):
         return reason
     if args.p in args.S:
         return "working prime must avoid S"

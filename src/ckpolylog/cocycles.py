@@ -90,7 +90,9 @@ def cocycle_apply(values, genset, n):
     Implements Li_lambda(c) = sum_w phi^w_lambda(c) f_w over words of the
     matching weight by substituting c into the images of eval_universal:
     by the structure theorem those are the only words with a nonzero entry.
-    Each image term is its f-word combination scaled by its monomial's value.
+    Each image term is its f-word combination scaled by its monomial's value;
+    a term with a falsy coordinate value is skipped unmultiplied, since its
+    product would be falsy and scale would drop it.
     """
     images = eval_universal(n, genset)
     names = {name for poly in images.values() for mono in poly for name in mono}
@@ -101,6 +103,8 @@ def cocycle_apply(values, genset, n):
     for tgt, poly in images.items():
         acc = ShuffleElement(genset)
         for mono, fel in poly.items():
-            acc = acc + fel.scale(math.prod(values[name] for name in mono))
+            factors = [values[name] for name in mono]
+            if all(factors):
+                acc = acc + fel.scale(math.prod(factors))
         out[tgt] = acc
     return out

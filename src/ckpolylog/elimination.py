@@ -283,34 +283,20 @@ class SubstitutionProblem:
         wts = {sum(map(mul, self.half_weights, e)) for e in poly.terms}
         return wts.pop() if len(wts) == 1 else None
 
-
-class IdealElement:
-    """Polynomial in log, Li_1..Li_n with Galois-coordinate coefficients."""
-
-    def __init__(self, problem, poly):
-        self.problem = problem
-        self.poly = poly
-        self.weight = problem.weight(poly)
-
-    def normalized(self):
-        return IdealElement(self.problem, self.poly.content_normalize())
-
-    def __repr__(self):
-        return repr(self.poly)
-
-    def to_json(self):
+    def to_json(self, poly):
         rows = []
-        for key, coeff in sorted(self.problem.split(self.poly).items()):
+        for key, coeff in sorted(self.split(poly).items()):
             mono = []
             for name, k in key:
                 label = "log" if name == "log" else "Li%s" % name[2:]
                 mono.extend([label] * k)
             rows.append({"liMonomial": mono, "coeff": repr(coeff)})
-        return {"weight": self.weight, "terms": rows}
+        return {"weight": self.weight(poly), "terms": rows}
 
 
 def ck_ideal_generators(n, S):
-    """Minimal graded generators of the elimination kernel, normalized.
+    """(problem, minimal graded generators of the elimination kernel), each
+    generator a content-normalized Poly in problem.ring.
 
     Certified for n <= 4 and |S| = 1 by the cross-checks in the test
     suite; larger inputs run the same machinery best-effort.
@@ -327,14 +313,14 @@ def ck_ideal_generators(n, S):
         if kept and ideal_member(g, kept):
             continue
         kept.append(g)
-    out = [IdealElement(prob, g).normalized() for g in kept]
-    out.sort(key=lambda el: (el.weight or 10 ** 9, sorted(el.poly.terms.items())))
-    return out
+    out = [g.content_normalize() for g in kept]
+    out.sort(key=lambda g: (prob.weight(g) or 10 ** 9, sorted(g.terms.items())))
+    return prob, out
 
 
-def verify_vanishing(element):
+def verify_vanishing(problem, poly):
     """Substitute the evaluation image and expand; True iff identically zero."""
-    return element.problem.substitute(element.poly).is_zero()
+    return problem.substitute(poly).is_zero()
 
 
 def structured_shortcut_generators(S):
@@ -356,7 +342,7 @@ def structured_shortcut_generators(S):
     g2 = v("li2") - Fraction(1, 2) * v("log") * v("li1")
     g4 = (f_s * f_t * v("li4") - f_st * v("log") * v("li3")
           - Fraction(1, 24) * v("log") ** 3 * v("li1") * (f_s * f_t - 4 * f_st))
-    return prob, [IdealElement(prob, g2).normalized(), IdealElement(prob, g4).normalized()]
+    return prob, [g2.content_normalize(), g4.content_normalize()]
 
 
 def graded_kernel_dimension(prob, weight, max_li_degree=6):
@@ -425,9 +411,9 @@ def _nullspace(mat, ncols):
     return basis
 
 
-def specialize_coefficients(element, assignment):
+def specialize_coefficients(problem, poly, assignment):
     """The period specialization: the ring map sending each Galois coordinate
-    of an IdealElement's coefficients to its period expression.
+    of a generator's coefficients to its period expression.
 
     assignment maps Lyndon-word tuples to motivic Expressions; raises
     naming any missing coordinate.  Returns {Li-monomial: Expression}.
@@ -441,4 +427,4 @@ def specialize_coefficients(element, assignment):
         return named[name]
 
     return {key: coeff.evaluate(image, Expression.const)
-            for key, coeff in element.problem.split(element.poly).items()}
+            for key, coeff in problem.split(poly).items()}

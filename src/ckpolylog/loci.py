@@ -75,7 +75,7 @@ class ColemanFunction:
 
 
 def assemble_coleman(specialized, p, policy, label=""):
-    """Evaluate the period coefficients of a specialized ideal element.
+    """Evaluate the period coefficients of a specialized ideal generator.
 
     specialized maps Li-monomials to motivic Expressions (the output of
     specialize_coefficients); bad-disk coefficients propagate as errors.
@@ -90,8 +90,8 @@ def assemble_coleman(specialized, p, policy, label=""):
 def weight2_function(p, S, policy):
     """The half-weight 2 function 2 Li_2 - log Li_1 for Z = Spec Z[1/ell] (the shortcut's g2)."""
     from .elimination import specialize_coefficients, structured_shortcut_generators
-    _, gens = structured_shortcut_generators(set(S))
-    return assemble_coleman(specialize_coefficients(gens[0], {}), p, policy, label="wt2")
+    prob, gens = structured_shortcut_generators(set(S))
+    return assemble_coleman(specialize_coefficients(prob, gens[0], {}), p, policy, label="wt2")
 
 
 def weight4_function(p, S, policy):
@@ -99,7 +99,7 @@ def weight4_function(p, S, policy):
     from .elimination import specialize_coefficients, structured_shortcut_generators
     prob, gens = structured_shortcut_generators(set(S))
     assignment = galois.specialization_assignment(S)
-    spec = specialize_coefficients(gens[1], assignment)
+    spec = specialize_coefficients(prob, gens[1], assignment)
     return assemble_coleman(spec, p, policy, label="wt4[S=%s]" % ",".join(map(str, S)))
 
 

@@ -423,10 +423,14 @@ def unsupported_prime(p):
     return None
 
 
-# the largest twisted series an engine builds, as D (p + G) G for degree D
-# at G digits: the lambda'/lambda recurrence takes D p steps on G-digit
-# integers, and the series arithmetic about D more G-digit products.  Near
-# the bound locus takes 13-30 s on 2 CPUs (p = 601; p = 13 at --prec 400)
+# the largest twisted series an engine builds through weight K, as D times
+# the larger of (p + G) G and (K - 4) d, for degree D at G digits: the
+# lambda'/lambda recurrence takes D p steps on G-digit integers, the series
+# arithmetic of weights 1..4 about D more G-digit products, and each weight
+# past the fourth D more steps on the d digits the kernel keeps.  The
+# larger part is the sum up to a factor 2.  Near the bound locus takes
+# 13-30 s on 2 CPUs (p = 601; p = 13 at --prec 400), and verify
+# counterexample about 50 s (p = 5 at --n 800)
 MAX_SERIES_COST = 5 * 10 ** 8
 
 
@@ -442,14 +446,22 @@ def _series_degree(p, G):
     return (p - 1) * (G + 4 * logterm + 12) + 24
 
 
-def unsupported_size(p, policy):
-    """Why an engine at (p, policy) is too large to build, or None."""
+def unsupported_size(p, policy, max_weight):
+    """Why an engine at (p, policy, max_weight) is too large to build, or None."""
     G = _series_digits(policy)
     D = _series_degree(p, G)
-    if D * (p + G) * G > MAX_SERIES_COST:
-        return ("--p %d at --prec %d is too large for the numerics: its twisted "
-                "series would have degree %d at %d digits" % (p, policy.M, D, G))
+    d = _kernel_digits(p, D, G, max_weight)
+    if D * max((p + G) * G, (max_weight - 4) * d) > MAX_SERIES_COST:
+        return ("--p %d at --prec %d is too large for the numerics: its twisted series "
+                "would have degree %d at %d digits through weight %d"
+                % (p, policy.M, D, G, max_weight))
     return None
+
+
+def _kernel_digits(p, D, G, K):
+    """The digits _twisted_kernel keeps so that t_K holds G: each 1/n costs
+    at most log_p(D - 1) of them."""
+    return G + 1 + K * log_floor(D - 1, p)
 
 
 class PolylogEngine:
@@ -500,8 +512,7 @@ class PolylogEngine:
         """t_1..t_max_weight as IntSeries in w, truncated at _twist_degree()."""
         if self._twisted is None:
             D, K = self._twist_degree(), self.max_weight
-            # every 1/n costs at most L digits; after K of them t_K keeps _gsprec
-            digits = self._gsprec + 1 + K * log_floor(D - 1, self.p)
+            digits = _kernel_digits(self.p, D, self._gsprec, K)
             series = _twisted_kernel(self.p, D, K, digits)
             self._check_twisted(series)
             self._twisted = series

@@ -24,8 +24,10 @@ past what the goldens pin:
   * ideals whose elimination outgrows its guard, each rejected in one line
     and never hung: ``ideal --S 3 --n 20``, ``ideal --S 2 --n 30`` and
     ``ideal --S 2,3 --n 8``;
-  * loci whose numerics are too large to build, rejected the same way:
-    ``locus --S 3 --p 1000003`` and ``locus --S 3 --p 5 --prec 100000``.
+  * numerics too large to build, rejected the same way:
+    ``locus --S 3 --p 1000003``, ``locus --S 3 --p 5 --prec 100000`` and
+    ``verify counterexample --S 3 --p 5 --n 10000``, whose engine runs
+    through weight 10000.
 
 Each run's exit status and the sha256 of its stdout must also match its
 line of GRID, ``tests/golden/no_traceback_grid.txt``, so a change of any
@@ -74,6 +76,7 @@ def commands():
     yield "ideal --S 2,3 --n 8"
     yield "locus --S 3 --p 1000003"
     yield "locus --S 3 --p 5 --prec 100000"
+    yield "verify counterexample --S 3 --p 5 --n 10000"
 
 
 def fault(run):

@@ -585,14 +585,14 @@ def coleman_evaluate(F, z):
     return acc
 
 
-def canonical_form(g):
-    """Ring-independent representation of an IdealElement, for comparisons
-    across substitution problems."""
+def canonical_form(problem, poly):
+    """Ring-independent representation of a generator in problem.ring, for
+    comparisons across substitution problems."""
     out = {}
-    for key, coeff in g.problem.split(g.poly).items():
+    for key, coeff in problem.split(poly).items():
         fterms = []
         for e, c in coeff.terms.items():
-            mono = tuple((v, k) for v, k in zip(g.problem.ring, e) if k)
+            mono = tuple((v, k) for v, k in zip(problem.ring, e) if k)
             fterms.append((mono, c))
         out[key] = tuple(sorted(fterms))
     return out

@@ -52,11 +52,11 @@ def test_criterion_2_ideal_generators():
     t0 = time.time()
     ok = True
     for ell in (2, 3):
-        gens = E.ck_ideal_generators(4, {ell})
-        _, short = E.structured_shortcut_generators({ell})
-        ok = ok and [canonical_form(g) for g in gens] == \
-            [canonical_form(s) for s in short]
-        ok = ok and all(E.verify_vanishing(g) for g in gens)
+        prob, gens = E.ck_ideal_generators(4, {ell})
+        short_prob, short = E.structured_shortcut_generators({ell})
+        ok = ok and [canonical_form(prob, g) for g in gens] == \
+            [canonical_form(short_prob, s) for s in short]
+        ok = ok and all(E.verify_vanishing(prob, g) for g in gens)
         ok = ok and len(gens) == 2
     report(2, ok, "weight-2 and weight-4 generators, exact vanishing, ell in {2,3}",
            time.time() - t0, 10)

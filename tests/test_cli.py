@@ -311,6 +311,13 @@ UNSUPPORTED_INPUT = [
      "--p 1000003 at --prec 12 is too large for the numerics"),
     (("locus", "--S", "3", "--p", "5", "--prec", "100000"),
      "--p 5 at --prec 100000 is too large for the numerics"),
+    # the counterexample's engine runs through weight --n; this one would
+    # take hours
+    (("verify", "counterexample", "--S", "3", "--p", "5", "--n", "10000"),
+     "--p 5 at --prec 12 is too large for the numerics: its twisted series would have "
+     "degree 244 at 27 digits through weight 10000"),
+    (("verify", "all", "--p", "5", "--n", "10000"),
+     "--p 5 at --prec 12 is too large for the numerics"),
 ]
 
 

@@ -13,41 +13,56 @@ from oracles import canonical_form, lyndon_words
 
 
 def test_weight1_no_relations():
-    assert E.ck_ideal_generators(1, {3}) == []
+    assert E.ck_ideal_generators(1, {3})[1] == []
 
 
 def test_weight2_generator():
-    gens = E.ck_ideal_generators(2, {3})
+    prob, gens = E.ck_ideal_generators(2, {3})
     assert len(gens) == 1
-    prob, short = E.structured_shortcut_generators({3})
-    assert canonical_form(gens[0]) == canonical_form(short[0])
-    assert gens[0].weight == 2
+    short_prob, short = E.structured_shortcut_generators({3})
+    assert canonical_form(prob, gens[0]) == canonical_form(short_prob, short[0])
+    assert prob.weight(gens[0]) == 2
 
 
 def test_weight3_nothing_new():
-    gens = E.ck_ideal_generators(3, {3})
+    prob, gens = E.ck_ideal_generators(3, {3})
     assert len(gens) == 1
-    assert gens[0].weight == 2
+    assert prob.weight(gens[0]) == 2
 
 
 def test_weight4_exactly_the_two_generators():
-    gens = E.ck_ideal_generators(4, {3})
-    prob, short = E.structured_shortcut_generators({3})
-    assert [canonical_form(g) for g in gens] == [canonical_form(s) for s in short]
-    assert [g.weight for g in gens] == [2, 8]
+    prob, gens = E.ck_ideal_generators(4, {3})
+    short_prob, short = E.structured_shortcut_generators({3})
+    assert [canonical_form(prob, g) for g in gens] == \
+        [canonical_form(short_prob, s) for s in short]
+    assert [prob.weight(g) for g in gens] == [2, 8]
 
 
 def test_weight4_other_base_prime():
-    gens = E.ck_ideal_generators(4, {2})
-    prob, short = E.structured_shortcut_generators({2})
-    assert [canonical_form(g) for g in gens] == [canonical_form(s) for s in short]
+    prob, gens = E.ck_ideal_generators(4, {2})
+    short_prob, short = E.structured_shortcut_generators({2})
+    assert [canonical_form(prob, g) for g in gens] == \
+        [canonical_form(short_prob, s) for s in short]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_both_routes_return_one_generator_shape(ell):
+    # (SubstitutionProblem, [Poly]) from Buchberger and from the shortcut,
+    # each Poly content-normalized in its problem's ring, with equal JSON
+    routes = [E.ck_ideal_generators(4, {ell}), E.structured_shortcut_generators({ell})]
+    for prob, gens in routes:
+        assert isinstance(prob, E.SubstitutionProblem)
+        assert gens and all(type(g) is Poly and g.ring == prob.ring for g in gens)
+        assert all(g.content_normalize() == g for g in gens)
+    (prob, gens), (short_prob, short) = routes
+    assert [prob.to_json(g) for g in gens] == [short_prob.to_json(s) for s in short]
 
 
 def test_a_generator_in_the_ideal_of_the_earlier_ones_is_dropped(monkeypatch):
     # no command hands the filter a redundant generator; the graph ideal's
     # basis here also holds g_2 * Li_1, which the filter must drop
-    want = E.ck_ideal_generators(4, {3})
-    g2 = E.structured_shortcut_generators({3})[1][0].poly
+    want = E.ck_ideal_generators(4, {3})[1]
+    g2 = E.structured_shortcut_generators({3})[1][0]
     real_groebner, real_member = E.groebner, E.ideal_member
     calls, answers = [], []
 
@@ -64,9 +79,9 @@ def test_a_generator_in_the_ideal_of_the_earlier_ones_is_dropped(monkeypatch):
 
     monkeypatch.setattr(E, "groebner", padded)
     monkeypatch.setattr(E, "ideal_member", member)
-    got = E.ck_ideal_generators(4, {3})
+    got = E.ck_ideal_generators(4, {3})[1]
     assert answers.count(True) == 1
-    assert [(g.weight, g.poly) for g in got] == [(g.weight, g.poly) for g in want]
+    assert got == want
 
 
 @pytest.mark.parametrize("S", [(), (2, 3)])
@@ -77,20 +92,18 @@ def test_shortcut_requires_one_prime(S):
 
 def test_verify_vanishing_examples():
     prob, short = E.structured_shortcut_generators({3})
-    assert E.verify_vanishing(short[1])
+    assert E.verify_vanishing(prob, short[1])
     # Li_2 alone does not vanish
-    li2 = E.IdealElement(prob, Poly.var(prob.ring, "li2"))
-    assert not E.verify_vanishing(li2)
-    zero = E.IdealElement(prob, Poly(prob.ring))
-    assert E.verify_vanishing(zero)
+    assert not E.verify_vanishing(prob, Poly.var(prob.ring, "li2"))
+    assert E.verify_vanishing(prob, Poly(prob.ring))
 
 
 def test_normalization_idempotent_and_deterministic():
-    gens1 = E.ck_ideal_generators(4, {3})
-    gens2 = E.ck_ideal_generators(4, {3})
-    assert [g.poly.terms for g in gens1] == [g.poly.terms for g in gens2]
+    _, gens1 = E.ck_ideal_generators(4, {3})
+    _, gens2 = E.ck_ideal_generators(4, {3})
+    assert [g.terms for g in gens1] == [g.terms for g in gens2]
     for g in gens1:
-        assert g.normalized().poly == g.poly
+        assert g.content_normalize() == g
 
 
 def test_content_normalize_clears_denominators_and_content():
@@ -103,44 +116,45 @@ def test_content_normalize_clears_denominators_and_content():
 
 def test_soundness_all_outputs_vanish():
     for n in (2, 3, 4):
-        for g in E.ck_ideal_generators(n, {3}):
-            assert E.verify_vanishing(g)
+        prob, gens = E.ck_ideal_generators(n, {3})
+        for g in gens:
+            assert E.verify_vanishing(prob, g)
 
 
-def inverted(element):
-    """An ideal element after z -> 1/z: log -> -log and
+def inverted(prob, poly):
+    """A generator after z -> 1/z: log -> -log and
     Li_k -> (-1)^(k-1) Li_k - (-1)^k log^k / k!, Coleman's inversion formula
     with log p = 0 and zeta_p(even) = 0; every other variable is fixed."""
-    ring = element.poly.ring
+    ring = poly.ring
     log = Poly.var(ring, "log")
 
     def image(name):
         if name == "log":
             return -log
-        if name in element.problem.li_names:
+        if name in prob.li_names:
             k = int(name[2:])
             return (-1) ** (k - 1) * Poly.var(ring, name) - F((-1) ** k, factorial(k)) * log ** k
         return Poly.var(ring, name)
 
-    return element.poly.evaluate(image, lambda c: Poly(ring, {(0,) * len(ring): c}))
+    return poly.evaluate(image, lambda c: Poly(ring, {(0,) * len(ring): c}))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_shortcut_generators_are_odd_under_inversion(ell):
     prob, gens = E.structured_shortcut_generators({ell})
     for g in gens:
-        assert inverted(g) == -g.poly, g
-    # an element that is not odd: Li_1 goes to Li_1 + log
-    li1 = E.IdealElement(prob, Poly.var(prob.ring, "li1"))
-    assert inverted(li1) == li1.poly + Poly.var(prob.ring, "log")
+        assert inverted(prob, g) == -g, g
+    # a polynomial that is not odd: Li_1 goes to Li_1 + log
+    li1 = Poly.var(prob.ring, "li1")
+    assert inverted(prob, li1) == li1 + Poly.var(prob.ring, "log")
 
 
 @pytest.mark.parametrize("S, n", [({2}, 4), ({3}, 5), ({5}, 5), ({2}, 5)])
 def test_ideal_generators_are_odd_under_inversion(S, n):
-    gens = E.ck_ideal_generators(n, S)
+    prob, gens = E.ck_ideal_generators(n, S)
     assert gens
     for g in gens:
-        assert inverted(g) == -g.poly, g
+        assert inverted(prob, g) == -g, g
 
 
 def _span_dimension_at_weight(prob, gens, m):
@@ -148,7 +162,7 @@ def _span_dimension_at_weight(prob, gens, m):
     ring = prob.ring
     vecs = []
     for g in gens:
-        base = prob.weight(g.poly)
+        base = prob.weight(g)
         if base is None or base > m:
             continue
         cofactor_mono_weights = m - base
@@ -159,7 +173,7 @@ def _span_dimension_at_weight(prob, gens, m):
                     e[ring.index(name)] += k
                 for name, k in fm:
                     e[ring.index(name)] += k
-                prod = g.poly * Poly(ring, {tuple(e): F(1)})
+                prod = g * Poly(ring, {tuple(e): F(1)})
                 vecs.append(prod)
     keys = sorted({k for v in vecs for k in v.terms})
     kidx = {k: i for i, k in enumerate(keys)}
@@ -242,7 +256,7 @@ def test_f_block_is_the_lyndon_words_the_images_use(S, n):
 
 def test_split_reassembles_each_polynomial():
     prob, short = E.structured_shortcut_generators({3})
-    polys = [g.poly for g in short] + prob.graph_ideal()
+    polys = short + prob.graph_ideal()
     for poly in polys:
         total = Poly(prob.ring)
         for key, coeff in prob.split(poly).items():
@@ -254,8 +268,7 @@ def test_split_reassembles_each_polynomial():
 
 def test_completeness_brute_force_kernel_certification():
     """The generated ideal matches the full elimination kernel, weight by weight."""
-    prob = E.SubstitutionProblem(4, {3})
-    gens = E.ck_ideal_generators(4, {3})
+    prob, gens = E.ck_ideal_generators(4, {3})
     for m in range(1, 9):
         kdim, _ = E.graded_kernel_dimension(prob, m, max_li_degree=8)
         sdim = _span_dimension_at_weight(prob, gens, m)
@@ -265,7 +278,7 @@ def test_completeness_brute_force_kernel_certification():
 def test_specialize_weight2_unchanged():
     prob, short = E.structured_shortcut_generators({3})
     assignment = {(): sy.Expression.const(1)}  # weight-2 element needs nothing
-    spec = E.specialize_coefficients(short[0], {})
+    spec = E.specialize_coefficients(prob, short[0], {})
     assert spec == {
         (("li2", 1),): sy.Expression.const(2),
         (("log", 1), ("li1", 1)): sy.Expression.const(-1),
@@ -275,7 +288,7 @@ def test_specialize_weight2_unchanged():
 def test_specialize_weight4_verbatim(table_z_sixth):
     prob, short = E.structured_shortcut_generators({3})
     assignment = G.specialization_assignment((3,))
-    spec = E.specialize_coefficients(short[1], assignment)
+    spec = E.specialize_coefficients(prob, short[1], assignment)
     fst = G.f_sigma_tau_expression((3,), table_z_sixth)
     z3l3 = sy.zeta_u(3) * sy.log_u(3)
     assert spec[(("li4", 1),)] == z3l3.scale(24)
@@ -286,7 +299,7 @@ def test_specialize_weight4_verbatim(table_z_sixth):
 def test_specialize_weight4_z_half(table_z_half):
     prob, short = E.structured_shortcut_generators({2})
     assignment = G.specialization_assignment((2,))
-    spec = E.specialize_coefficients(short[1], assignment)
+    spec = E.specialize_coefficients(prob, short[1], assignment)
     fst = G.f_sigma_tau_expression((2,), table_z_half)
     assert spec[(("log", 1), ("li3", 1))] == fst.scale(-24)
 
@@ -294,23 +307,23 @@ def test_specialize_weight4_z_half(table_z_half):
 def test_specialize_missing_coordinate_errors():
     prob, short = E.structured_shortcut_generators({3})
     with pytest.raises(KeyError, match="sigma_3"):
-        E.specialize_coefficients(short[1], {("tau_3",): sy.log_u(3)})
+        E.specialize_coefficients(prob, short[1], {("tau_3",): sy.log_u(3)})
 
 
 def test_weight5_best_effort_no_new_relation(monkeypatch):
     # the new coordinate Phi[sigma_5;li5] matches the new function Li_5:
     # nothing new
     monkeypatch.setattr(E, "MAX_DEGREE", 14)
-    gens = E.ck_ideal_generators(5, {3})
-    assert [g.weight for g in gens] == [2, 8]
+    prob, gens = E.ck_ideal_generators(5, {3})
+    assert [prob.weight(g) for g in gens] == [2, 8]
     for g in gens:
-        assert E.verify_vanishing(g)
+        assert E.verify_vanishing(prob, g)
 
 
 def test_two_prime_base_runs_best_effort():
     # |S| = 2 is uncertified; at these weights the cocycle space is too
     # large for relations, and the machinery must simply report none
-    assert E.ck_ideal_generators(2, {2, 3}) == []
+    assert E.ck_ideal_generators(2, {2, 3})[1] == []
 
 
 def test_guard_trips_on_tiny_budget(monkeypatch):
@@ -320,8 +333,8 @@ def test_guard_trips_on_tiny_budget(monkeypatch):
 
 
 def test_ideal_element_json():
-    gens = E.ck_ideal_generators(2, {3})
-    data = gens[0].to_json()
+    prob, gens = E.ck_ideal_generators(2, {3})
+    data = prob.to_json(gens[0])
     assert data["weight"] == 2
     assert {"liMonomial": ["Li2"], "coeff": "2"} in data["terms"]
     assert {"liMonomial": ["log", "Li1"], "coeff": "-1"} in data["terms"]

@@ -643,3 +643,30 @@ def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
     closed = locus(F(3), F(1, 3), F(-2), F(-1, 2))
     assert L.s3_symmetrize(closed).zeros == []
     assert oracles.s3_symmetrize_by_six_images(closed).zeros == []
+
+
+def test_counterexample_cocycle_multiplies_no_term_with_a_zero_coordinate(monkeypatch, policy):
+    # Phi^tau_{e0} = 0, so only each odd k's head term survives: one value
+    # product and one scaling of its f-word, at most n ExprFraction products
+    import ckpolylog.cocycles as cocycles
+    import ckpolylog.symbols as sy
+    n, real_apply, real_mul = 20, cocycles.cocycle_apply, sy.ExprFraction.__mul__
+    inside, products = [], []
+
+    def mul(self, other):
+        products.extend(inside)
+        return real_mul(self, other)
+
+    def apply(*args):
+        inside.append(1)
+        try:
+            return real_apply(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sy.ExprFraction, "__mul__", mul)
+    monkeypatch.setattr(sy.ExprFraction, "__rmul__", mul)
+    monkeypatch.setattr(cocycles, "cocycle_apply", apply)
+    row = L.counterexample_cocycle(3, n, 5, policy)
+    assert all(row["symbolic"].values())
+    assert 0 < len(products) <= n

@@ -522,7 +522,7 @@ def test_specialize_coefficients_is_multiplicative(rng):
         a = _random_poly(rng, prob.ring, set(prob.li_index) | set(f_block))
         b = _random_poly(rng, prob.ring, f_block)
         spec_a, spec_b, spec_ab = (
-            E.specialize_coefficients(E.IdealElement(prob, x), assignment) for x in (a, b, a * b))
+            E.specialize_coefficients(prob, x, assignment) for x in (a, b, a * b))
         assert set(spec_b) == {()} and spec_ab == {k: v * spec_b[()] for k, v in spec_a.items()}
 
 
