@@ -58,16 +58,16 @@ def eval_universal(n, genset):
     if n < 1:
         raise ValueError("weight bound must be >= 1")
     taus = [g.id for g in genset.generators if g.weight == 1]
-    images = {"log": {(coordinate_name(t),): ShuffleElement.word(genset, (t,))
-                      for t in taus}}
+    e0 = {t: coordinate_name(t) for t in taus}  # spelled once, read per tail letter
+    images = {"log": {(e0[t],): ShuffleElement.word(genset, (t,)) for t in taus}}
     for k in range(1, n + 1):
         poly = {}
         for s in range(1, k + 1):
             heads = [g.id for g in genset.generators if g.weight == s]
             for head in heads:
+                name = coordinate_name(head, s)
                 for tail in itertools.product(taus, repeat=k - s):
-                    mono = tuple(sorted(
-                        [coordinate_name(head, s)] + [coordinate_name(t) for t in tail]))
+                    mono = tuple(sorted([name] + [e0[t] for t in tail]))
                     fel = ShuffleElement.word(genset, (head,) + tail)
                     poly[mono] = poly[mono] + fel if mono in poly else fel
         images["li%d" % k] = poly

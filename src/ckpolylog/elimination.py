@@ -104,18 +104,11 @@ class Poly(words.LinearCombination):
             out = out.scale(-1)
         return out
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), reverse=True)
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join("%s^%d" % (v, k) if k > 1 else v
-                            for v, k in zip(self.ring, e) if k)
-            bits.append("%s*%s" % (c, mono) if mono else str(c))
-        return " + ".join(bits)
+        # the exponent tuples in descending lex order
+        return self._print(lambda e: "*".join("%s^%d" % (v, k) if k > 1 else v
+                                              for v, k in zip(self.ring, e) if k),
+                           lambda e: [-k for k in e])
 
 
 def _divides(ea, eb):

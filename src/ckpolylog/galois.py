@@ -201,7 +201,7 @@ class PeriodTable:
                 "symbol": repr(s),
                 "Z": "Z[1/%s]" % ",".join(str(x) for x in self.S),
                 "basisForm": (form - ShuffleElement.word(self.genset, sigma, prim)).to_json(),
-                "primitiveCoefficient": wd._frac_str(prim),
+                "primitiveCoefficient": str(prim),
                 "provenance": self.provenance[s],
             })
         return rows

@@ -347,6 +347,14 @@ def s3_symmetrize(locus):
 
 # -- the counterexample cocycle ------------------------------------------------
 
+# the largest n the counterexample takes.  Its symbolic step grows as n^3
+# (eval_universal's images spell about n^3 / 12 coordinate names), which
+# polylog.unsupported_size does not see.  On 2 CPUs --S 3 --p 5 took
+# 9-10.5 s at --n 500, 12 s at 540 and 15 s at 580, against 14-17 s for
+# locus --S 3 --p 601 in the same session: the slowest run the numerics
+# admit, which polylog.MAX_SERIES_COST was set to (12-13 s then)
+MAX_COUNTEREXAMPLE_WEIGHT = 500
+
 
 def counterexample_cocycle(ell, n, p, policy):
     """Verify that -1 lies in the weight-n polylogarithmic locus over Z[1/ell].

@@ -79,17 +79,8 @@ class Expression(LinearCombination):
     def _mul_keys(m1, m2):
         return tuple(sorted(m1 + m2))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: (len(mc[0]), repr(mc[0])))
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(repr(s) for s in m) if m else "1"
-            bits.append("%s*%s" % (c, mono))
-        return " + ".join(bits)
+        return self._print(lambda m: "*".join(map(repr, m)) or "1", lambda m: (len(m), repr(m)))
 
 
 def log_u(z):
@@ -149,14 +140,8 @@ class TensorExpr(LinearCombination):
         return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (l, r), c in sorted(self.terms.items(), key=repr):
-            sl = "*".join(map(repr, l)) if l else "1"
-            sr = "*".join(map(repr, r)) if r else "1"
-            bits.append("%s*(%s (x) %s)" % (c, sl, sr))
-        return " + ".join(bits)
+        return self._print(lambda k: "(%s (x) %s)" % ("*".join(map(repr, k[0])) or "1",
+                                                      "*".join(map(repr, k[1])) or "1"), repr)
 
 
 def _symbol_coproduct(s):

@@ -17,8 +17,9 @@ to powers (**) for all of them (the shuffle is ShuffleElement's *) and
 owns the one ring map out of a polynomial ring (evaluate): the p-adic
 period map, the f-alphabet decomposition, the Goncharov coproduct, the
 period specialization and the reading of Lyndon coordinates as periods;
-and the exact row reduction (row_reduce, solve_columns), the one
-linear-algebra core.
+it is also their one printer (_print: each subclass's __repr__ states
+only how its keys spell and sort); and the exact row reduction
+(row_reduce, solve_columns), the one linear-algebra core.
 
 All coefficients are exact (fractions.Fraction or any ring element
 supporting +, -, *, and truthiness for zero-testing); no floats.
@@ -153,15 +154,15 @@ def add_term(terms, key, c):
 class LinearCombination:
     """Finite combination {key: nonzero coefficient} with exact coefficients.
 
-    The base owns construction, sums, scaling, products, powers and the
-    ring map (evaluate); a subclass states only its keys: the slot holding
-    its context (_context: a generator set or a ring, set by its
-    constructor; None when there is none), how an input key normalizes
-    (_key), when keys multiply, how (_mul_keys) and, when they name
-    products of atoms, which atoms (_factors).  The constructor adds the
-    terms of keys that normalize alike and drops zeros; results built here
-    (_new) take their terms as given.  Combinations in different contexts
-    are unequal and do not add.
+    The base owns construction, sums, scaling, products, powers, the
+    ring map (evaluate) and the printer (_print); a subclass states only
+    its keys: the slot holding its context (_context: a generator set or a
+    ring, set by its constructor; None when there is none), how an input
+    key normalizes (_key), when keys multiply, how (_mul_keys) and, when
+    they name products of atoms, which atoms (_factors).  The constructor
+    adds the terms of keys that normalize alike and drops zeros; results
+    built here (_new) take their terms as given.  Combinations in
+    different contexts are unequal and do not add.
     """
 
     __slots__ = ("terms",)
@@ -252,6 +253,15 @@ class LinearCombination:
     def _factors(k):
         return k
 
+    def _print(self, spell, order):
+        """The one printer: c*spell(key) per term, c alone where spell gives
+        "", sorted by order of the keys (None: the keys themselves) and
+        joined by " + "; "0" when there are no terms."""
+        if not self.terms:
+            return "0"
+        return " + ".join("%s*%s" % (self.terms[k], s) if (s := spell(k)) else str(self.terms[k])
+                          for k in sorted(self.terms, key=order))
+
     def _product(self, other):
         """Bilinear extension of _mul_keys over the two term dicts."""
         self._check(other)
@@ -291,25 +301,13 @@ class ShuffleElement(LinearCombination):
     def weights(self):
         return sorted({self.genset.word_weight(w) for w in self.terms})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: self.genset.word_sort_key(wc[0]))
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self.sorted_terms():
-            name = "f[%s]" % ".".join(w) if w else "1"
-            bits.append("%s*%s" % (c, name))
-        return " + ".join(bits)
+        return self._print(lambda w: "f[%s]" % ".".join(w) if w else "1",
+                           self.genset.word_sort_key)
 
     def to_json(self):
-        return [{"word": list(w), "coeff": _frac_str(c)} for w, c in self.sorted_terms()]
-
-
-def _frac_str(c):
-    f = Fraction(c)
-    return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else "%d" % f.numerator
+        return [{"word": list(w), "coeff": str(self.terms[w])}
+                for w in sorted(self.terms, key=self.genset.word_sort_key)]
 
 
 class TensorElement(LinearCombination):
@@ -327,12 +325,8 @@ class TensorElement(LinearCombination):
         return (tuple(k[0]), tuple(k[1]))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (l, r), c in sorted(self.terms.items()):
-            bits.append("%s*f[%s](x)f[%s]" % (c, ".".join(l) or "1", ".".join(r) or "1"))
-        return " + ".join(bits)
+        return self._print(lambda k: "f[%s](x)f[%s]" % (".".join(k[0]) or "1",
+                                                        ".".join(k[1]) or "1"), None)
 
 
 def shuffle_product(a, b):

@@ -27,7 +27,9 @@ past what the goldens pin:
   * numerics too large to build, rejected the same way:
     ``locus --S 3 --p 1000003``, ``locus --S 3 --p 5 --prec 100000`` and
     ``verify counterexample --S 3 --p 5 --n 10000``, whose engine runs
-    through weight 10000.
+    through weight 10000;
+  * and ``verify counterexample --S 3 --p 5 --n 501``, the first --n past
+    the counterexample's bound on its n^3 symbolic step.
 
 Each run's exit status and the sha256 of its stdout must also match its
 line of GRID, ``tests/golden/no_traceback_grid.txt``, so a change of any
@@ -77,6 +79,7 @@ def commands():
     yield "locus --S 3 --p 1000003"
     yield "locus --S 3 --p 5 --prec 100000"
     yield "verify counterexample --S 3 --p 5 --n 10000"
+    yield "verify counterexample --S 3 --p 5 --n 501"
 
 
 def fault(run):

@@ -318,6 +318,10 @@ UNSUPPORTED_INPUT = [
      "degree 244 at 27 digits through weight 10000"),
     (("verify", "all", "--p", "5", "--n", "10000"),
      "--p 5 at --prec 12 is too large for the numerics"),
+    # the numerics admit this --n, but the symbolic step grows as n^3 and
+    # would run past the slowest admitted command
+    (("verify", "counterexample", "--S", "3", "--p", "5", "--n", "501"),
+     "verify counterexample needs --n <= 500: its symbolic step grows as n^3"),
 ]
 
 

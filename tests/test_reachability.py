@@ -36,8 +36,6 @@ SEEDS = {
     "words.monomials": "a helper of graded_kernel_dimension (ROADMAP item 3)",
     "galois.PeriodTable.to_json": "the shape of the shipped zeta table (ROADMAP item 4)",
     "words.ShuffleElement.to_json": "serializes the zeta table's entries (ROADMAP item 4)",
-    "words.ShuffleElement.sorted_terms": "orders the zeta table's terms (ROADMAP item 4)",
-    "words._frac_str": "spells the zeta table's coefficients (ROADMAP item 4)",
     "galois.basis_certificate_deg3": "its determinant is to become the rank certificate "
                                      "of one period-table builder (ROADMAP item 5)",
     "galois._tensor_coords": "a helper of basis_certificate_deg3 (ROADMAP item 5)",

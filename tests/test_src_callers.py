@@ -22,9 +22,6 @@ from test_reachability import SEEDS
 SRC = Path(__file__).resolve().parents[1] / "src" / "ckpolylog"
 
 ALLOWED = {
-    "cmd_ideal": "cli.main dispatches cmd_* by name",
-    "cmd_locus": "cli.main dispatches cmd_* by name",
-    "cmd_verify": "cli.main dispatches cmd_* by name",
     "__version__": "package metadata",
     **{qualname.partition(".")[2]: SEEDS[qualname]
        for qualname in ("galois.basis_certificate_deg3", "elimination.graded_kernel_dimension")},

@@ -75,10 +75,12 @@ def _fired_spans(tmp_path, *argv):
 
 
 def test_traced_ideal_fires_the_table_spans(tmp_path):
-    # what a traced certify-small pass needs of `ideal`: the builder and the
-    # resolver run wrapped, so their spans fire
+    # what a traced certify-small pass needs of `ideal`: cli.main dispatches
+    # to the wrapped cmd_ideal, and the builder and the resolver run wrapped,
+    # so their spans fire
     fired = _fired_spans(tmp_path, "ideal", "--S", "2")
-    assert {"galois.table_build", "galois.resolve", "galois.f_sigma_tau"} <= fired
+    assert {"cli.command", "galois.table_build", "galois.resolve",
+            "galois.f_sigma_tau"} <= fired
 
 
 def test_traced_verify_hopf_fires_the_coproduct_spans(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 import ckpolylog.elimination as E
 from ckpolylog.elimination import Poly, _nullspace
-from ckpolylog.symbols import Expression, ExprFraction, Symbol, TensorExpr, log_u
+from ckpolylog.symbols import (Expression, ExprFraction, Symbol, TensorExpr, li_u, log_u,
+                               zeta_u)
 from ckpolylog.words import (
     GeneratorSet, ShuffleElement, TensorElement, cobar_square,
     element_as_lyndon_poly, reduced_coproduct, row_reduce, shuffle_product,
@@ -307,6 +308,33 @@ def test_serialization_canonical_order():
         {"word": ["tau_3", "tau_2"], "coeff": "1"},
         {"word": ["sigma_3"], "coeff": "-2"},
     ]
+
+
+def test_each_combination_prints_its_terms_in_its_order():
+    # ShuffleElement by (weight, word), TensorElement by key, Expression by
+    # (degree, repr), TensorExpr by repr, Poly in descending lex order
+    cases = [
+        (ShuffleElement(GS, {(): F(-1, 2), ("sigma_3",): 3, ("tau_3", "tau_2"): F(-2),
+                             ("tau_2",): F(5, 3)}),
+         "-1/2*1 + 5/3*f[tau_2] + -2*f[tau_3.tau_2] + 3*f[sigma_3]"),
+        (TensorElement(GS, {((), ("tau_3",)): 2, (("sigma_3",), ()): F(-1, 4),
+                            (("tau_2",), ("tau_3", "tau_2")): 1}),
+         "2*f[1](x)f[tau_3] + -1/4*f[sigma_3](x)f[1] + 1*f[tau_2](x)f[tau_3.tau_2]"),
+        (Expression.const(F(-3, 2)) + li_u(3, F(1, 2)) * log_u(6)
+         + zeta_u(3).scale(F(1, 7)) - log_u(3),
+         "-3/2*1 + -1*log(3) + 1/7*zeta(3) + 1*Li3(1/2)*log(2) + 1*Li3(1/2)*log(3)"),
+        (TensorExpr.of(li_u(2, F(1, 2)), log_u(F(1, 2)))
+         + TensorExpr.of(log_u(2), log_u(2) ** 2).scale(F(1, 2))
+         + TensorExpr.of(Expression.const(2), zeta_u(3)),
+         "2*(1 (x) zeta(3)) + -1*(Li2(1/2) (x) log(2)) + 1/2*(log(2) (x) log(2)*log(2))"),
+        (Poly(("x", "y", "z"), {(0, 0, 0): F(-5), (2, 0, 1): 1, (0, 1, 0): F(3, 4),
+                                (1, 0, 0): -2, (0, 0, 3): 1}),
+         "1*x^2*z + -2*x + 3/4*y + 1*z^3 + -5"),
+    ]
+    empties = [ShuffleElement(GS), TensorElement(GS), Expression(), TensorExpr(),
+               Poly(("x", "y"))]
+    assert [repr(x) for x, _ in cases] == [text for _, text in cases]
+    assert [repr(x) for x in empties] == ["0"] * 5
 
 
 def test_element_lyndon_poly_linear():
