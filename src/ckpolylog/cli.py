@@ -34,10 +34,9 @@ over more than one prime, --S or --n given to a verify suite that does
 not read them (only counterexample and all do), --p, --prec or --guard
 given to ideal (it computes exactly over Z[1/S]), a verify suite below the
 --prec it needs, a --p, --prec or verify counterexample --n too large for
-the numerics to build (--p 1000003, --prec 100000, or --n 10000), a verify
-counterexample --n whose symbolic step, which grows as n^3, would outrun
-the slowest run the numerics admit, an --out path that cannot be written,
-or an ideal computation that outgrows the elimination guard.
+the numerics to build (--p 1000003, --prec 100000, or --n 10000), an
+--out path that cannot be written, or an ideal computation that outgrows
+the elimination guard.
 """
 
 from __future__ import annotations
@@ -374,9 +373,6 @@ def _unsupported(args):
             return "verify counterexample needs a single prime in --S"
         if args.n < 1:
             return "verify counterexample needs --n >= 1"
-        if args.n > loci.MAX_COUNTEREXAMPLE_WEIGHT:
-            return ("verify counterexample needs --n <= %d: its symbolic step grows as n^3"
-                    % loci.MAX_COUNTEREXAMPLE_WEIGHT)
     if args.command == "verify":
         return _verify_unsupported(args)
     return None

@@ -9,29 +9,32 @@ splits read left to right, and f_{sigma tau} means sigma followed by tau.
 
 Only pairs with wt(rho) = wt(lambda) exist: Phi^tau_{e0} and Phi^tau_{e1}
 for tau of weight one, Phi^sigma_{e1 e0^{k-1}} for sigma of odd weight k.
-coordinate_name spells each; that string is its one key from the images
-here to the elimination ring, whose cocycle block is sorted, so that
-"Phi[sigma_..." comes before "Phi[tau_..." and is eliminated first.
+coordinate_name spells each and coordinate_names lists them through a
+weight; that string is its one key from the images here to the
+elimination ring, whose cocycle block is sorted, so that "Phi[sigma_..."
+comes before "Phi[tau_..." and is eliminated first.
 
-That structure theorem is coded once, in eval_universal: its images of
-log and Li_k are polynomials in the coordinates with f-word coefficients,
-and cocycle_apply evaluates a cocycle by substituting into them.
+That structure theorem is coded once, as the recursion in cocycle_apply:
+log(c) = sum_tau Phi^tau_{e0} f_tau, and Li_k(c) is Li_{k-1}(c) with each
+tail letter tau appended and scaled by Phi^tau_{e0}, plus each head g of
+weight k as Phi^g_{e1 e0^{k-1}} f_g.  A zero coordinate is never used, so
+only the words that nonzero coordinates reach are built.  eval_universal
+is cocycle_apply at the universal cocycle, each coordinate its own symbol.
 
 Coordinate values may live in any commutative coefficient object with
-+, * (by ints and rationals too) and truthiness (exact rationals, p-adics,
-expression fractions, polynomials), so the same code serves the geometric
-step, the field-valued counterexample cocycle and each period-table row:
-Li_n(z) at the cocycle of an S-unit point z, whose tau coordinates are
++, * and truthiness (exact rationals, p-adics, expression fractions,
+polynomials), so the same code serves the geometric step, the
+field-valued counterexample cocycle and each period-table row: Li_n(z)
+at the cocycle of an S-unit point z, whose tau coordinates are
 kappa_coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
 from .padic import valuation
+from .symbols import Expression
 from .words import ShuffleElement
 
 
@@ -40,6 +43,14 @@ def coordinate_name(gen_id, k=0):
     if k == 0:
         return "Phi[%s;e0]" % gen_id
     return "Phi[%s;li%d]" % (gen_id, k)
+
+
+def coordinate_names(genset, n):
+    """The coordinates of a cocycle through weight n, sorted: Phi^tau_{e0} and
+    Phi^g_{e1 e0^(k-1)} for each generator g of weight k <= n."""
+    gens = genset.generators
+    return sorted([coordinate_name(g.id) for g in gens if g.weight == 1]
+                  + [coordinate_name(g.id, g.weight) for g in gens if g.weight <= n])
 
 
 def eval_universal(n, genset):
@@ -55,22 +66,14 @@ def eval_universal(n, genset):
     Phi^tau_{e1} (Phi^tau_{e0})^{k-1} f_tau^k / k! plus the sigma-headed
     corrections.
     """
-    if n < 1:
-        raise ValueError("weight bound must be >= 1")
-    taus = [g.id for g in genset.generators if g.weight == 1]
-    e0 = {t: coordinate_name(t) for t in taus}  # spelled once, read per tail letter
-    images = {"log": {(e0[t],): ShuffleElement.word(genset, (t,)) for t in taus}}
-    for k in range(1, n + 1):
-        poly = {}
-        for s in range(1, k + 1):
-            heads = [g.id for g in genset.generators if g.weight == s]
-            for head in heads:
-                name = coordinate_name(head, s)
-                for tail in itertools.product(taus, repeat=k - s):
-                    mono = tuple(sorted([name] + [e0[t] for t in tail]))
-                    fel = ShuffleElement.word(genset, (head,) + tail)
-                    poly[mono] = poly[mono] + fel if mono in poly else fel
-        images["li%d" % k] = poly
+    universal = {name: Expression.sym(name) for name in coordinate_names(genset, n)}
+    images = {}
+    for tgt, el in cocycle_apply(universal, genset, n).items():
+        poly = images[tgt] = {}
+        for word, mono in el.terms.items():
+            (key, c), = mono.terms.items()
+            fel = ShuffleElement.word(genset, word, c)
+            poly[key] = poly[key] + fel if key in poly else fel
     return images
 
 
@@ -85,26 +88,24 @@ def kappa_coordinates(z, ell):
 def cocycle_apply(values, genset, n):
     """log(c) and Li_k(c) for k <= n as ShuffleElements with coefficients from c.
 
-    values maps each coordinate name of the cocycle c to its value; a name
-    missing or not among the image's coordinates raises ValueError.
-    Implements Li_lambda(c) = sum_w phi^w_lambda(c) f_w over words of the
-    matching weight by substituting c into the images of eval_universal:
-    by the structure theorem those are the only words with a nonzero entry.
-    Each image term is its f-word combination scaled by its monomial's value;
-    a term with a falsy coordinate value is skipped unmultiplied, since its
-    product would be falsy and scale would drop it.
+    values maps each of coordinate_names(genset, n) to its value in the
+    cocycle c; a name missing or not among them raises ValueError.  Each
+    Li_k(c) is the recursion of the module docstring, in which a falsy
+    coordinate value is never multiplied.
     """
-    images = eval_universal(n, genset)
-    names = {name for poly in images.values() for mono in poly for name in mono}
+    if n < 1:
+        raise ValueError("weight bound must be >= 1")
+    names = set(coordinate_names(genset, n))
     if values.keys() != names:
         raise ValueError("cocycle coordinates: missing %s, unknown %s"
                          % (sorted(names - values.keys()), sorted(values.keys() - names)))
-    out = {}
-    for tgt, poly in images.items():
-        acc = ShuffleElement(genset)
-        for mono, fel in poly.items():
-            factors = [values[name] for name in mono]
-            if all(factors):
-                acc = acc + fel.scale(math.prod(factors))
-        out[tgt] = acc
+    tails = [(g.id, v) for g in genset.generators
+             if g.weight == 1 and (v := values[coordinate_name(g.id)])]
+    out = {"log": ShuffleElement(genset, {(t,): v for t, v in tails})}
+    li = ShuffleElement(genset)
+    for k in range(1, n + 1):
+        terms = {w + (t,): c * v for w, c in li.terms.items() for t, v in tails}
+        terms.update(((g.id,), values[coordinate_name(g.id, k)])
+                     for g in genset.generators if g.weight == k)
+        out["li%d" % k] = li = ShuffleElement(genset, terms)
     return out

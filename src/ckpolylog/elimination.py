@@ -20,8 +20,8 @@ exponent tuples, with Fraction coefficients and lex order.
 SubstitutionProblem lays the ring out once, in lex order, earliest
 variable heaviest:
 
-  * the cocycle block: the names of cocycles.coordinate_name, read off the
-    image's monomials and sorted, each of half-weight 0;
+  * the cocycle block: cocycles.coordinate_names, sorted, each of
+    half-weight 0;
   * the targets: the keys of cocycles.eval_universal's images, heaviest
     first (li_n, ..., li1, log), each weighing what the f-words of its
     image weigh (k for li_k, 1 for log);
@@ -202,11 +202,12 @@ def f_var_name(lyndon_word):
 class SubstitutionProblem:
     """The graph ideal of the universal evaluation image, ready to eliminate.
 
-    Every block of ring is read off the images of
-    cocycles.eval_universal, each expanded once into (coordinate monomial,
-    Lyndon monomial, coefficient) triples.  ring names the variables and
-    half_weights weighs them; li_names lists the targets in the image's
-    order, log first, and li_index their positions in ring.
+    The cocycle block of ring is cocycles.coordinate_names; the others are
+    read off the images of cocycles.eval_universal, each expanded once
+    into (coordinate monomial, Lyndon monomial, coefficient) triples.
+    ring names the variables and half_weights weighs them; li_names lists
+    the targets in the image's order, log first, and li_index their
+    positions in ring.
     """
 
     def __init__(self, n, S):
@@ -218,8 +219,7 @@ class SubstitutionProblem:
         triples = {tgt: [(mono, lyndon_mono, c) for mono, fel in poly.items()
                          for lyndon_mono, c in words.element_as_lyndon_poly(fel).items()]
                    for tgt, poly in images.items()}
-        self.phi_names = sorted({name for poly in images.values()
-                                 for mono in poly for name in mono})
+        self.phi_names = cocycles.coordinate_names(self.genset, n)
         lyndon = sorted({w for image in triples.values() for _, lyndon_mono, _ in image
                          for w in lyndon_mono}, key=self.genset.word_sort_key)
         self.li_names = list(images)

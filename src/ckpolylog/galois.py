@@ -264,52 +264,6 @@ def build_table_z_sixth():
                        choice={sy.Symbol("li", 3, z): choice for z in P3_CHOICE})
 
 
-def basis_certificate_deg3():
-    """The 8x8 matrix of Delta'_{1,2} coordinates certifying the weight-3 basis
-    over Z[1/6], together with its determinant (which must be 9).
-
-    Rows: log(2) (x) {log2^2, log2 log3, log3^2, Li2(-2)} then log(3) (x) same.
-    Columns: log2^3, log3^3, log2^2 log3, log2 log3^2, log2 Li2(-2),
-             log3 Li2(-2), Li3(-2), Li3(3).
-    """
-    l2 = sy.log_u(2)
-    l3 = sy.log_u(3)
-    li2m2 = sy.li_u(2, Fraction(-2))
-    cols = [l2 ** 3, l3 ** 3, l2 * l2 * l3, l2 * l3 * l3,
-            l2 * li2m2, l3 * li2m2,
-            sy.li_u(3, Fraction(-2)), sy.li_u(3, Fraction(3))]
-    right_basis = [l2 * l2, l2 * l3, l3 * l3, li2m2]
-    left_basis = [l2, l3]
-    rows = [(i, j) for i in range(2) for j in range(4)]
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for cj, col in enumerate(cols):
-        t12 = sy.reduced_coproduct(col).bidegree_part(1, 2)
-        coords = _tensor_coords(t12, left_basis, right_basis)
-        for (i, j), val in coords.items():
-            mat[rows.index((i, j))][cj] = val
-    _, det = wd.row_reduce([row[:] for row in mat], len(cols))
-    return mat, det
-
-
-def _tensor_coords(t12, left_basis, right_basis):
-    lkeys = {}
-    for i, b in enumerate(left_basis):
-        (mono,) = b.terms
-        lkeys[mono] = (i, b.terms[mono])
-    rkeys = {}
-    for j, b in enumerate(right_basis):
-        (mono,) = b.terms
-        rkeys[mono] = (j, b.terms[mono])
-    out = {}
-    for (ml, mr), c in t12.terms.items():
-        if ml not in lkeys or mr not in rkeys:
-            raise ValueError("tensor term (%r, %r) misses the stated bases" % (ml, mr))
-        i, cl = lkeys[ml]
-        j, cr = rkeys[mr]
-        out[(i, j)] = out.get((i, j), Fraction(0)) + c / (cl * cr)
-    return {k: v for k, v in out.items() if v}
-
-
 # ell -> name of the builder of the table feeding Z[1/ell], looked up at call time
 TABLED = {2: "build_table_z_half", 3: "build_table_z_sixth"}
 TABLED_S = tuple((ell,) for ell in TABLED)  # the bases whose f_{sigma tau} is tabled

@@ -347,15 +347,6 @@ def s3_symmetrize(locus):
 
 # -- the counterexample cocycle ------------------------------------------------
 
-# the largest n the counterexample takes.  Its symbolic step grows as n^3
-# (eval_universal's images spell about n^3 / 12 coordinate names), which
-# polylog.unsupported_size does not see.  On 2 CPUs --S 3 --p 5 took
-# 9-10.5 s at --n 500, 12 s at 540 and 15 s at 580, against 14-17 s for
-# locus --S 3 --p 601 in the same session: the slowest run the numerics
-# admit, which polylog.MAX_SERIES_COST was set to (12-13 s then)
-MAX_COUNTEREXAMPLE_WEIGHT = 500
-
-
 def counterexample_cocycle(ell, n, p, policy):
     """Verify that -1 lies in the weight-n polylogarithmic locus over Z[1/ell].
 
@@ -363,9 +354,11 @@ def counterexample_cocycle(ell, n, p, policy):
     (sigma_k, zeta(k)) for k >= 3.  The field-valued cocycle has
     Phi^tau_{e0} = 0 and Phi^head_{li k} = Li_k(-1)/dual.  Symbolically its
     log and even Li_k vanish and each odd Li_k(alpha) is its head word alone,
-    with coefficient * dual = Li_k(-1); numerically the p-adic log and even
-    Li_k vanish at -1, and zeta_p(k) does not vanish to working precision.
-    Returns the certificate row, passed when every check holds at policy.
+    with coefficient * dual = Li_k(-1): cocycle_apply never reads the zero
+    Phi^tau_{e0}, so it builds those head terms alone.  Numerically the
+    p-adic log and even Li_k vanish at -1, and zeta_p(k) does not vanish to
+    working precision.  Returns the certificate row, passed when every check
+    holds at policy.
     """
     if (reason := unsupported_prime(p)) or p == ell:
         raise ValueError(reason or "need p different from ell")

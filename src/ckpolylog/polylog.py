@@ -424,13 +424,14 @@ def unsupported_prime(p):
 
 
 # the largest twisted series an engine builds through weight K, as D times
-# the larger of (p + G) G and (K - 4) d, for degree D at G digits: the
-# lambda'/lambda recurrence takes D p steps on G-digit integers, the series
-# arithmetic of weights 1..4 about D more G-digit products, and each weight
-# past the fourth D more steps on the d digits the kernel keeps.  The
-# larger part is the sum up to a factor 2.  Near the bound locus takes
-# 13-30 s on 2 CPUs (p = 601; p = 13 at --prec 400), and verify
-# counterexample about 50 s (p = 5 at --n 800)
+# (p + G) G + (K - 4) d b, for degree D at G digits: the lambda'/lambda
+# recurrence takes D p steps on G-digit integers, the series arithmetic of
+# weights 1..4 about D more G-digit products, and each weight past the
+# fourth D more steps on the d digits the kernel keeps, of b =
+# p.bit_length() bits each.  On 2 CPUs the slowest admitted runs took
+# 13-15 s (locus --S 3 --p 613), 8 s (locus --S 3 --p 7 --prec 407) and
+# 3-9 s (verify counterexample or all at the largest admitted --n for
+# p = 5, 7, 31, 101, 601)
 MAX_SERIES_COST = 5 * 10 ** 8
 
 
@@ -451,7 +452,7 @@ def unsupported_size(p, policy, max_weight):
     G = _series_digits(policy)
     D = _series_degree(p, G)
     d = _kernel_digits(p, D, G, max_weight)
-    if D * max((p + G) * G, (max_weight - 4) * d) > MAX_SERIES_COST:
+    if D * ((p + G) * G + (max_weight - 4) * d * p.bit_length()) > MAX_SERIES_COST:
         return ("--p %d at --prec %d is too large for the numerics: its twisted series "
                 "would have degree %d at %d digits through weight %d"
                 % (p, policy.M, D, G, max_weight))

@@ -126,11 +126,6 @@ class TensorExpr(LinearCombination):
     def _mul_keys(k1, k2):
         return (tuple(sorted(k1[0] + k2[0])), tuple(sorted(k1[1] + k2[1])))
 
-    def bidegree_part(self, i, j):
-        return self._new({
-            (l, r): c for (l, r), c in self.terms.items()
-            if sum(s.weight for s in l) == i and sum(s.weight for s in r) == j})
-
     @classmethod
     def of(cls, left, right):
         out = cls()

@@ -24,12 +24,13 @@ past what the goldens pin:
   * ideals whose elimination outgrows its guard, each rejected in one line
     and never hung: ``ideal --S 3 --n 20``, ``ideal --S 2 --n 30`` and
     ``ideal --S 2,3 --n 8``;
-  * numerics too large to build, rejected the same way:
-    ``locus --S 3 --p 1000003``, ``locus --S 3 --p 5 --prec 100000`` and
+  * and numerics too large to build, rejected the same way:
+    ``locus --S 3 --p 1000003``, ``locus --S 3 --p 5 --prec 100000``,
     ``verify counterexample --S 3 --p 5 --n 10000``, whose engine runs
-    through weight 10000;
-  * and ``verify counterexample --S 3 --p 5 --n 501``, the first --n past
-    the counterexample's bound on its n^3 symbolic step.
+    through weight 10000, ``verify counterexample --S 3 --p 5 --n 475``,
+    the first refused --n at p = 5, and
+    ``verify counterexample --S 3 --p 31 --n 396``, which would run about
+    three times as long as the slowest admitted locus.
 
 Each run's exit status and the sha256 of its stdout must also match its
 line of GRID, ``tests/golden/no_traceback_grid.txt``, so a change of any
@@ -79,7 +80,8 @@ def commands():
     yield "locus --S 3 --p 1000003"
     yield "locus --S 3 --p 5 --prec 100000"
     yield "verify counterexample --S 3 --p 5 --n 10000"
-    yield "verify counterexample --S 3 --p 5 --n 501"
+    yield "verify counterexample --S 3 --p 5 --n 475"
+    yield "verify counterexample --S 3 --p 31 --n 396"
 
 
 def fault(run):

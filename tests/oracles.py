@@ -31,15 +31,21 @@ Fraction difference is the reference for the memoized one.  Lyndon words
 found by the rotation test, and every word's Lyndon polynomial read off
 the inverse of the dense matrix of the Lyndon monomials' shuffle products,
 are the references for Duval's factorization and Radford's recursion in
-words.  Single matrix entries by the structure theorem (brown_entry) are
-the reference for cocycle_apply's substitution into the eval_universal
-images.
+words.  Single matrix entries by the structure theorem (brown_entry), and
+the images built tail by tail over every product of tail letters with a
+cocycle substituted into each of their monomials, zero coordinates
+included, are the references for cocycle_apply's recursion and for
+eval_universal.  The size rule counting digits is the reference for
+polylog.unsupported_size's verdicts at weight 4.  The 8x8
+Delta'_{1,2} matrix of the weight-3 basis over Z[1/6] and its determinant
+are the basis certificate that a period-table builder may one day check.
 Last come helpers that only the tests call: Coleman function values at a
 point, a ring-independent form of ideal elements, ExprFraction equality,
 the inverse of cocycle_apply on its image, the P_3 inversion residual,
 log(z) in the f-basis, and a period table's expansion of one symbol.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -49,7 +55,9 @@ from ckpolylog.archimedean import complex_P3
 from ckpolylog.cocycles import coordinate_name
 from ckpolylog.galois import sigma_id, standard_genset, tau_id
 from ckpolylog.padic import EXACT, PadicNumber, iwasawa_log, log_floor, teichmuller, valuation
-from ckpolylog.polylog import IntSeries, _power_tables, _top
+from ckpolylog.polylog import (
+    IntSeries, _kernel_digits, _power_tables, _series_degree, _series_digits, _top,
+)
 from ckpolylog.words import ShuffleElement, TensorElement, solve_columns
 
 
@@ -562,6 +570,106 @@ def brown_entry(word, lam, values, genset):
         return F(0)
     return (values[coordinate_name(head, weight(head))]
             * math.prod(values[coordinate_name(g)] for g in tail))
+
+
+def eval_universal_by_tails(n, genset):
+    """cocycles.eval_universal built tail by tail: for each head g of weight
+    s <= k and each tail in taus^(k - s), the word g tail under its sorted
+    monomial of coordinate names."""
+    taus = [g.id for g in genset.generators if g.weight == 1]
+    images = {"log": {(coordinate_name(t),): ShuffleElement.word(genset, (t,)) for t in taus}}
+    for k in range(1, n + 1):
+        poly = {}
+        for s in range(1, k + 1):
+            for head in [g.id for g in genset.generators if g.weight == s]:
+                for tail in itertools.product(taus, repeat=k - s):
+                    mono = tuple(sorted([coordinate_name(head, s)]
+                                        + [coordinate_name(t) for t in tail]))
+                    fel = ShuffleElement.word(genset, (head,) + tail)
+                    poly[mono] = poly[mono] + fel if mono in poly else fel
+        images["li%d" % k] = poly
+    return images
+
+
+def cocycle_apply_by_substitution(values, genset, n):
+    """cocycles.cocycle_apply by substituting c into every monomial of
+    eval_universal_by_tails, zero coordinates included."""
+    out = {}
+    for tgt, poly in eval_universal_by_tails(n, genset).items():
+        acc = ShuffleElement(genset)
+        for mono, fel in poly.items():
+            acc = acc + fel.scale(math.prod(values[name] for name in mono))
+        out[tgt] = acc
+    return out
+
+
+# -- the size rule counting digits ----------------------------------------------------
+
+
+def unsupported_size_by_digits(p, policy, max_weight):
+    """Whether D max((p + G) G, (K - 4) d) passes 5 * 10^8: the size rule
+    that weighs each weight past the fourth in digits, not bits, and takes
+    the larger part.  At K = 4 both rules read D (p + G) G only, so it is
+    the reference for polylog.unsupported_size's verdicts there."""
+    G = _series_digits(policy)
+    D = _series_degree(p, G)
+    d = _kernel_digits(p, D, G, max_weight)
+    return D * max((p + G) * G, (max_weight - 4) * d) > 5 * 10 ** 8
+
+
+# -- the weight-3 basis certificate over Z[1/6] ---------------------------------------
+
+
+def basis_certificate_deg3():
+    """The 8x8 matrix of Delta'_{1,2} coordinates certifying the weight-3 basis
+    over Z[1/6], together with its determinant (which must be 9).
+
+    Rows: log(2) (x) {log2^2, log2 log3, log3^2, Li2(-2)} then log(3) (x) same.
+    Columns: log2^3, log3^3, log2^2 log3, log2 log3^2, log2 Li2(-2),
+             log3 Li2(-2), Li3(-2), Li3(3).
+    """
+    l2 = sy.log_u(2)
+    l3 = sy.log_u(3)
+    li2m2 = sy.li_u(2, F(-2))
+    cols = [l2 ** 3, l3 ** 3, l2 * l2 * l3, l2 * l3 * l3,
+            l2 * li2m2, l3 * li2m2,
+            sy.li_u(3, F(-2)), sy.li_u(3, F(3))]
+    right_basis = [l2 * l2, l2 * l3, l3 * l3, li2m2]
+    left_basis = [l2, l3]
+    rows = [(i, j) for i in range(2) for j in range(4)]
+    mat = [[F(0)] * len(cols) for _ in rows]
+    for cj, col in enumerate(cols):
+        t12 = bidegree_part(sy.reduced_coproduct(col), 1, 2)
+        coords = _tensor_coords(t12, left_basis, right_basis)
+        for (i, j), val in coords.items():
+            mat[rows.index((i, j))][cj] = val
+    _, det = wd.row_reduce([row[:] for row in mat], len(cols))
+    return mat, det
+
+
+def _tensor_coords(t12, left_basis, right_basis):
+    lkeys = {}
+    for i, b in enumerate(left_basis):
+        (mono,) = b.terms
+        lkeys[mono] = (i, b.terms[mono])
+    rkeys = {}
+    for j, b in enumerate(right_basis):
+        (mono,) = b.terms
+        rkeys[mono] = (j, b.terms[mono])
+    out = {}
+    for (ml, mr), c in t12.terms.items():
+        if ml not in lkeys or mr not in rkeys:
+            raise ValueError("tensor term (%r, %r) misses the stated bases" % (ml, mr))
+        i, cl = lkeys[ml]
+        j, cr = rkeys[mr]
+        out[(i, j)] = out.get((i, j), F(0)) + c / (cl * cr)
+    return {k: v for k, v in out.items() if v}
+
+
+def bidegree_part(t, i, j):
+    """The terms of a symbols.TensorExpr of bidegree (i, j)."""
+    return sy.TensorExpr({(l, r): c for (l, r), c in t.terms.items()
+                          if sum(s.weight for s in l) == i and sum(s.weight for s in r) == j})
 
 
 # -- helpers only the tests call ------------------------------------------------

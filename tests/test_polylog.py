@@ -4,14 +4,17 @@ from math import factorial
 import pytest
 
 from ckpolylog.padic import (EXACT, PadicNumber, PrecisionPolicy, PrecisionError,
-                             iwasawa_log, log_floor, rational_reconstruct, teichmuller)
+                             is_prime, iwasawa_log, log_floor, rational_reconstruct,
+                             teichmuller)
 from ckpolylog.polylog import (BadDiskError, IntSeries, PolylogEngine, get_engine,
-                               _series_eval, _series_multiply, _twisted_kernel)
+                               unsupported_size, _series_eval, _series_multiply,
+                               _twisted_kernel)
 import ckpolylog.symbols as sy
 
 from oracles import (washington_lp, generalized_bernoulli, bernoulli_list, disk_series,
                      dz_over_z_series, geometric_log_series, integral_reading_every_valuation,
-                     teichmuller_values, twisted_horner, twisted_series_by_log)
+                     teichmuller_values, twisted_horner, twisted_series_by_log,
+                     unsupported_size_by_digits)
 
 
 def test_engine_rejects_small_or_composite_primes():
@@ -593,3 +596,37 @@ def test_engine_generalizes_to_larger_primes(policy):
     d = (F(2) ** (1 - 4) * eng.polylog(4, F(9))
          - eng.polylog(4, F(3)) - eng.polylog(4, F(-3)))
     assert d.val_lower_bound() >= policy.M - policy.g
+
+
+# the largest --n that verify counterexample admits at (p, --prec); at
+# --prec 407, the largest p = 7 admits, the weight-4 part fills the budget
+LARGEST_ADMITTED_N = {(5, 12): 474, (7, 12): 497, (31, 12): 174, (101, 12): 109,
+                      (601, 12): 6, (7, 407): 4}
+
+
+@pytest.mark.parametrize("p, M", sorted(LARGEST_ADMITTED_N))
+def test_largest_admitted_counterexample_weight(p, M):
+    policy, n = PrecisionPolicy(M, 3), LARGEST_ADMITTED_N[p, M]
+    assert unsupported_size(p, policy, n) is None
+    assert unsupported_size(p, policy, n + 1) is not None
+
+
+# the largest --prec each p admits at weight 4 (every locus), and the
+# largest p at the default --prec
+LARGEST_ADMITTED_PREC = {5: 470, 7: 407, 13: 317, 31: 222}
+LARGEST_ADMITTED_P = 613
+
+
+def test_size_rule_at_weight_four_counts_the_twisted_series_alone():
+    primes = [p for p in range(5, 701) if is_prime(p)]
+    cases = [(p, PrecisionPolicy()) for p in primes]
+    cases += [(p, PrecisionPolicy(M, 3)) for p, top in LARGEST_ADMITTED_PREC.items()
+              for M in range(4, top + 50)]
+    for p, policy in cases:
+        refused = unsupported_size(p, policy, 4) is not None
+        assert refused == unsupported_size_by_digits(p, policy, 4), (p, policy)
+    assert max(p for p in primes
+               if unsupported_size(p, PrecisionPolicy(), 4) is None) == LARGEST_ADMITTED_P
+    for p, top in LARGEST_ADMITTED_PREC.items():
+        assert unsupported_size(p, PrecisionPolicy(top, 3), 4) is None
+        assert unsupported_size(p, PrecisionPolicy(top + 1, 3), 4) is not None

@@ -36,10 +36,6 @@ SEEDS = {
     "words.monomials": "a helper of graded_kernel_dimension (ROADMAP item 3)",
     "galois.PeriodTable.to_json": "the shape of the shipped zeta table (ROADMAP item 4)",
     "words.ShuffleElement.to_json": "serializes the zeta table's entries (ROADMAP item 4)",
-    "galois.basis_certificate_deg3": "its determinant is to become the rank certificate "
-                                     "of one period-table builder (ROADMAP item 5)",
-    "galois._tensor_coords": "a helper of basis_certificate_deg3 (ROADMAP item 5)",
-    "symbols.TensorExpr.bidegree_part": "a helper of basis_certificate_deg3 (ROADMAP item 5)",
 }
 
 # value semantics that tests compare or hash by, though no command does
@@ -48,8 +44,6 @@ VALUE_SEMANTICS = {
     "padic.PrecisionPolicy.__eq__": "equal policies built apart must compare equal",
     "padic.PrecisionPolicy.__hash__": "a policy that defines __eq__ must stay hashable",
     "symbols.Expression.__hash__": "an Expression that defines __eq__ must stay hashable",
-    "words.LinearCombination.__bool__": "test_linear_combination_core asserts the "
-                                        "truthiness of combinations",
     **dict.fromkeys(["symbols.ExprFraction.%s" % name
                      for name in ("__add__", "__sub__", "__neg__", "is_zero")],
                     "test_exprfraction_coefficients_negate_and_cancel adds, subtracts "
